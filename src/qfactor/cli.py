@@ -2,8 +2,12 @@
 
 Subcommands: factor, simulate, sample, estimate, check.  Exit codes are a
 stable contract: 0 success, 2 assumption or guard violation, 3 attempts
-exhausted, 64 usage.  Identical flags and seed produce byte-identical JSON
-up to the timings block.
+exhausted, 64 usage.  Usage errors are found before any work starts: flags
+or a config file that do not parse, a negative seed, factor settings that
+PipelineConfig rejects (such as a negative attempt count), and estimate
+lists that are not numbers or are out of range.  Range errors found once a
+run has started (such as --d 0) exit 2 with the guard violations.
+Identical flags and seed produce byte-identical JSON up to the timings block.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ import numpy as np
 from . import checks, gauss, qsim
 from .arith import FactoringInstance, FactorFound, ParameterError, ResourceLimitError
 from .pipeline import (
-    ASSUMPTION_VIOLATED,
     ATTEMPTS_EXHAUSTED,
     FACTORED,
-    REJECTED_PRIME,
     PipelineConfig,
+    _ceil_sqrt,
     certify_assumption,
     default_dimension,
     default_witness_bound,
+    draw_samples,
     estimate_gate_cost,
     run_factoring,
     select_radius,
@@ -199,16 +203,20 @@ def build_parser() -> _Parser:
 def cmd_factor(args) -> int:
     started = time.perf_counter()
     seed = _resolve(args, "seed", 0)
-    config = PipelineConfig(
-        N=args.n,
-        d=_resolve(args, "d", None),
-        m=_resolve(args, "m", None),
-        mode=_resolve(args, "mode", "oracle"),
-        seed=seed,
-        max_attempts=_resolve(args, "max_attempts", 50),
-        safety=_resolve(args, "safety", 4),
-        radius_override=_resolve(args, "radius", None),
-    )
+    try:
+        config = PipelineConfig(
+            N=args.n,
+            d=_resolve(args, "d", None),
+            m=_resolve(args, "m", None),
+            mode=_resolve(args, "mode", "oracle"),
+            seed=seed,
+            max_attempts=_resolve(args, "max_attempts", 50),
+            safety=_resolve(args, "safety", 4),
+            radius_override=_resolve(args, "radius", None),
+        )
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         outcome = run_factoring(config)
     except (ResourceLimitError, ParameterError) as exc:
@@ -220,7 +228,7 @@ def cmd_factor(args) -> int:
         "attempts_used": outcome.attempts_used,
         "transcript": outcome.transcript,
     }
-    report = make_report("factor", seed, vars(config) | {}, results, started)
+    report = make_report("factor", seed, vars(config), results, started)
     emit(report, args)
     if outcome.status == FACTORED:
         if not args.json:
@@ -228,8 +236,6 @@ def cmd_factor(args) -> int:
         return EXIT_OK
     if outcome.status == ATTEMPTS_EXHAUSTED:
         return EXIT_EXHAUSTED
-    if outcome.status in (ASSUMPTION_VIOLATED, REJECTED_PRIME):
-        return EXIT_VIOLATION
     return EXIT_VIOLATION
 
 
@@ -311,16 +317,10 @@ def cmd_sample(args) -> int:
             print("error: no short witness; cannot pick a radius", file=sys.stderr)
             return EXIT_VIOLATION
         m = _resolve(args, "m", None) or d + 4
-        T = math.isqrt(witness.norm_sq)
-        T += 0 if T * T == witness.norm_sq else 1
+        T = _ceil_sqrt(witness.norm_sq)
         R = select_radius(inst, rel, T, m, _resolve(args, "safety", 4))
         params = gauss.GaussParams.choose(d, float(R))
-        dual = dual_cosets(rel)
-        samples = []
-        for i in range(m):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
-            v, samp = gauss.sample_Q(dual, params, rng)
-            samples.append({"v": [str(x) for x in v], "w_indices": list(samp.indices)})
+        samples = draw_samples(seed, 0, m, params, dual_cosets(rel))
         results = {"R": R, "D": params.D, "m": m, "det": rel.det, "samples": samples}
     except (ResourceLimitError, FactorFound, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -333,22 +333,29 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _parse_list(text: str, cast, flag: str) -> list:
+    try:
+        return [cast(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ParameterError(f"{flag} wants comma-separated numbers, got {text!r}") from None
+
+
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
-    n_values = [int(x) for x in args.n_values.split(",") if x.strip()]
-    eps_values = (
-        [float(x) for x in args.eps_values.split(",") if x.strip()] if args.eps_values else None
-    )
-    rows = []
+    try:
+        n_values = _parse_list(args.n_values, int, "--n-values")
+        eps_values = _parse_list(args.eps_values, float, "--eps-values") if args.eps_values else None
+        rows = []
+        for n in n_values:
+            if eps_values is not None:
+                rows.extend(tradeoff_rows(n, eps_values, C=args.c))
+            else:
+                d = args.d if args.d is not None else max(1, math.isqrt(n - 1) + 1)
+                rows.append(estimate_gate_cost(n, d, log2_D=args.log2d, C=args.c))
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     prev_total = None
-    for n in n_values:
-        if eps_values is not None:
-            for row in tradeoff_rows(n, eps_values, C=args.c):
-                rows.append(row)
-        else:
-            d = args.d if args.d is not None else max(1, math.isqrt(n - 1) + 1)
-            row = estimate_gate_cost(n, d, log2_D=args.log2d, C=args.c)
-            rows.append(row)
     table = []
     for row in rows:
         ratio = row.total / prev_total if prev_total else None
@@ -424,6 +431,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     else:
         args._config_values = {}
+    seed = _resolve(args, "seed", 0)
+    if not isinstance(seed, int) or seed < 0:
+        print(f"error: the seed must be a nonnegative integer, got {seed!r}", file=sys.stderr)
+        return EXIT_USAGE
     return _HANDLERS[args.cmd](args)
 
 

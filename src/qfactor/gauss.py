@@ -3,8 +3,11 @@
 The measurement procedure's output distribution is a uniform dual coset v
 perturbed by Gaussian noise of width s = 1/(sqrt(2) R) and snapped to the
 grid {0, 1/D, ..., (D-1)/D}^d.  Everything here evaluates those masses by
-explicit wrap-around (theta) sums whose neglected tails stay below 2^-64,
-and samples them by inverse CDF over the explicit per-coordinate tables.
+explicit wrap-around (theta) sums whose neglected tails stay below 2^-64.
+The sampler draws each coordinate by inverse CDF over its window: the
+2W+1 cells around the center, outside which the mass is below 2^-64, so
+its cost and memory do not grow with D.  Dense D-cell tables exist only
+where every cell is needed, in qv_table and q_table.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .arith import ParameterError, ResourceLimitError
 
 TAIL_LOG2 = 64  # neglected wrap-around mass per table stays below 2^-64
 TABLE_CAP = 1 << 22
+THETA_BLOCK = 1 << 12  # cells per block of the vectorized theta sum
 
 
 def theta_cutoff_for(s: float) -> int:
@@ -60,6 +64,13 @@ class GaussParams:
     def s(self) -> float:
         """Noise width of the output distribution."""
         return 1.0 / (math.sqrt(2.0) * self.R)
+
+    @property
+    def window(self) -> int:
+        """Sampling half-width W in cells: the theta cutoff of the width D*s
+        measured in cells, so every cell more than W from the center's cell
+        carries < 2^-64 of the mass, whatever D is."""
+        return theta_cutoff_for(self.D * self.s)
 
     @property
     def in_tail_regime(self) -> bool:
@@ -110,15 +121,52 @@ def rho(s: float, x) -> float:
     return float(np.exp(-math.pi * float(np.dot(arr, arr)) / (s * s)))
 
 
+def theta_sum(x: float, cells: np.ndarray, params: GaussParams) -> np.ndarray:
+    """Unnormalized masses at cells/D of the width-s wrap-around Gaussian
+    centered at x (already reduced mod 1): the theta sum over the shifts
+    t = -K..K, added in that order.
+
+    All shifts of a block of cells are evaluated at once, one row per shift;
+    reducing along the first axis adds the rows one after another, so every
+    cell's sum is the same float sequence as a loop over t.  Blocks bound
+    the scratch memory of dense tables to (2K+1) * THETA_BLOCK floats.
+    """
+    s, K = params.s, params.theta_cutoff
+    shifts = np.arange(-K, K + 1, dtype=float)[:, None]
+    total = np.empty(len(cells))
+    for lo in range(0, len(cells), THETA_BLOCK):
+        diff = x - cells[lo:lo + THETA_BLOCK] / params.D
+        terms = np.exp(-math.pi * ((diff + shifts) / s) ** 2)
+        total[lo:lo + THETA_BLOCK] = np.add.reduce(terms, axis=0)
+    return total
+
+
 def coordinate_masses(v_j: float, params: GaussParams) -> np.ndarray:
     """Normalized masses at k/D, k = 0..D-1, of the width-s wrap-around
     Gaussian centered at v_j (taken mod 1)."""
-    D, s, K = params.D, params.s, params.theta_cutoff
-    diff = (float(v_j) % 1.0) - np.arange(D) / D
-    total = np.zeros(D)
-    for t in range(-K, K + 1):
-        total += np.exp(-math.pi * ((diff + t) / s) ** 2)
+    total = theta_sum(float(v_j) % 1.0, np.arange(params.D), params)
     return total / total.sum()
+
+
+def window_cdf(x: float, params: GaussParams) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table of one coordinate centered at x (reduced mod 1).
+
+    Returns (cells, cdf) over the cells within W of the cell holding x, or
+    the whole grid when 2W+1 >= D.  The cells are listed in ascending order
+    mod D, also when the window wraps past 0, so the CDF matches the dense
+    D-cell table's at every window cell and a uniform draw maps to the same
+    cell.  The masses are normalized over the window.
+    """
+    D, W = params.D, params.window
+    if 2 * W + 1 >= D:
+        cells = np.arange(D)
+    else:
+        c = int(x * D)
+        cells = np.sort(np.arange(c - W, c + W + 1) % D)
+    masses = theta_sum(x, cells, params)
+    cdf = np.cumsum(masses / masses.sum())
+    cdf[-1] = 1.0
+    return cells, cdf
 
 
 def qv_coordinate_tables(v, params: GaussParams) -> list[np.ndarray]:
@@ -159,14 +207,17 @@ def q_table(dual, params: GaussParams, table_cap: int = TABLE_CAP) -> np.ndarray
 def sample_Qv(v, params: GaussParams, rng) -> DualSample:
     """Draw one grid point from the single-coset distribution around v.
 
-    Per coordinate: inverse CDF over the explicit D-entry mass table.
-    Reproducible given the generator state.
+    Per coordinate: inverse CDF over the coordinate's window (window_cdf);
+    the mass left outside it is below 2^-64.  Time and memory per draw do
+    not depend on D.  Reproducible given the generator state.
     """
+    vv = tuple(v)
+    if len(vv) != params.d:
+        raise ParameterError("coset representative has wrong dimension")
     indices = []
-    for table in qv_coordinate_tables(v, params):
-        cdf = np.cumsum(table)
-        cdf[-1] = 1.0
-        indices.append(int(np.searchsorted(cdf, rng.random(), side="right")))
+    for v_j in vv:
+        cells, cdf = window_cdf(float(v_j) % 1.0, params)
+        indices.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]))
     return DualSample(indices=tuple(indices), params=params)
 
 

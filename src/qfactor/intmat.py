@@ -27,10 +27,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def norm_sq(v):
-    return sum(a * a for a in v)
-
-
 def identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 

@@ -22,15 +22,9 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Integer basis vectors of a full-rank lattice.
-
-    `denominator` scales the whole lattice by 1/denominator for rational
-    lattices; nothing in this package needs it after the integral embedding
-    choice, but callers may carry it.
-    """
+    """Integer basis vectors of a full-rank lattice."""
 
     vectors: tuple[tuple[int, ...], ...]
-    denominator: int = 1
 
     def __post_init__(self):
         if not self.vectors:
@@ -38,8 +32,6 @@ class LatticeBasis:
         k = len(self.vectors[0])
         if any(len(v) != k for v in self.vectors):
             raise LatticeError("ragged basis")
-        if self.denominator < 1:
-            raise ParameterError("denominator must be positive")
 
     @property
     def rank(self) -> int:
@@ -71,10 +63,6 @@ def gram_schmidt(vectors):
     if any(s == 0 for s in sq):
         raise LatticeError("rank-deficient basis")
     return mu, b_star, sq
-
-
-def gram_schmidt_sq_norms(vectors) -> list[Fraction]:
-    return gram_schmidt(vectors)[2]
 
 
 def _nearest_int(x: Fraction) -> int:
@@ -125,9 +113,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)) -> LLLResult:
         else:
             k += 1
     return LLLResult(
-        basis=LatticeBasis(
-            vectors=tuple(tuple(v) for v in vecs), denominator=b.denominator
-        ),
+        basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
         transform=tuple(tuple(r) for r in trans),
         gs_sq_norms=tuple(gram_schmidt(vecs)[2]),
         delta=delta,

@@ -37,6 +37,7 @@ from .qsim import (
 from .relattice import (
     ENUM_CAP,
     GROUP_CAP,
+    DualStructure,
     RelationLattice,
     build_relation_lattice,
     dual_cosets,
@@ -191,6 +192,28 @@ class FactoringOutcome:
     transcript: dict = field(repr=False)
 
 
+def draw_samples(
+    seed: int, attempt: int, m: int, params: GaussParams, dual: DualStructure,
+    P: np.ndarray | None = None,
+) -> list[dict]:
+    """The m samples of one attempt, as transcript entries {"v", "w_indices"}.
+
+    Sample i draws from its own stream SeedSequence(seed, spawn_key=(attempt, i)),
+    so every sample reproduces on its own.  Without P the classical oracle
+    draws a dual coset v and a grid point around it; with P, the statevector
+    outcome distribution, the grid point is measured and v is None.
+    """
+    samples = []
+    for i in range(m):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
+        if P is None:
+            v, samp = sample_Q(dual, params, rng)
+            samples.append({"v": [str(x) for x in v], "w_indices": list(samp.indices)})
+        else:
+            samples.append({"v": None, "w_indices": list(sample_measurement(P, rng))})
+    return samples
+
+
 def _instance_dict(inst: FactoringInstance) -> dict:
     return {"N": inst.N, "n": inst.n, "d": inst.d, "b": list(inst.b), "a": list(inst.a)}
 
@@ -271,21 +294,10 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     attempts = []
     transcript["attempts"] = attempts
     for attempt in range(config.max_attempts):
-        record: dict = {"samples": [], "candidates": [], "factor": None}
+        record: dict = {"samples": draw_samples(config.seed, attempt, m, params, dual, P),
+                        "candidates": [], "factor": None}
         attempts.append(record)
-        w_list = []
-        for i in range(m):
-            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(attempt, i)))
-            if config.mode == "oracle":
-                v, samp = sample_Q(dual, params, rng)
-                record["samples"].append(
-                    {"v": [str(x) for x in v], "w_indices": list(samp.indices)}
-                )
-                w_list.append(samp.fractions())
-            else:
-                idx = sample_measurement(P, rng)
-                record["samples"].append({"v": None, "w_indices": list(idx)})
-                w_list.append(tuple(Fraction(j, D) for j in idx))
+        w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in record["samples"]]
         ext = build_extended_lattice(d, w_list, S=D, D=D)
         candidates = recover_relation_vectors(ext, T, delta_sq)
         factor = None

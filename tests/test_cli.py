@@ -40,6 +40,18 @@ def test_usage_error_exit_64(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "77", "--max-attempts", "-1"],
+    ["sample", "--n", "35", "--d", "1", "--seed", "-5"],
+    ["estimate", "--n-values", "1"],
+    ["estimate", "--n-values", "abc"],
+])
+def test_bad_values_exit_64_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 64
+    assert err.startswith("error: ")
+
+
 def test_json_report_validates_and_is_deterministic(capsys):
     argv = ["factor", "--n", "77", "--d", "1", "--seed", "42", "--json"]
     code1, out1, _ = run_cli(capsys, argv)
@@ -117,6 +129,16 @@ def test_sample_command(capsys):
     D = report["results"]["D"]
     for s in samples:
         assert all(0 <= k < D for k in s["w_indices"])
+
+
+def test_sample_reproduces_first_factor_attempt(capsys):
+    # sample and factor share one sampling path: same seed, same draws
+    _, out, _ = run_cli(capsys, ["sample", "--n", "221", "--d", "2", "--seed", "5", "--json"])
+    sampled = json.loads(out)["results"]
+    _, out, _ = run_cli(capsys, ["factor", "--n", "221", "--d", "2", "--seed", "5", "--json"])
+    transcript = json.loads(out)["results"]["transcript"]
+    assert transcript["parameters"]["R"] == sampled["R"]
+    assert transcript["attempts"][0]["samples"] == sampled["samples"]
 
 
 def test_estimate_single_point(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,9 @@ from qfactor.gauss import (
     rho,
     sample_Q,
     sample_Qv,
+    theta_sum,
     torus_distance,
+    window_cdf,
 )
 from qfactor.relattice import build_relation_lattice, dual_cosets
 
@@ -83,6 +86,23 @@ def test_masses_match_direct_theta_oracle():
     got = coordinate_masses(0.5, p)
     want = wrapped_gaussian_oracle(0.5, grid, p.s)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
+def test_theta_sum_equals_loop_over_shifts():
+    # same float expression, added in the order t = -K..K: bit-identical,
+    # across block edges and for cutoffs K above the 8-term unrolled sums
+    def loop(x, cells, p):
+        diff = x - cells / p.D
+        total = np.zeros(len(cells))
+        for t in range(-p.theta_cutoff, p.theta_cutoff + 1):
+            total += np.exp(-math.pi * ((diff + t) / p.s) ** 2)
+        return total
+
+    for R, D in [(4.0, 8), (1.0, 2), (0.05, 4), (0.3, 64), (2.0**12, 2**14)]:
+        p = GaussParams(R=R, D=D, d=1)
+        for x in (0.0, 0.3, 1 - 1e-9, 1.0):
+            for cells in (np.arange(D), np.arange(D)[D // 3 :], np.array([D - 1, 0, 1][: D])):
+                assert np.array_equal(theta_sum(x, cells, p), loop(x, cells, p))
 
 
 def test_masses_symmetric_around_zero_center():
@@ -223,3 +243,90 @@ def test_concentration_rate_improves_with_dimension():
         rep = concentration_check(GaussParams.choose(d, 8.0), 3000, rng)
         rates.append(rep.failure_rate)
     assert rates[2] <= rates[0] + 0.02
+
+
+# (d, R) at the selected grid, from the tiny whole-grid case to D = 2^17
+WINDOW_CASES = [(1, 4.0), (1, 64.0), (2, 8.0), (2, 2.0**15), (3, 256.0), (4, 2.0**15)]
+
+
+def window_centres(D):
+    """Centres at 0, just below 1, exactly on a cell edge, with a window that
+    wraps past 0 from either side, and two generic ones."""
+    return [0.0, 1 - 1e-9, 5 / D, 2 / D + 0.3 / D, -1e-12 % 1.0, 1 / (3 * D), 0.4375 + 1 / (7 * D)]
+
+
+def dense_cdf(x, p):
+    """The reference: inverse-CDF table over the dense D-cell mass table."""
+    cdf = np.cumsum(coordinate_masses(x, p))
+    cdf[-1] = 1.0
+    return cdf
+
+
+@pytest.mark.parametrize("d,R", WINDOW_CASES)
+def test_window_draws_match_dense_inverse_cdf(d, R):
+    p = GaussParams.choose(d, R)
+    u = np.random.default_rng(7).random(20_000)
+    for x in window_centres(p.D):
+        cells, cdf = window_cdf(x, p)
+        got = cells[np.searchsorted(cdf, u, side="right")]
+        want = np.searchsorted(dense_cdf(x, p), u, side="right")
+        assert np.array_equal(got, want), (d, R, x)
+
+
+def test_sample_Qv_matches_dense_sampler():
+    # the seeded sampler end to end: one uniform per coordinate, in order
+    for d, R in WINDOW_CASES:
+        p = GaussParams.choose(d, R)
+        centres = window_centres(p.D)
+        cdfs = {x: dense_cdf(x, p) for x in centres}
+        for i in range(150):
+            v = tuple(centres[(i + j) % len(centres)] for j in range(d))
+            got = sample_Qv(v, p, np.random.default_rng(i)).indices
+            rng = np.random.default_rng(i)
+            want = tuple(int(np.searchsorted(cdfs[x], rng.random(), side="right")) for x in v)
+            assert got == want, (d, R, v)
+
+
+def test_window_masses_within_2_ulp_of_dense():
+    # one ulp at 1, the scale the inverse CDF compares uniforms at
+    ulp = np.finfo(float).eps
+    for d, R in WINDOW_CASES:
+        p = GaussParams.choose(d, R)
+        for x in window_centres(p.D):
+            cells, cdf = window_cdf(x, p)
+            masses = theta_sum(x, cells, p)
+            masses /= masses.sum()
+            assert np.abs(masses - coordinate_masses(x, p)[cells]).max() <= 2 * ulp
+            assert np.abs(cdf - dense_cdf(x, p)[cells]).max() <= 2 * ulp
+
+
+@pytest.mark.parametrize("d,R,D", [*((d, R, GaussParams.choose(d, R).D) for d, R in WINDOW_CASES),
+                                   (1, 4.0, 4096), (1, 2048.0, 256), (3, 2.5, 1024)])
+def test_dense_mass_outside_window_below_2_to_minus_64(d, R, D):
+    p = GaussParams(R=R, D=D, d=d)
+    for x in window_centres(D):
+        cells, _cdf = window_cdf(x, p)
+        outside = coordinate_masses(x, p)
+        outside[cells] = 0.0
+        assert outside.sum() < 2.0**-64, x
+
+
+def test_window_is_the_whole_grid_on_tiny_grids():
+    p = GaussParams(R=4.0, D=8, d=1)
+    assert 2 * p.window + 1 >= p.D
+    for x in (0.0, 0.3, 0.5, 1 - 1e-9):
+        cells, cdf = window_cdf(x, p)
+        assert np.array_equal(cells, np.arange(8))
+        assert np.array_equal(cdf, dense_cdf(x, p))
+
+
+def test_sample_Qv_memory_does_not_grow_with_D():
+    p = GaussParams.choose(4, 2.0**21)
+    assert p.D == 1 << 23
+    tracemalloc.start()
+    try:
+        sample_Qv((0.0, 0.25, 5 / p.D, 1 - 1e-9), p, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
