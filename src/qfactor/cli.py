@@ -4,9 +4,10 @@ Subcommands: factor, simulate, sample, estimate, check.  Exit codes are a
 stable contract: 0 success, 2 assumption or guard violation, 3 attempts
 exhausted, 64 usage.  Usage errors are found before any work starts: flags
 or a config file that do not parse, a negative seed, factor settings that
-PipelineConfig rejects (such as a negative attempt count), and estimate
-lists that are not numbers or are out of range.  Range errors found once a
-run has started (such as --d 0) exit 2 with the guard violations.
+PipelineConfig rejects (such as a negative attempt count or radius), a
+check run with fewer than one trial, and estimate lists that are not
+numbers or are out of range.  Range errors found once a run has started
+(such as --d 0, or --m below d+4) exit 2 with the guard violations.
 Identical flags and seed produce byte-identical JSON up to the timings block.
 """
 
@@ -309,14 +310,20 @@ def cmd_sample(args) -> int:
     started = time.perf_counter()
     seed = _resolve(args, "seed", 0)
     try:
-        d = _resolve(args, "d", None) or default_dimension(args.n)
+        d = _resolve(args, "d", None)
+        if d is None:
+            d = default_dimension(args.n)
+        m = _resolve(args, "m", None)
+        if m is None:
+            m = d + 4
+        if m < d + 4:
+            raise ParameterError("m must be at least d + 4")
         inst = FactoringInstance.build(args.n, d)
         rel = build_relation_lattice(inst)
         witness = certify_assumption(inst, default_witness_bound(inst), rel=rel)
         if not witness.found:
             print("error: no short witness; cannot pick a radius", file=sys.stderr)
             return EXIT_VIOLATION
-        m = _resolve(args, "m", None) or d + 4
         T = _ceil_sqrt(witness.norm_sq)
         R = select_radius(inst, rel, T, m, _resolve(args, "safety", 4))
         params = gauss.GaussParams.choose(d, float(R))
@@ -344,6 +351,8 @@ def cmd_estimate(args) -> int:
     started = time.perf_counter()
     try:
         n_values = _parse_list(args.n_values, int, "--n-values")
+        if any(n < 2 for n in n_values):
+            raise ParameterError(f"--n-values wants bit lengths of at least 2, got {args.n_values!r}")
         eps_values = _parse_list(args.eps_values, float, "--eps-values") if args.eps_values else None
         rows = []
         for n in n_values:
@@ -391,6 +400,9 @@ def cmd_estimate(args) -> int:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     seed = _resolve(args, "seed", 0)
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "none":
         results = {"suites": [], "passed": True}
     else:

@@ -22,6 +22,7 @@ from .arith import ParameterError, ResourceLimitError
 
 TAIL_LOG2 = 64  # neglected wrap-around mass per table stays below 2^-64
 TABLE_CAP = 1 << 22
+GRID_CAP = 1 << 62  # window cells are int64 indices near the grid size
 THETA_BLOCK = 1 << 12  # cells per block of the vectorized theta sum
 
 
@@ -91,11 +92,17 @@ class GaussParams:
 
     @classmethod
     def choose(cls, d: int, R: float) -> "GaussParams":
-        """Smallest power-of-two D with 2 sqrt(d) R <= D (< 4 sqrt(d) R)."""
+        """Smallest power-of-two D with 2 sqrt(d) R <= D (< 4 sqrt(d) R).
+
+        Raises ResourceLimitError when D would pass GRID_CAP."""
         lo = 2 * math.sqrt(d) * R
         D = 1 << max(1, math.ceil(math.log2(lo) - 1e-9))
         while D < lo:
             D <<= 1
+        if D > GRID_CAP:
+            raise ResourceLimitError(
+                f"grid size 2^{D.bit_length() - 1} exceeds the cap 2^62; lower the radius"
+            )
         return cls(R=R, D=D, d=d)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmat
-from .arith import ParameterError
+from .arith import ParameterError, ResourceLimitError
 
 
 class LatticeError(ValueError):
@@ -146,12 +146,16 @@ def extract_short_generators(basis, T=None, norm_bound_sq=None) -> list[tuple[in
     return [tuple(v) for v in reduced.basis.vectors[:ell]]
 
 
-def enumerate_lattice_vectors(basis, norm_bound=None, norm_bound_sq=None) -> list[tuple[int, ...]]:
+def enumerate_lattice_vectors(
+    basis, norm_bound=None, norm_bound_sq=None, node_cap=None
+) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors of norm <= the bound, exactly.
 
     Fincke-Pohst enumeration over exact Gram-Schmidt data; float square
     roots are only used to bracket coefficient ranges, every candidate is
-    admitted or rejected by an exact rational comparison.
+    admitted or rejected by an exact rational comparison.  Each coefficient
+    value tried at each level is one enumeration node; with node_cap set,
+    a search that would try more nodes raises ResourceLimitError.
     """
     if (norm_bound is None) == (norm_bound_sq is None):
         raise ParameterError("pass exactly one of norm_bound, norm_bound_sq")
@@ -166,13 +170,19 @@ def enumerate_lattice_vectors(basis, norm_bound=None, norm_bound_sq=None) -> lis
     mu, _bs, sq = gram_schmidt(vecs)
     out: list[tuple[int, ...]] = []
     coeffs = [0] * n
+    nodes = 0
 
     def descend(i: int, remaining: Fraction):
+        nonlocal nodes
         shift = sum(coeffs[t] * mu[t][i] for t in range(i + 1, n))
         # |x + shift| <= sqrt(remaining / sq[i]); bracket with slack, verify exactly
         radius = math.sqrt(float(remaining / sq[i])) + 1.0
         center = float(-shift)
-        for x in range(math.floor(center - radius), math.ceil(center + radius) + 1):
+        lo, hi = math.floor(center - radius), math.ceil(center + radius)
+        nodes += hi - lo + 1
+        if node_cap is not None and nodes > node_cap:
+            raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
+        for x in range(lo, hi + 1):
             used = (x + shift) ** 2 * sq[i]
             if used > remaining:
                 continue

@@ -10,7 +10,6 @@ factor.  Every intermediate object lands in a JSON-friendly transcript.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,9 +38,10 @@ from .relattice import (
     GROUP_CAP,
     DualStructure,
     RelationLattice,
+    ball_census,
     build_relation_lattice,
     dual_cosets,
-    shortest_nontrivial_witness,
+    shortest_nontrivial_witness,  # not called here; kept bound for perfbench's tracer
 )
 from .arith import base_product, hom_image
 
@@ -80,6 +80,8 @@ class PipelineConfig:
             raise ParameterError(f"mode must be one of {MODES}")
         if self.max_attempts < 0:
             raise ParameterError("max_attempts must be nonnegative")
+        if self.radius_override is not None and self.radius_override < 1:
+            raise ParameterError("radius_override must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,27 +104,15 @@ def certify_assumption(
     sublattice, and measure what fraction of short relation vectors do."""
     if rel is None:
         rel = build_relation_lattice(inst)
-    witness = shortest_nontrivial_witness(rel, T_bound, enum_cap=enum_cap)
-    r = int(T_bound)
-    bound_sq = Fraction(T_bound) ** 2
-    members = 0
-    outside = 0
-    for z in itertools.product(range(-r, r + 1), repeat=inst.d):
-        if not any(z):
-            continue
-        if sum(x * x for x in z) > bound_sq:
-            continue
-        if hom_image(inst, z) != 1:
-            continue
-        members += 1
-        bp = base_product(inst, z)
-        if bp != 1 and bp != inst.N - 1:
-            outside += 1
+    census = ball_census(rel, T_bound, enum_cap=enum_cap)
+    witness = census.witness()
+    members = len(census.members)
+    outside = len(census.outside)
     return WitnessReport(
         found=witness is not None,
         vector=witness,
         norm_sq=sum(x * x for x in witness) if witness else None,
-        bound=r,
+        bound=int(T_bound),
         lattice_vectors=members,
         outside_sign=outside,
         fraction_outside=(outside / members) if members else None,
@@ -157,7 +147,10 @@ def select_radius(inst: FactoringInstance, rel: RelationLattice, T: int, m: int,
     """
     d, n = inst.d, inst.n
     k = d + m
-    base = 2.0 ** (d + n / d) * T * 2 ** safety
+    try:
+        base = 2.0 ** (d + n / d) * T * 2 ** safety
+    except OverflowError:
+        raise ResourceLimitError(f"safety margin 2^{safety} overflows the radius") from None
     lift = math.sqrt(1 + 8 * m * d * d)
     need = (
         6.0
@@ -270,7 +263,9 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     if m < d + 4:
         raise ParameterError("m must be at least d + 4")
     T = _ceil_sqrt(witness.norm_sq)
-    R = config.radius_override or select_radius(inst, rel, T, m, config.safety)
+    R = config.radius_override
+    if R is None:
+        R = select_radius(inst, rel, T, m, config.safety)
     params = GaussParams.choose(d, float(R))
     D = params.D
     delta_sq = Fraction(d, 2 * R * R)

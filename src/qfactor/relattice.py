@@ -6,6 +6,12 @@ prod b_i^{z_i} into {+-1}.  A vector of L outside L0 exhibits a nontrivial
 square root of unity, and gcd then yields a factor.  L is built exactly by
 BFS over the Cayley graph of the subgroup generated by the a_i, and the
 quotient L*/Z^d is made samplable through a Smith decomposition.
+
+The short vectors of L are listed by exact Fincke-Pohst enumeration over an
+LLL-reduced basis (ball_census).  The list is complete because the basis
+generates all of L: its determinant is checked against the BFS group order.
+Each listed vector is still confirmed by the homomorphism before it is
+classified against L0.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from . import intmat
+from . import intmat, latred
 from .arith import (
     FactoringInstance,
     ParameterError,
@@ -25,7 +31,7 @@ from .arith import (
 )
 
 GROUP_CAP = 1 << 22
-ENUM_CAP = 1 << 22
+ENUM_CAP = 1 << 22  # enumeration nodes: coefficient values tried, over all levels
 
 
 class DomainError(ValueError):
@@ -208,39 +214,43 @@ def dual_cosets(rel: RelationLattice) -> DualStructure:
     return dual
 
 
+@dataclass(frozen=True)
+class BallCensus:
+    """The nonzero vectors of L with norm <= a bound, split by L0."""
+
+    members: tuple[tuple[int, ...], ...]
+    outside: tuple[tuple[int, ...], ...]  # the members outside the sign sublattice
+
+    def witness(self) -> tuple[int, ...] | None:
+        """A shortest member outside L0; ties go to the lexicographically
+        smallest vector."""
+        return min(self.outside, key=lambda z: (sum(x * x for x in z), z), default=None)
+
+
+def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCensus:
+    """Every nonzero vector of L with norm <= bound, each classified once.
+
+    The vectors come from one exact enumeration over the LLL-reduced basis,
+    capped at enum_cap enumeration nodes.  in_L0 confirms each one by the
+    homomorphism before testing the sign sublattice.
+    """
+    if int(bound) < 0:
+        raise ParameterError("bound must be nonnegative")
+    reduced = latred.lll_reduce(rel.basis).basis
+    members = latred.enumerate_lattice_vectors(
+        reduced, norm_bound_sq=Fraction(bound) ** 2, node_cap=enum_cap
+    )
+    outside = tuple(z for z in members if not in_L0(rel, z))
+    return BallCensus(members=tuple(members), outside=outside)
+
+
 def shortest_nontrivial_witness(
     rel: RelationLattice, bound, enum_cap: int = ENUM_CAP
 ):
-    """Exhaustive search for a shortest vector of L \\ L0 with norm <= bound.
+    """A shortest vector of L \\ L0 with norm <= bound, or None.
 
-    Returns the witness as a tuple, or None.  Membership is decided by the
-    homomorphism itself, never by lattice algebra.
+    Taken from the ball census: exact enumeration over the lattice basis,
+    every vector confirmed by the homomorphism.  Among several shortest
+    witnesses the lexicographically smallest is returned.
     """
-    d = rel.d
-    r = int(bound)
-    if r < 0:
-        raise ParameterError("bound must be nonnegative")
-    volume = (2 * r + 1) ** d
-    if volume > enum_cap:
-        raise ResourceLimitError(
-            f"enumeration volume {volume} exceeds cap {enum_cap}"
-        )
-    bound_sq = Fraction(bound) ** 2
-    inst = rel.inst
-    best = None
-    best_sq = None
-    for z in itertools.product(range(-r, r + 1), repeat=d):
-        if not any(z):
-            continue
-        sq = sum(x * x for x in z)
-        if sq > bound_sq:
-            continue
-        if best_sq is not None and sq >= best_sq:
-            continue
-        if hom_image(inst, z) != 1:
-            continue
-        bp = base_product(inst, z)
-        if bp == 1 or bp == inst.N - 1:
-            continue
-        best, best_sq = tuple(z), sq
-    return best
+    return ball_census(rel, bound, enum_cap).witness()

@@ -1,0 +1,201 @@
+"""The ball census against the double box scan it replaced.
+
+`box_scan_reference` is the former certification, kept here only as an
+oracle: one (2r+1)^d box loop for the shortest witness and a second one for
+the member and outside-sign counts, with every point decided by the
+homomorphism.  `box_scan_numpy` walks the same box with per-coordinate power
+tables so the large benchmark instances stay cheap; it is checked against
+the reference on every small case.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qfactor.arith import (
+    FactoringInstance,
+    FactorFound,
+    ParameterError,
+    ResourceLimitError,
+    base_product,
+    hom_image,
+)
+from qfactor.pipeline import (
+    PipelineConfig,
+    certify_assumption,
+    default_witness_bound,
+    run_factoring,
+)
+from qfactor.relattice import ball_census, build_relation_lattice, shortest_nontrivial_witness
+
+
+def box_scan_reference(rel, bound):
+    """(witness, lattice_vectors, outside_sign) by the two former box loops."""
+    inst = rel.inst
+    r = int(bound)
+    bound_sq = Fraction(bound) ** 2
+    best = None
+    best_sq = None
+    for z in itertools.product(range(-r, r + 1), repeat=inst.d):
+        if not any(z):
+            continue
+        sq = sum(x * x for x in z)
+        if sq > bound_sq:
+            continue
+        if best_sq is not None and sq >= best_sq:
+            continue
+        if hom_image(inst, z) != 1:
+            continue
+        bp = base_product(inst, z)
+        if bp == 1 or bp == inst.N - 1:
+            continue
+        best, best_sq = tuple(z), sq
+    members = 0
+    outside = 0
+    for z in itertools.product(range(-r, r + 1), repeat=inst.d):
+        if not any(z):
+            continue
+        if sum(x * x for x in z) > bound_sq:
+            continue
+        if hom_image(inst, z) != 1:
+            continue
+        members += 1
+        bp = base_product(inst, z)
+        if bp != 1 and bp != inst.N - 1:
+            outside += 1
+    return best, members, outside
+
+
+def box_scan_numpy(rel, bound):
+    """The same scan over the same box, vectorised; C order is the
+    itertools.product order, so the first minimal hit is the box scan's."""
+    inst, d, N = rel.inst, rel.d, rel.inst.N
+    r = int(bound)
+    span = np.arange(-r, r + 1)
+    shape = (2 * r + 1,) * d
+
+    def image(gens):
+        out = np.ones(shape, dtype=np.int64)
+        for i, g in enumerate(gens):
+            table = np.array([pow(g, int(k), N) for k in span], dtype=np.int64)
+            out = out * table.reshape([-1 if j == i else 1 for j in range(d)]) % N
+        return out
+
+    norm_sq = np.zeros(shape, dtype=np.int64)
+    for i in range(d):
+        norm_sq = norm_sq + (span**2).reshape([-1 if j == i else 1 for j in range(d)])
+    ball = (norm_sq > 0) & (norm_sq <= math.floor(Fraction(bound) ** 2))
+    members = ball & (image(inst.a) == 1)
+    bp = image(inst.b)
+    outside = members & (bp != 1) & (bp != N - 1)
+    witness = None
+    if outside.any():
+        least = norm_sq[outside].min()
+        flat = int(np.argmax((outside & (norm_sq == least)).ravel()))
+        witness = tuple(int(k) - r for k in np.unravel_index(flat, shape))
+    return witness, int(members.sum()), int(outside.sum())
+
+
+def _report_tuple(report):
+    return report.vector, report.lattice_vectors, report.outside_sign, report.fraction_outside
+
+
+def _expected(witness, members, outside):
+    return witness, members, outside, (outside / members) if members else None
+
+
+# The (N, d) of every oracle-mix job and warm-up, each at its default bound.
+BENCHMARK_INSTANCES = [
+    (35, 1), (221, 1), (77, 2), (143, 2), (221, 2), (323, 2), (1147, 2),
+    (221, 3), (1147, 3), (437, 3), (3127, 3), (10403, 3), (1147, 4),
+]
+
+
+@pytest.mark.parametrize("N,d", BENCHMARK_INSTANCES)
+def test_census_matches_box_scan_on_benchmark_instances(N, d):
+    inst = FactoringInstance.build(N, d)
+    rel = build_relation_lattice(inst)
+    bound = default_witness_bound(inst)
+    expected = box_scan_numpy(rel, bound)
+    report = certify_assumption(inst, bound, rel=rel)
+    assert _report_tuple(report) == _expected(*expected)
+    assert report.bound == int(bound)
+    assert shortest_nontrivial_witness(rel, bound) == expected[0]
+
+
+SMALL_BOUNDS = [0, 1, 2, 3, 5, 8, Fraction(5, 2), Fraction(7, 3), 2.5, Fraction(99, 10)]
+
+
+def _buildable(N, d):
+    try:
+        FactoringInstance.build(N, d)
+    except FactorFound:
+        return False
+    return True
+
+
+SMALL_INSTANCES = [
+    (N, d) for N in (15, 33, 77, 143, 221) for d in (1, 2, 3) if _buildable(N, d)
+]
+
+
+@pytest.mark.parametrize("N,d", SMALL_INSTANCES)
+def test_census_matches_box_scan_small_moduli(N, d):
+    inst = FactoringInstance.build(N, d)
+    rel = build_relation_lattice(inst)
+    for bound in SMALL_BOUNDS + [default_witness_bound(inst)]:
+        expected = box_scan_reference(rel, bound)
+        assert box_scan_numpy(rel, bound) == expected
+        report = certify_assumption(inst, bound, rel=rel)
+        assert _report_tuple(report) == _expected(*expected), bound
+        assert report.bound == int(bound)
+        assert shortest_nontrivial_witness(rel, bound) == expected[0]
+
+
+def test_census_lists_each_ball_vector_once():
+    rel = build_relation_lattice(FactoringInstance.build(221, 2))
+    census = ball_census(rel, 24)
+    assert len(set(census.members)) == len(census.members)
+    assert set(census.outside) <= set(census.members)
+    assert all(0 < sum(x * x for x in z) <= 24**2 for z in census.members)
+
+
+def test_witness_tie_break_is_lexicographic():
+    # four witnesses of norm^2 5 at N = 77, d = 3; the box scan kept the first
+    rel = build_relation_lattice(FactoringInstance.build(77, 3))
+    census = ball_census(rel, 12)
+    ties = sorted(z for z in census.outside if sum(x * x for x in z) == 5)
+    assert ties == [(-1, 2, 0), (0, -1, 2), (0, 1, -2), (1, -2, 0)]
+    assert census.witness() == (-1, 2, 0)
+    assert box_scan_reference(rel, 12)[0] == (-1, 2, 0)
+    # a witness and its negation always tie; the negative one comes first
+    rel15 = build_relation_lattice(FactoringInstance.build(15, 1))
+    assert shortest_nontrivial_witness(rel15, 8) == (-2,)
+
+
+def test_enum_cap_counts_nodes_not_box_volume():
+    rel = build_relation_lattice(FactoringInstance.build(77, 2))
+    # the ball of radius 100 holds 2084 lattice vectors: far more than 100 nodes
+    assert certify_assumption(rel.inst, 100, rel=rel).lattice_vectors == 2084
+    with pytest.raises(ResourceLimitError):
+        shortest_nontrivial_witness(rel, 100, enum_cap=100)
+    with pytest.raises(ResourceLimitError):
+        certify_assumption(rel.inst, 100, rel=rel, enum_cap=100)
+    # the 4.1e6-point box of radius 22 at d = 4 holds 446 vectors, < 2000 nodes
+    rel = build_relation_lattice(FactoringInstance.build(10403, 4))
+    assert shortest_nontrivial_witness(rel, 22, enum_cap=2000) is not None
+
+
+def test_pipeline_config_enum_cap_reaches_the_census():
+    cfg = PipelineConfig(N=77, d=2, witness_bound=100, enum_cap=100)
+    with pytest.raises(ResourceLimitError):
+        run_factoring(cfg)
+
+
+def test_negative_bound_rejected():
+    rel = build_relation_lattice(FactoringInstance.build(15, 1))
+    with pytest.raises(ParameterError):
+        ball_census(rel, -1)

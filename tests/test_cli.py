@@ -52,6 +52,52 @@ def test_bad_values_exit_64_without_traceback(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("m", ["-3", "0", "2"])
+def test_sample_m_below_d_plus_4_exit_2_like_factor(capsys, m):
+    for cmd in ("sample", "factor"):
+        code, out, err = run_cli(capsys, [cmd, "--n", "35", "--d", "1", "--m", m])
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be at least d + 4\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_check_trials_below_one_exit_64_before_any_suite(capsys, monkeypatch, trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr("qfactor.checks.run_suites", refuse)
+    code, out, err = run_cli(capsys, ["check", "--suite", "poisson", "--trials", trials, "--json"])
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: --trials")
+
+
+@pytest.mark.parametrize("radius", ["0", "-4"])
+def test_factor_radius_below_one_exit_64(capsys, radius):
+    code, out, err = run_cli(capsys, ["factor", "--n", "35", "--d", "1", "--radius", radius])
+    assert code == 64
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor", "--n", "35", "--d", "1", "--safety", "2000"],
+    ["factor", "--n", "35", "--d", "1", "--safety", "300"],
+    ["factor", "--n", "35", "--d", "1", "--radius", str(10**21)],
+    ["sample", "--n", "35", "--d", "1", "--safety", "2000"],
+])
+def test_oversized_radius_exit_2_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_estimate_bit_length_below_two_exit_64(capsys):
+    code, _, err = run_cli(capsys, ["estimate", "--n-values", "0"])
+    assert code == 64
+    assert err.startswith("error: ")
+
+
 def test_json_report_validates_and_is_deterministic(capsys):
     argv = ["factor", "--n", "77", "--d", "1", "--seed", "42", "--json"]
     code1, out1, _ = run_cli(capsys, argv)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfactor import intmat
-from qfactor.arith import FactoringInstance, ParameterError
+from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
 from qfactor.latred import (
     LatticeError,
     build_extended_lattice,
@@ -156,6 +156,13 @@ def test_enumeration_exact_boundary():
     got = set(enumerate_lattice_vectors([[1, 0], [0, 1]], norm_bound=2))
     assert (2, 0) in got and (0, -2) in got and (1, 1) in got
     assert (2, 1) not in got
+
+
+def test_enumeration_node_cap_counts_coefficients_tried():
+    # on 2Z at bound 4 the single level tries x = -3..3: seven nodes
+    assert enumerate_lattice_vectors([[2]], norm_bound=4, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
+    with pytest.raises(ResourceLimitError):
+        enumerate_lattice_vectors([[2]], norm_bound=4, node_cap=6)
 
 
 def test_extended_lattice_zero_samples_block_diagonal():
