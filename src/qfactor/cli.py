@@ -5,10 +5,14 @@ stable contract: 0 success, 2 assumption or guard violation, 3 attempts
 exhausted, 64 usage.  Usage errors are found before any work starts: flags
 or a config file that do not parse, a negative seed, factor settings that
 PipelineConfig rejects (such as a negative attempt count or radius), a
-check run with fewer than one trial, and estimate lists that are not
-numbers or are out of range.  Range errors found once a run has started
-(such as --d 0, or --m below d+4) exit 2 with the guard violations.
-Identical flags and seed produce byte-identical JSON up to the timings block.
+check or simulate run with fewer than one trial, a simulate sweep that does
+not parse, estimate lists that are not numbers or are out of range, and an
+estimate --c or --log2d that is not finite (or a --c that is not
+positive).  Range errors found once a run has started (such as --d 0, --m
+below d+4, or an estimate that overflows a float) exit 2 with the guard
+violations.  Without --json, every non-zero exit writes an error: line to
+stderr.  Identical flags and seed produce byte-identical JSON up to the
+timings block.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .arith import FactoringInstance, FactorFound, ParameterError, ResourceLimit
 from .pipeline import (
     ATTEMPTS_EXHAUSTED,
     FACTORED,
+    REJECTED_PRIME,
     PipelineConfig,
     _ceil_sqrt,
     certify_assumption,
@@ -235,9 +240,24 @@ def cmd_factor(args) -> int:
         if not args.json:
             print(outcome.factor)
         return EXIT_OK
+    if not args.json:
+        print(f"error: {_unfactored_reason(outcome)}", file=sys.stderr)
     if outcome.status == ATTEMPTS_EXHAUSTED:
         return EXIT_EXHAUSTED
     return EXIT_VIOLATION
+
+
+def _unfactored_reason(outcome) -> str:
+    transcript = outcome.transcript
+    if outcome.status == REJECTED_PRIME:
+        return f"{transcript['config']['N']} is prime"
+    if outcome.status == ATTEMPTS_EXHAUSTED:
+        return f"no factor after {outcome.attempts_used} attempts"
+    witness = transcript["witness"]
+    return (
+        f"no relation vector outside the sign sublattice within norm {witness['bound']}"
+        f" ({witness['lattice_vectors']} lattice vectors checked)"
+    )
 
 
 def _parse_sweep(spec: str) -> list[tuple[int, int, float]]:
@@ -246,10 +266,11 @@ def _parse_sweep(spec: str) -> list[tuple[int, int, float]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"bad sweep entry {chunk!r}, want d:D:R")
-        entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            d, D, R = chunk.split(":")
+            entries.append((int(d), int(D), float(R)))
+        except ValueError:
+            raise ParameterError(f"bad sweep entry {chunk!r}, want d:D:R") from None
     return entries
 
 
@@ -258,6 +279,13 @@ def cmd_simulate(args) -> int:
     seed = _resolve(args, "seed", 0)
     try:
         sweep = _parse_sweep(args.sweep)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         results = {"configs": []}
         for d, D, R in sweep:
             inst = FactoringInstance.build(args.n, d)
@@ -350,6 +378,10 @@ def _parse_list(text: str, cast, flag: str) -> list:
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
     try:
+        if not (math.isfinite(args.c) and args.c > 0):
+            raise ParameterError(f"--c wants a positive finite number, got {args.c}")
+        if args.log2d is not None and not math.isfinite(args.log2d):
+            raise ParameterError(f"--log2d wants a finite number, got {args.log2d}")
         n_values = _parse_list(args.n_values, int, "--n-values")
         if any(n < 2 for n in n_values):
             raise ParameterError(f"--n-values wants bit lengths of at least 2, got {args.n_values!r}")
@@ -361,9 +393,14 @@ def cmd_estimate(args) -> int:
             else:
                 d = args.d if args.d is not None else max(1, math.isqrt(n - 1) + 1)
                 rows.append(estimate_gate_cost(n, d, log2_D=args.log2d, C=args.c))
+        if not all(math.isfinite(row.total) for row in rows):
+            raise OverflowError
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError:
+        print("error: the cost model overflows a float; use smaller --n-values, --log2d or --c", file=sys.stderr)
+        return EXIT_VIOLATION
     prev_total = None
     table = []
     for row in rows:
@@ -417,6 +454,9 @@ def cmd_check(args) -> int:
     if not args.json:
         for suite in results["suites"]:
             print(f"{suite['name']}: {'pass' if suite['passed'] else 'FAIL'}")
+        if not results["passed"]:
+            failed = [suite["name"] for suite in results["suites"] if not suite["passed"]]
+            print(f"error: failed suites: {', '.join(failed)}", file=sys.stderr)
     return EXIT_OK if results["passed"] else EXIT_VIOLATION
 
 

@@ -24,6 +24,9 @@ TAIL_LOG2 = 64  # neglected wrap-around mass per table stays below 2^-64
 TABLE_CAP = 1 << 22
 GRID_CAP = 1 << 62  # window cells are int64 indices near the grid size
 THETA_BLOCK = 1 << 12  # cells per block of the vectorized theta sum
+# Widest noise s the theta sum accepts: it needs about 3.8 s shifts, and
+# its scratch is (2K+1) * THETA_BLOCK floats, about 64 MB at this width.
+WIDTH_CAP = 256.0
 
 
 def theta_cutoff_for(s: float) -> int:
@@ -52,12 +55,16 @@ class GaussParams:
     theta_cutoff: int = 0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ParameterError("R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ParameterError("R must be positive and finite")
         if self.d < 1:
             raise ParameterError("d must be positive")
         if self.D < 2 or self.D & (self.D - 1):
             raise ParameterError("D must be a power of two >= 2")
+        if self.s > WIDTH_CAP:
+            raise ResourceLimitError(
+                f"noise width {self.s:.3g} exceeds {WIDTH_CAP:g}; raise the radius R = {self.R:g}"
+            )
         if self.theta_cutoff == 0:
             object.__setattr__(self, "theta_cutoff", theta_cutoff_for(self.s))
 

@@ -1,9 +1,11 @@
-"""Exact-rational LLL reduction, short-generator extraction, and the
-extended lattice that embeds noisy dual samples.
+"""Exact fraction-free integer LLL reduction, short-generator extraction,
+lattice-ball enumeration, and the extended lattice that embeds noisy dual
+samples.
 
-All arithmetic is over Python ints and Fractions: at desk-scale dimensions
-exactness is affordable and removes every floating-point soundness question
-from the downstream guarantees.
+All arithmetic is over Python ints and Fractions: LLL keeps integer
+Gram-Schmidt data, and enumeration compares Fractions.  At desk-scale
+dimensions exactness is affordable and removes every floating-point
+soundness question from the downstream guarantees.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ def gram_schmidt(vectors):
     return mu, b_star, sq
 
 
-def _nearest_int(x: Fraction) -> int:
-    # round half away from the lattice point is fine; ties pick the floor side
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _nearest_int(num: int, den: int) -> int:
+    """The integer nearest num/den (den > 0); ties round up, so 1/2 -> 1
+    and -1/2 -> 0."""
+    return (2 * num + den) // (2 * den)
 
 
 @dataclass(frozen=True)
@@ -78,44 +81,89 @@ class LLLResult:
     delta: Fraction
 
 
+def _integral_gram_schmidt(vecs):
+    """Fraction-free Gram-Schmidt data (dets, lam) of a basis.
+
+    dets[0] = 1 and dets[i + 1] = B_0 ... B_i, the Gram determinant of the
+    first i + 1 vectors (B_j the squared Gram-Schmidt norm of vector j);
+    lam[i][j] = dets[j + 1] mu_ij for j < i.  All are integers, and every
+    division in the recurrence is exact (Cohen, Alg. 2.6.7, step 2).
+    """
+    n = len(vecs)
+    dets = [1] * (n + 1)
+    lam = [[0] * i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(a * b for a, b in zip(vecs[i], vecs[j]))
+            for t in range(j):
+                u = (dets[t + 1] * u - lam[i][t] * lam[j][t]) // dets[t]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise LatticeError("rank-deficient basis")
+            else:
+                dets[i + 1] = u
+    return dets, lam
+
+
 def lll_reduce(basis, delta=Fraction(3, 4)) -> LLLResult:
-    """LLL-reduce a full-rank integer basis with exact rational arithmetic.
+    """LLL-reduce a full-rank integer basis with exact integer arithmetic.
 
     Output spans the same lattice (the unimodular transform is returned),
     is size-reduced (|mu_ij| <= 1/2), and satisfies the Lovasz condition
     with the given delta; at the default delta = 3/4 consecutive
     Gram-Schmidt norms decay by at most sqrt(2).
+
+    The loop is fraction-free (de Weger 1989; Cohen, Alg. 2.6.7): it keeps
+    the integer data (dets, lam) of `_integral_gram_schmidt` and updates
+    it in place on each reduction and swap, with exact divisions only.
+    Row k is size-reduced against k-1 down to 0 before each Lovasz test.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta <= 1:
         raise ParameterError("delta must lie in (1/4, 1]")
+    p, q = delta.numerator, delta.denominator
     b = _as_basis(basis)
     vecs = [list(v) for v in b.vectors]
     n = len(vecs)
     trans = intmat.identity(n)
-    mu, _bs, sq = gram_schmidt(vecs)
+    dets, lam = _integral_gram_schmidt(vecs)
 
     k = 1
     while k < n:
+        row = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _nearest_int(mu[k][j])
-            if q:
-                vecs[k] = [a - q * c for a, c in zip(vecs[k], vecs[j])]
-                trans[k] = [a - q * c for a, c in zip(trans[k], trans[j])]
-                for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if n > 1 and sq[k] < (delta - mu[k][k - 1] ** 2) * sq[k - 1]:
+            dj = dets[j + 1]
+            r = _nearest_int(row[j], dj)
+            if r:
+                vecs[k] = [a - r * c for a, c in zip(vecs[k], vecs[j])]
+                trans[k] = [a - r * c for a, c in zip(trans[k], trans[j])]
+                for t, x in enumerate(lam[j]):
+                    row[t] -= r * x
+                row[j] -= r * dj
+        # B_k < (delta - mu_{k,k-1}^2) B_{k-1}, multiplied by q dets[k] dets[k-1]
+        lk = row[k - 1]
+        if q * (dets[k + 1] * dets[k - 1] + lk * lk) < p * dets[k] * dets[k]:
             vecs[k - 1], vecs[k] = vecs[k], vecs[k - 1]
             trans[k - 1], trans[k] = trans[k], trans[k - 1]
-            mu, _bs, sq = gram_schmidt(vecs)
+            # lam[k][k-1] keeps its value; only dets[k] and columns k-1, k
+            # of the rows below change (Cohen's SWAPI)
+            lam[k - 1], lam[k] = row[: k - 1], lam[k - 1] + [lk]
+            d_lo, d_mid, d_hi = dets[k - 1], dets[k], dets[k + 1]
+            new_mid = (d_lo * d_hi + lk * lk) // d_mid
+            for i in range(k + 1, n):
+                li = lam[i]
+                t = li[k]
+                li[k] = (d_hi * li[k - 1] - lk * t) // d_mid
+                li[k - 1] = (new_mid * t + lk * li[k]) // d_hi
+            dets[k] = new_mid
             k = max(k - 1, 1)
         else:
             k += 1
     return LLLResult(
         basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
         transform=tuple(tuple(r) for r in trans),
-        gs_sq_norms=tuple(gram_schmidt(vecs)[2]),
+        gs_sq_norms=tuple(Fraction(dets[i + 1], dets[i]) for i in range(n)),
         delta=delta,
     )
 

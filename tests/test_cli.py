@@ -98,6 +98,83 @@ def test_estimate_bit_length_below_two_exit_64(capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, code, reason", [
+    (["factor", "--n", "89"], 2, "89 is prime"),
+    (["factor", "--n", "35", "--d", "1", "--max-attempts", "0"], 3, "no factor after 0 attempts"),
+    (["factor", "--n", "33", "--d", "1"], 2, "no relation vector outside the sign sublattice"),
+])
+def test_factor_says_why_it_found_no_factor(capsys, argv, code, reason):
+    got, out, err = run_cli(capsys, argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+    # with --json the report is the answer and stderr stays quiet
+    got, out, err = run_cli(capsys, argv + ["--json"])
+    assert got == code and err == ""
+    assert json.loads(out)["results"]["outcome"] != "factored"
+
+
+def test_check_failure_says_which_suite_failed(capsys, monkeypatch):
+    monkeypatch.setattr("qfactor.checks.run_suites", lambda names, trials, seed: {
+        "suites": [{"name": "tail", "passed": False}, {"name": "poisson", "passed": True}],
+        "passed": False,
+    })
+    code, out, err = run_cli(capsys, ["check", "--suite", "all"])
+    assert code == 2
+    assert out == "tail: FAIL\npoisson: pass\n"
+    assert err == "error: failed suites: tail\n"
+
+
+@pytest.mark.parametrize("flag", [
+    "--c=nan", "--c=inf", "--c=-inf", "--c=0", "--c=-1",
+    "--log2d=nan", "--log2d=inf", "--log2d=-inf",
+])
+def test_estimate_non_finite_or_non_positive_inputs_exit_64(capsys, monkeypatch, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr("qfactor.cli.estimate_gate_cost", refuse)
+    monkeypatch.setattr("qfactor.cli.tradeoff_rows", refuse)
+    for extra in ([], ["--eps-values", "0.25"]):
+        code, out, err = run_cli(capsys, ["estimate", "--n-values", "4", flag, *extra, "--json"])
+        assert (code, out) == (64, "")
+        assert err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n-values", "4", "--c", "1e308"],
+    ["estimate", "--n-values", "4", "--log2d", "1e308"],
+    ["estimate", "--n-values", str(10**200)],
+])
+def test_estimate_overflow_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the cost model overflows")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sweep", "x:8:4"],
+    ["--sweep", "1:8"],
+    ["--sweep", "1:8:4:2"],
+    ["--sweep", "1:8:4", "--trials", "0"],
+    ["--sweep", "", "--trials", "-1"],
+])
+def test_simulate_bad_sweep_or_trials_exit_64_before_any_state(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr("qfactor.qsim.build_gaussian_state", refuse)
+    code, out, err = run_cli(capsys, ["simulate", "--n", "15", *argv])
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("R", ["nan", "inf", "0.001", "1e-300", "5e-324"])
+def test_simulate_unusable_radius_exit_2(capsys, R):
+    code, out, err = run_cli(capsys, ["simulate", "--n", "15", "--sweep", f"1:8:{R}", "--trials", "5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_json_report_validates_and_is_deterministic(capsys):
     argv = ["factor", "--n", "77", "--d", "1", "--seed", "42", "--json"]
     code1, out1, _ = run_cli(capsys, argv)

@@ -1,36 +1,53 @@
 """Property test of the CLI exit-code contract over generated argv.
 
 Every generated command line must end with an exit code of the contract
-(0, 2, 3 or 64) and never with an exception; a --json report must pass
-validate_report, and a reported factor must properly divide N.  A sample
-report carries at least d+4 samples, and a check passes only on at least
-one trial.  Inputs stay
-small (N <= 221, d <= 2, at most 50 trials, at most 3 attempts, radii pinned
-low in statevector mode) so every example runs in well under a second.
+(0, 2, 3 or 64) and never with an exception; a --json report must be
+strict JSON (no NaN or Infinity) and pass validate_report, a non-zero exit
+without --json must say why on stderr, and a reported factor must properly
+divide N.  A sample report carries at least d+4 samples, and a check passes
+only on at least one trial.  Inputs stay small (N <= 221, d <= 2, at most
+50 trials, at most 3 attempts, radii pinned low in statevector mode, and
+simulate grids of at most 2^10 points) so every example runs in well under
+a second.
 """
 
 import contextlib
 import io
 import json
+import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qfactor.cli import main, validate_report
 
 CONTRACT_CODES = {0, 2, 3, 64}
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def _flag(draw, argv, name, values):
-    """Append `name value` unless the draw leaves the flag out."""
+    """Append `name=value` unless the draw leaves the flag out.
+
+    The joined form lets values such as -inf reach the handler instead of
+    reading as an option.
+    """
     value = draw(st.none() | values)
     if value is not None:
-        argv += [name, str(value)]
+        argv.append(f"{name}={value}")
+
+
+@st.composite
+def sweep_entries(draw):
+    """One d:D:R sweep entry whose grid has at most 2^10 points."""
+    d = draw(st.integers(-1, 3))
+    D = draw(st.integers(-1, 1 << (10 // max(d, 1))))
+    R = draw(st.floats(-2, 64) | NON_FINITE | st.just(0.0))
+    return f"{d}:{D}:{R}"
 
 
 @st.composite
 def command_lines(draw):
-    cmd = draw(st.sampled_from(["factor", "sample", "check", "estimate"]))
+    cmd = draw(st.sampled_from(["factor", "sample", "check", "estimate", "simulate"]))
     argv = [cmd]
     if cmd in ("factor", "sample"):
         argv += ["--n", str(draw(st.integers(-3, 221)))]
@@ -54,12 +71,22 @@ def command_lines(draw):
         n_values = draw(numbers.map(lambda xs: ",".join(map(str, xs))) | st.just("abc"))
         argv += ["--n-values", n_values]
         _flag(draw, argv, "--d", st.integers(-1, 64))
-        _flag(draw, argv, "--log2d", st.floats(-2, 64, allow_nan=False))
+        _flag(draw, argv, "--log2d", st.floats(-2, 64) | NON_FINITE | st.floats())
         _flag(draw, argv, "--eps-values", st.sampled_from(["0", "0,0.25,0.5", "0.75", "-1", "x"]))
+        _flag(draw, argv, "--c", st.floats(-1, 8) | NON_FINITE | st.floats())
+    elif cmd == "simulate":
+        argv += ["--n", str(draw(st.integers(-3, 35)))]
+        entries = st.lists(sweep_entries(), max_size=2).map(";".join)
+        argv += ["--sweep", draw(entries | st.sampled_from(["1:8", "x:8:4"]))]
+        argv += ["--trials", str(draw(st.integers(-2, 50)))]
     _flag(draw, argv, "--seed", st.integers(-2, 2**32))
     if draw(st.booleans()):
         argv.append("--json")
     return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report carries the non-JSON constant {name}")
 
 
 def _factor_of(report, stdout):
@@ -71,14 +98,22 @@ def _factor_of(report, stdout):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
+@example(["factor", "--n", "89"])
+@example(["factor", "--n", "35", "--d", "1", "--max-attempts", "0"])
+@example(["estimate", "--n-values", "4", "--c=nan", "--json"])
+@example(["estimate", "--n-values", "4", "--log2d=inf", "--json"])
+@example(["estimate", "--n-values", "4", "--c=1e308", "--json"])
+@example(["simulate", "--n", "15", "--sweep", "1:2:nan", "--trials", "1"])
 def test_cli_contract_holds_for_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in CONTRACT_CODES, (argv, code, err.getvalue())
+    if code != 0 and "--json" not in argv:
+        assert err.getvalue().strip(), (argv, code)
     report = None
     if "--json" in argv and out.getvalue():
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
         validate_report(report)
         assert report["command"] == argv[0]
     if report is not None and argv[0] == "sample" and code == 0:

@@ -7,8 +7,11 @@ import pytest
 
 from qfactor import intmat
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
+from qfactor.gauss import GaussParams
 from qfactor.latred import (
+    LatticeBasis,
     LatticeError,
+    LLLResult,
     build_extended_lattice,
     enumerate_lattice_vectors,
     extract_short_generators,
@@ -16,7 +19,8 @@ from qfactor.latred import (
     lll_reduce,
     recover_relation_vectors,
 )
-from qfactor.relattice import build_relation_lattice, dual_structure_from_basis
+from qfactor.pipeline import draw_samples
+from qfactor.relattice import build_relation_lattice, dual_cosets, dual_structure_from_basis
 
 
 def random_basis(rng, k, bound=9):
@@ -92,6 +96,109 @@ def test_lll_postconditions():
 def test_lll_rejects_rank_deficient():
     with pytest.raises(LatticeError):
         lll_reduce([[1, 2], [2, 4]])
+
+
+def fraction_lll_reference(basis, delta=Fraction(3, 4)) -> LLLResult:
+    """The Fraction LLL loop: full exact Gram-Schmidt again after each swap.
+
+    Same decisions as lll_reduce by construction; kept here only as the
+    reference its integer bookkeeping must reproduce exactly.
+    """
+    delta = Fraction(delta)
+    vecs = [list(v) for v in basis]
+    n = len(vecs)
+    trans = intmat.identity(n)
+    mu, _bs, sq = gram_schmidt(vecs)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                vecs[k] = [a - q * c for a, c in zip(vecs[k], vecs[j])]
+                trans[k] = [a - q * c for a, c in zip(trans[k], trans[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if sq[k] < (delta - mu[k][k - 1] ** 2) * sq[k - 1]:
+            vecs[k - 1], vecs[k] = vecs[k], vecs[k - 1]
+            trans[k - 1], trans[k] = trans[k], trans[k - 1]
+            mu, _bs, sq = gram_schmidt(vecs)
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return LLLResult(
+        basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
+        transform=tuple(tuple(r) for r in trans),
+        gs_sq_norms=tuple(gram_schmidt(vecs)[2]),
+        delta=delta,
+    )
+
+
+# the oracle-mix (N, d) at every extended-lattice rank k = 2d + 4 = 6..12, at
+# their pinned radii or, for the default-radius jobs, a small one
+@pytest.mark.parametrize("N, d, R", [
+    (221, 1, 16), (221, 1, 32), (143, 2, 64), (1147, 2, 128),
+    (1147, 3, 64), (10403, 3, 256), (1147, 4, 256), (1147, 4, 1024),
+])
+def test_lll_matches_fraction_reference_on_extended_lattices(N, d, R):
+    rel = build_relation_lattice(FactoringInstance.build(N, d))
+    params = GaussParams.choose(d, float(R))
+    D = params.D
+    for seed in range(3 if d < 3 else 1):
+        samples = draw_samples(seed, 0, d + 4, params, dual_cosets(rel))
+        w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in samples]
+        ext = build_extended_lattice(d, w_list, S=D, D=D)
+        assert ext.basis.rank == 2 * d + 4
+        assert lll_reduce(ext.basis) == fraction_lll_reference(ext.basis.vectors)
+
+
+def test_lll_matches_fraction_reference_on_short_cover_lattices():
+    # the lattices of checks.short_cover_suite, plus relation-lattice bases
+    rng = np.random.default_rng(0)
+    bases = [random_basis(rng, int(rng.integers(2, 6)), bound=20) for _ in range(60)]
+    for N, d in [(77, 2), (221, 2), (1147, 3), (10403, 3), (1147, 4)]:
+        bases.append(build_relation_lattice(FactoringInstance.build(N, d)).basis)
+    for basis in bases:
+        assert lll_reduce(basis) == fraction_lll_reference(basis)
+
+
+@pytest.mark.parametrize("delta", [Fraction(26, 100), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100), 1])
+def test_lll_matches_fraction_reference_on_random_bases(delta):
+    rng = np.random.default_rng(41)
+    for k in range(1, 10):
+        for _ in range(3):
+            bound = 10 ** int(rng.integers(1, 7))
+            basis = random_basis(rng, k, bound=bound)
+            assert lll_reduce(basis, delta) == fraction_lll_reference(basis, delta)
+
+
+@pytest.mark.parametrize("basis", [
+    [[2, 0], [1, 5]],    # mu = 1/2: rounds to 1, leaving mu = -1/2
+    [[2, 0], [-1, 5]],   # mu = -1/2: rounds to 0, no reduction
+    [[4, 0, 0], [2, 6, 0], [-2, 3, 7]],
+])
+def test_lll_rounding_ties_match_reference(basis):
+    assert lll_reduce(basis) == fraction_lll_reference(basis)
+
+
+def test_lll_tie_reduces_half_but_keeps_minus_half():
+    # mu = 1/2 rounds up to 1 and leaves -1/2; mu = -1/2 rounds to 0
+    assert lll_reduce([[2, 0], [1, 5]]).basis.vectors == ((2, 0), (-1, 5))
+    assert lll_reduce([[2, 0], [-1, 5]]).basis.vectors == ((2, 0), (-1, 5))
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 2], [2, 4]],
+    [[0, 0]],
+    [[1, 0], [0, 1], [1, 1]],   # more vectors than coordinates
+    [[1, 2, 3], [0, 0, 0], [4, 5, 6]],
+    [[3, 1, 4], [1, 5, 9], [4, 6, 13]],  # third row is the sum of the first two
+])
+def test_lll_rank_deficient_raises(basis):
+    with pytest.raises(LatticeError, match="rank-deficient"):
+        lll_reduce(basis)
+    with pytest.raises(LatticeError):
+        fraction_lll_reference(basis)
 
 
 def test_lll_delta_range():
