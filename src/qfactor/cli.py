@@ -6,18 +6,20 @@ exhausted, 64 usage.  Usage errors are found before any work starts: flags
 or a config file that do not parse, a negative seed, factor settings that
 PipelineConfig rejects (such as a negative attempt count or radius), a
 check or simulate run with fewer than one trial, a simulate sweep that does
-not parse, estimate lists that are not numbers or are out of range, and an
+not parse, estimate lists that are not numbers or are out of range, an
 estimate --c or --log2d that is not finite (or a --c that is not
-positive).  Range errors found once a run has started (such as --d 0, --m
-below d+4, or an estimate that overflows a float) exit 2 with the guard
-violations.  Without --json, every non-zero exit writes an error: line to
-stderr.  Identical flags and seed produce byte-identical JSON up to the
-timings block.
+positive), and an estimate --eps-values given with --d or --log2d (the
+sweep picks both itself).  Range errors found once a run has started (such
+as --d 0, --m below d+4, or an estimate that overflows a float) exit 2 with
+the guard violations.  Without --json, every non-zero exit writes an error:
+line to stderr.  Identical flags and seed produce byte-identical JSON up to
+the timings block.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,15 +36,13 @@ from .pipeline import (
     ATTEMPTS_EXHAUSTED,
     FACTORED,
     REJECTED_PRIME,
+    FactoringOutcome,
     PipelineConfig,
-    _ceil_sqrt,
-    certify_assumption,
-    default_dimension,
-    default_witness_bound,
+    certify_assumption,  # not called here; kept bound for perfbench's tracer
     draw_samples,
     estimate_gate_cost,
+    prepare,
     run_factoring,
-    select_radius,
     tradeoff_rows,
 )
 from .relattice import build_relation_lattice, dual_cosets
@@ -164,6 +164,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qfactor", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -253,6 +254,8 @@ def _unfactored_reason(outcome) -> str:
         return f"{transcript['config']['N']} is prime"
     if outcome.status == ATTEMPTS_EXHAUSTED:
         return f"no factor after {outcome.attempts_used} attempts"
+    if outcome.status == FACTORED:
+        return f"{outcome.factor} divides {transcript['config']['N']}; there is nothing to sample"
     witness = transcript["witness"]
     return (
         f"no relation vector outside the sign sublattice within norm {witness['bound']}"
@@ -338,29 +341,19 @@ def cmd_sample(args) -> int:
     started = time.perf_counter()
     seed = _resolve(args, "seed", 0)
     try:
-        d = _resolve(args, "d", None)
-        if d is None:
-            d = default_dimension(args.n)
-        m = _resolve(args, "m", None)
-        if m is None:
-            m = d + 4
-        if m < d + 4:
-            raise ParameterError("m must be at least d + 4")
-        inst = FactoringInstance.build(args.n, d)
-        rel = build_relation_lattice(inst)
-        witness = certify_assumption(inst, default_witness_bound(inst), rel=rel)
-        if not witness.found:
-            print("error: no short witness; cannot pick a radius", file=sys.stderr)
+        prep = prepare(PipelineConfig(
+            N=args.n, d=_resolve(args, "d", None), m=_resolve(args, "m", None),
+            seed=seed, safety=_resolve(args, "safety", 4),
+        ))
+        if isinstance(prep, FactoringOutcome):
+            print(f"error: {_unfactored_reason(prep)}", file=sys.stderr)
             return EXIT_VIOLATION
-        T = _ceil_sqrt(witness.norm_sq)
-        R = select_radius(inst, rel, T, m, _resolve(args, "safety", 4))
-        params = gauss.GaussParams.choose(d, float(R))
-        samples = draw_samples(seed, 0, m, params, dual_cosets(rel))
-        results = {"R": R, "D": params.D, "m": m, "det": rel.det, "samples": samples}
-    except (ResourceLimitError, FactorFound, ParameterError) as exc:
+        samples = draw_samples(seed, 0, prep.m, prep.params, prep.dual)
+    except (ResourceLimitError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    report = make_report("sample", seed, {"n": args.n, "d": d, "m": m}, results, started)
+    results = {"R": prep.R, "D": prep.params.D, "m": prep.m, "det": prep.rel.det, "samples": samples}
+    report = make_report("sample", seed, {"n": args.n, "d": prep.rel.d, "m": prep.m}, results, started)
     emit(report, args)
     if not args.json:
         for s in samples:
@@ -386,6 +379,8 @@ def cmd_estimate(args) -> int:
         if any(n < 2 for n in n_values):
             raise ParameterError(f"--n-values wants bit lengths of at least 2, got {args.n_values!r}")
         eps_values = _parse_list(args.eps_values, float, "--eps-values") if args.eps_values else None
+        if eps_values is not None and (args.d is not None or args.log2d is not None):
+            raise ParameterError("--eps-values sets d and the grid size itself; drop --d and --log2d")
         rows = []
         for n in n_values:
             if eps_values is not None:

@@ -11,7 +11,7 @@ factor.  Every intermediate object lands in a JSON-friendly transcript.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -40,10 +40,11 @@ from .relattice import (
     RelationLattice,
     ball_census,
     build_relation_lattice,
+    classify,
     dual_cosets,
     shortest_nontrivial_witness,  # not called here; kept bound for perfbench's tracer
 )
-from .arith import base_product, hom_image
+from .arith import hom_image  # not called here; kept bound for perfbench's tracer
 
 FACTORED = "factored"
 ASSUMPTION_VIOLATED = "assumption_violated"
@@ -207,12 +208,23 @@ def draw_samples(
     return samples
 
 
-def _instance_dict(inst: FactoringInstance) -> dict:
-    return {"N": inst.N, "n": inst.n, "d": inst.d, "b": list(inst.b), "a": list(inst.a)}
+@dataclass(frozen=True)
+class Prepared:
+    """What the attempts need once the classical preparation has run."""
+
+    rel: RelationLattice
+    dual: DualStructure
+    params: GaussParams
+    T: int
+    R: int
+    m: int
+    transcript: dict = field(repr=False)
 
 
-def run_factoring(config: PipelineConfig) -> FactoringOutcome:
-    """The full procedure; see the module docstring for the shape."""
+def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
+    """Precheck, instance, relation lattice, certified witness, radius and
+    dual quotient, each written to the transcript.  A run that ends here (a
+    prime, a factor found on the way, no witness) comes back as its outcome."""
     N = config.N
     transcript: dict = {"config": {
         "N": N, "d": config.d, "m": config.m, "mode": config.mode,
@@ -220,44 +232,29 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
         "safety": config.safety, "radius_override": config.radius_override,
     }}
 
-    def finish(status, factor=None, attempts=0):
-        if factor is not None:
-            if not (1 < factor < N and N % factor == 0):
-                raise AssertionError(f"claimed factor {factor} does not divide {N}")
-        transcript["outcome"] = {"status": status, "factor": factor, "attempts_used": attempts}
-        return FactoringOutcome(status=status, factor=factor, attempts_used=attempts, transcript=transcript)
-
     pre = precheck(N)
     transcript["precheck"] = {"status": pre.status, "factor": pre.factor, "reason": pre.reason}
     if pre.status == "prime":
-        return finish(REJECTED_PRIME)
+        return _finish(transcript, REJECTED_PRIME)
     if pre.status == "factor":
-        return finish(FACTORED, pre.factor)
+        return _finish(transcript, FACTORED, pre.factor)
 
     d = config.d if config.d is not None else default_dimension(N)
     try:
         inst = FactoringInstance.build(N, d)
     except FactorFound as hit:
         transcript["instance"] = {"short_circuit_factor": hit.factor, "where": hit.where}
-        return finish(FACTORED, hit.factor)
-    transcript["instance"] = _instance_dict(inst)
+        return _finish(transcript, FACTORED, hit.factor)
+    transcript["instance"] = {"N": N, "n": inst.n, "d": d, "b": list(inst.b), "a": list(inst.a)}
 
     rel = build_relation_lattice(inst, group_cap=config.group_cap)
     transcript["lattice"] = {"basis": [list(v) for v in rel.basis], "det": rel.det}
 
     bound = config.witness_bound if config.witness_bound is not None else default_witness_bound(inst, config.enum_cap)
     witness = certify_assumption(inst, bound, rel=rel, enum_cap=config.enum_cap)
-    transcript["witness"] = {
-        "found": witness.found,
-        "vector": list(witness.vector) if witness.vector else None,
-        "norm_sq": witness.norm_sq,
-        "bound": witness.bound,
-        "lattice_vectors": witness.lattice_vectors,
-        "outside_sign": witness.outside_sign,
-        "fraction_outside": witness.fraction_outside,
-    }
+    transcript["witness"] = {**asdict(witness), "vector": list(witness.vector) if witness.vector else None}
     if not witness.found:
-        return finish(ASSUMPTION_VIOLATED)
+        return _finish(transcript, ASSUMPTION_VIOLATED)
 
     m = config.m if config.m is not None else d + 4
     if m < d + 4:
@@ -267,15 +264,29 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     if R is None:
         R = select_radius(inst, rel, T, m, config.safety)
     params = GaussParams.choose(d, float(R))
-    D = params.D
-    delta_sq = Fraction(d, 2 * R * R)
-    recheck = recovery_recheck(rel, params, T, m)
     transcript["parameters"] = {
-        "T": T, "R": R, "D": D, "S": D, "m": m,
-        "noise_width": params.s, "recheck": recheck,
+        "T": T, "R": R, "D": params.D, "S": params.D, "m": m,
+        "noise_width": params.s, "recheck": recovery_recheck(rel, params, T, m),
     }
+    return Prepared(rel, dual_cosets(rel), params, T, R, m, transcript)
 
-    dual = dual_cosets(rel)
+
+def _finish(transcript: dict, status: str, factor: int | None = None, attempts: int = 0) -> FactoringOutcome:
+    N = transcript["config"]["N"]
+    if factor is not None and not (1 < factor < N and N % factor == 0):
+        raise AssertionError(f"claimed factor {factor} does not divide {N}")
+    transcript["outcome"] = {"status": status, "factor": factor, "attempts_used": attempts}
+    return FactoringOutcome(status=status, factor=factor, attempts_used=attempts, transcript=transcript)
+
+
+def run_factoring(config: PipelineConfig) -> FactoringOutcome:
+    """The full procedure; see the module docstring for the shape."""
+    prep = prepare(config)
+    if isinstance(prep, FactoringOutcome):
+        return prep
+    rel, params, transcript = prep.rel, prep.params, prep.transcript
+    d, D = rel.d, params.D
+    delta_sq = Fraction(d, 2 * prep.R * prep.R)
     P = None
     if config.mode == "statevector":
         if D ** d > config.sim_guard:
@@ -289,32 +300,20 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     attempts = []
     transcript["attempts"] = attempts
     for attempt in range(config.max_attempts):
-        record: dict = {"samples": draw_samples(config.seed, attempt, m, params, dual, P),
+        record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, P),
                         "candidates": [], "factor": None}
         attempts.append(record)
         w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in record["samples"]]
         ext = build_extended_lattice(d, w_list, S=D, D=D)
-        candidates = recover_relation_vectors(ext, T, delta_sq)
-        factor = None
-        for cand in candidates:
-            in_lat = hom_image(inst, cand) == 1
-            entry = {"vector": list(cand), "in_lattice": in_lat, "in_sign": None, "gcd": None}
+        for cand in recover_relation_vectors(ext, prep.T, delta_sq):
+            entry = {"vector": list(cand), **classify(rel, cand)}
             record["candidates"].append(entry)
-            if not in_lat:
-                continue
-            bp = base_product(inst, cand)
-            in_sign = bp == 1 or bp == N - 1
-            entry["in_sign"] = in_sign
-            if in_sign:
-                continue
-            g = math.gcd(bp - 1, N)
-            entry["gcd"] = g
-            if 1 < g < N and factor is None:
-                factor = g
-        if factor is not None:
-            record["factor"] = factor
-            return finish(FACTORED, factor, attempts=attempt + 1)
-    return finish(ATTEMPTS_EXHAUSTED, attempts=config.max_attempts)
+            g = entry["gcd"]
+            if g is not None and 1 < g < config.N and record["factor"] is None:
+                record["factor"] = g
+        if record["factor"] is not None:
+            return _finish(transcript, FACTORED, record["factor"], attempts=attempt + 1)
+    return _finish(transcript, ATTEMPTS_EXHAUSTED, attempts=config.max_attempts)
 
 
 # ---------------------------------------------------------------------------

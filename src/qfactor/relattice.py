@@ -104,31 +104,43 @@ def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) 
     return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
 
 
+def classify(rel: RelationLattice, z) -> dict:
+    """Where z sits: {"in_lattice", "in_sign", "gcd"}.
+
+    z is in L when prod a_i^{z_i} = 1 mod N, checked by the homomorphism.
+    Only then is in_sign set: whether b = prod b_i^{z_i} mod N lies in
+    {1, N-1}.  Only outside the sign sublattice is gcd(b-1, N) taken; b is
+    then a square root of unity distinct from +-1, so the gcd is proper.
+    Negative exponents go through modular inverses.
+    """
+    inst = rel.inst
+    entry = {"in_lattice": hom_image(inst, z) == 1, "in_sign": None, "gcd": None}
+    if entry["in_lattice"]:
+        bp = base_product(inst, z)
+        entry["in_sign"] = bp == 1 or bp == inst.N - 1
+        if not entry["in_sign"]:
+            entry["gcd"] = gcd(bp - 1, inst.N)
+    return entry
+
+
 def in_L0(rel: RelationLattice, z) -> bool:
     """True iff prod b_i^{z_i} mod N lies in {1, N-1}.  Requires z in L."""
-    if hom_image(rel.inst, z) != 1:
+    c = classify(rel, z)
+    if not c["in_lattice"]:
         raise DomainError("vector is not in the relation lattice")
-    bp = base_product(rel.inst, z)
-    return bp == 1 or bp == rel.inst.N - 1
+    return c["in_sign"]
 
 
 def extract_factor(rel: RelationLattice, z) -> int:
-    """Nontrivial factor of N from a vector of L \\ L0.
-
-    b = prod b_i^{z_i} is a square root of unity distinct from +-1, so
-    gcd(b-1, N) is guaranteed to be proper.  Negative exponents go through
-    modular inverses.
-    """
-    inst = rel.inst
-    if hom_image(inst, z) != 1:
+    """Nontrivial factor of N from a vector of L \\ L0 (see classify)."""
+    c = classify(rel, z)
+    if not c["in_lattice"]:
         raise DomainError("vector is not in the relation lattice")
-    bp = base_product(inst, z)
-    if bp == 1 or bp == inst.N - 1:
+    if c["in_sign"]:
         raise DomainError("vector lies in the sign sublattice")
-    g = gcd(bp - 1, inst.N)
-    if not 1 < g < inst.N:
+    if not 1 < c["gcd"] < rel.inst.N:
         raise AssertionError("square root of unity failed to split N")
-    return g
+    return c["gcd"]
 
 
 @dataclass(frozen=True)
@@ -170,13 +182,6 @@ class DualStructure:
             % self.det
             for row in self.u_transpose
         )
-
-    def scaled_cosets(self) -> list[tuple[int, ...]]:
-        """All cosets scaled by det (integer vectors), for exact mod-det work."""
-        return [
-            self.scaled_coset(x)
-            for x in itertools.product(*(range(s) for s in self.snf_diag))
-        ]
 
     def quotient_reps(self) -> list[tuple[int, ...]]:
         """Coset representatives of the primal quotient Z^d / L."""

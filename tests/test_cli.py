@@ -61,6 +61,31 @@ def test_sample_m_below_d_plus_4_exit_2_like_factor(capsys, m):
         assert err == "error: m must be at least d + 4\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["sample", "--n", "89"], "89 is prime"),
+    (["sample", "--n", "21", "--d", "2"], "3 divides 21"),
+    (["sample", "--n", "16"], "2 divides 16"),
+    (["sample", "--n", "9"], "3 divides 9"),
+])
+def test_sample_stops_before_sampling_like_factor(capsys, argv, reason):
+    # sample runs factor's preparation, so a prime or an early factor ends it
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--d", "3"], ["--log2d", "10"], ["--d", "3", "--log2d", "10"]])
+def test_estimate_eps_values_refuses_d_and_log2d(capsys, monkeypatch, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr("qfactor.cli.estimate_gate_cost", refuse)
+    monkeypatch.setattr("qfactor.cli.tradeoff_rows", refuse)
+    code, out, err = run_cli(capsys, ["estimate", "--n-values", "256", "--eps-values", "0.25", *extra])
+    assert (code, out) == (64, "")
+    assert err.startswith("error: --eps-values") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_check_trials_below_one_exit_64_before_any_suite(capsys, monkeypatch, trials):
     def refuse(*args, **kwargs):

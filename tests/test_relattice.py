@@ -9,6 +9,7 @@ from qfactor.arith import FactoringInstance, ResourceLimitError
 from qfactor.relattice import (
     DomainError,
     build_relation_lattice,
+    classify,
     dual_cosets,
     dual_structure_from_basis,
     extract_factor,
@@ -76,6 +77,38 @@ def test_group_cap_enforced():
     inst = FactoringInstance.build(77, 2)
     with pytest.raises(ResourceLimitError):
         build_relation_lattice(inst, group_cap=3)
+
+
+@pytest.fixture(scope="module")
+def rel21():
+    return build_relation_lattice(FactoringInstance.build(21, 1))
+
+
+def test_classify_examples(rel15, rel21):
+    # 2^2 = 4: in L (4^2 = 1 mod 15), not +-1, gcd(4 - 1, 15) = 3
+    assert classify(rel15, (2,)) == {"in_lattice": True, "in_sign": False, "gcd": 3}
+    assert classify(rel15, (4,)) == {"in_lattice": True, "in_sign": True, "gcd": None}
+    # 4^1 != 1 mod 15: membership fails, so nothing further is computed
+    assert classify(rel15, (1,)) == {"in_lattice": False, "in_sign": None, "gcd": None}
+    # 2^3 = 8 mod 21 squares to 1 and splits 21; 8^2 = 1 is in the sign sublattice
+    assert classify(rel21, (3,)) == {"in_lattice": True, "in_sign": False, "gcd": 7}
+    assert classify(rel21, (6,)) == {"in_lattice": True, "in_sign": True, "gcd": None}
+
+
+def test_classify_agrees_with_in_L0_and_extract_factor(rel15, rel21):
+    for rel in (rel15, rel21):
+        for z in range(-8, 9):
+            c = classify(rel, (z,))
+            if not c["in_lattice"]:
+                with pytest.raises(DomainError):
+                    in_L0(rel, (z,))
+                continue
+            assert in_L0(rel, (z,)) is c["in_sign"]
+            if c["in_sign"]:
+                with pytest.raises(DomainError):
+                    extract_factor(rel, (z,))
+            else:
+                assert extract_factor(rel, (z,)) == c["gcd"]
 
 
 def test_in_L0_examples(rel15):
