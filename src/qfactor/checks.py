@@ -64,7 +64,9 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
     For each tiny lattice, draw m = d+4 uniform cosets of L*/Z^d and check
     exhaustively that every nonzero element of Z^d/L has some inner product
     at least eps = (4 det)^{-1/m}/3 away from the integers.  Guaranteed
-    frequency of the event: 1/4.
+    frequency of the event: 1/4.  All trials of a lattice are drawn in one
+    call, which yields the same stream as drawing them trial by trial, and
+    are decided together.
     """
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
@@ -78,22 +80,14 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
         dual = dual_structure_from_basis(basis)
         det = dual.det
         eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
-        reps = np.array(
-            [r for r in dual.quotient_reps() if any(r)], dtype=np.int64
-        ).reshape(det - 1, d) if det > 1 else None
-        successes = 0
-        for _ in range(trials):
-            cosets = np.array(
-                [dual.scaled_coset([int(rng.integers(s)) for s in dual.snf_diag]) for _ in range(m)],
-                dtype=np.int64,
-            ).T  # d x m
-            if reps is None:
-                successes += 1  # no nonzero cosets to separate
-                continue
-            r = reps @ cosets % det
+        cosets = dual.scaled_coset(rng.integers(0, dual.snf_diag, size=(trials, m, d)))
+        if det > 1:
+            reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64)
+            r = cosets @ reps.T % det  # trials x m x (det - 1)
             dist = np.minimum(r, det - r)
-            if bool(np.all(np.any(dist > eps_scaled, axis=1))):
-                successes += 1
+            successes = int(np.all(np.any(dist > eps_scaled, axis=1), axis=1).sum())
+        else:
+            successes = trials  # no nonzero cosets to separate
         verdict = frequency_verdict(successes, trials, 0.25)
         verdict["basis"] = basis
         verdict["det"] = det
@@ -102,23 +96,26 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
     return {"name": "separation", "passed": all_passed, "cases": per_lattice}
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    a = [[x % p for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] % p), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [x * inv % p for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+def _full_rank_mod_p(vecs: np.ndarray, p: int) -> np.ndarray:
+    """For a stack of k x r integer matrices (k >= r), whether each has rank
+    r modulo the prime p.
+
+    Gaussian elimination runs on the whole stack at once.  A matrix keeps
+    full rank only if every column finds a pivot, so pivot c always lands in
+    row c; a matrix that misses one is marked and its later rows are moot.
+    """
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    a = vecs % p
+    stack = np.arange(a.shape[0])
+    full = np.ones(a.shape[0], dtype=bool)
+    for c in range(a.shape[2]):
+        nonzero = a[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        piv = c + nonzero.argmax(axis=1)
+        a[stack, c], a[stack, piv] = a[stack, piv], a[stack, c]
+        a[:, c] = a[:, c] * inverse[a[:, c, c]][:, None] % p
+        a[:, c + 1:] = (a[:, c + 1:] - a[:, c + 1:, c, None] * a[:, c, None]) % p
+    return full
 
 
 def _prime_factors(t: int) -> list[int]:
@@ -140,21 +137,20 @@ def generation_suite(trials: int = 2000, seed: int = 0, ranks=(1, 2, 3, 4), modu
     """r+4 uniform elements generate (Z_t)^r with guaranteed frequency 1/2.
 
     Generation is decided exactly: for each prime p | t the elements must
-    have full rank r modulo p.
+    have full rank r modulo p.  All trials of an (r, t) case are drawn in
+    one call, which yields the same stream as drawing them trial by trial,
+    and their ranks are decided by one batched elimination per prime.
     """
     rng = np.random.default_rng(seed)
     cases = []
     all_passed = True
     for r in ranks:
         for t in moduli:
-            primes = _prime_factors(t)
-            successes = 0
-            for _ in range(trials):
-                vecs = rng.integers(0, t, size=(r + 4, r))
-                rows = [[int(x) for x in row] for row in vecs]
-                if all(_rank_mod_p(rows, p) == r for p in primes):
-                    successes += 1
-            verdict = frequency_verdict(successes, trials, 0.5)
+            vecs = rng.integers(0, t, size=(trials, r + 4, r))
+            generated = np.ones(trials, dtype=bool)
+            for p in _prime_factors(t):
+                generated &= _full_rank_mod_p(vecs, p)
+            verdict = frequency_verdict(int(generated.sum()), trials, 0.5)
             verdict["rank"] = r
             verdict["modulus"] = t
             cases.append(verdict)

@@ -2,8 +2,12 @@
 
 Subcommands: factor, simulate, sample, estimate, check.  Exit codes are a
 stable contract: 0 success, 2 assumption or guard violation, 3 attempts
-exhausted, 64 usage.  Usage errors are found before any work starts: flags
-or a config file that do not parse, a negative seed, factor settings that
+exhausted, 64 usage.  A --config file holds `key = value` lines; each is
+read as the flag --key=value placed before the command line's own flags, so
+explicit flags win and every value goes through its flag's type.  Usage
+errors are found before any work starts: flags or a config file that do not
+parse (including a config key that is not a flag of the subcommand, or a
+value its flag rejects), a negative seed, factor settings that
 PipelineConfig rejects (such as a negative attempt count or radius), a
 check or simulate run with fewer than one trial, a simulate sweep that does
 not parse, estimate lists that are not numbers or are out of range, an
@@ -126,8 +130,14 @@ def emit(report: dict, args) -> None:
         print(text)
 
 
-def _load_config_file(path: str) -> dict:
-    values: dict = {}
+def _config_flags(path: str, options) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags.
+
+    A key is a flag name without its dashes (`max-attempts` or
+    `max_attempts`) and must name one of `options` exactly; the value is
+    left for the flag's own type to parse.
+    """
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -136,29 +146,15 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"bad config line: {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            for cast in (int, float):
-                try:
-                    values[key] = cast(val)
-                    break
-                except ValueError:
-                    continue
-            else:
-                values[key] = {"true": True, "false": False}.get(val.lower(), val)
-    return values
-
-
-def _resolve(args, key: str, default):
-    """Flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_config_values", {})
-    return cfg.get(key, default)
+            flag = "--" + key.replace("_", "-")
+            if flag not in options:
+                raise ParameterError(f"config key {key!r} is not a flag of this subcommand")
+            flags.append(f"{flag}={val}")
+    return flags
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
     p.add_argument("--config", type=str, default=None, help="key=value file, lower precedence than flags")
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
@@ -173,9 +169,9 @@ def build_parser() -> _Parser:
     f.add_argument("--n", type=int, required=True, help="odd composite modulus (decimal)")
     f.add_argument("--d", type=int, default=None)
     f.add_argument("--m", type=int, default=None)
-    f.add_argument("--mode", choices=["oracle", "statevector"], default=None)
-    f.add_argument("--max-attempts", type=int, default=None, dest="max_attempts")
-    f.add_argument("--safety", type=int, default=None)
+    f.add_argument("--mode", choices=["oracle", "statevector"], default="oracle")
+    f.add_argument("--max-attempts", type=int, default=50, dest="max_attempts")
+    f.add_argument("--safety", type=int, default=4)
     f.add_argument("--radius", type=int, default=None, help="override the selected radius")
     _add_common(f)
 
@@ -189,7 +185,7 @@ def build_parser() -> _Parser:
     sa.add_argument("--n", type=int, required=True)
     sa.add_argument("--d", type=int, default=None)
     sa.add_argument("--m", type=int, default=None, help="number of samples (default d+4)")
-    sa.add_argument("--safety", type=int, default=None)
+    sa.add_argument("--safety", type=int, default=4)
     _add_common(sa)
 
     e = sub.add_parser("estimate", help="evaluate the circuit-size model")
@@ -204,22 +200,23 @@ def build_parser() -> _Parser:
     c.add_argument("--suite", type=str, default="all", help="all, none, or one of: " + ", ".join(sorted(checks.SUITES)))
     c.add_argument("--trials", type=int, default=2000)
     _add_common(c)
+    parser.subcommands = sub.choices
     return parser
 
 
 def cmd_factor(args) -> int:
     started = time.perf_counter()
-    seed = _resolve(args, "seed", 0)
+    seed = args.seed
     try:
         config = PipelineConfig(
             N=args.n,
-            d=_resolve(args, "d", None),
-            m=_resolve(args, "m", None),
-            mode=_resolve(args, "mode", "oracle"),
+            d=args.d,
+            m=args.m,
+            mode=args.mode,
             seed=seed,
-            max_attempts=_resolve(args, "max_attempts", 50),
-            safety=_resolve(args, "safety", 4),
-            radius_override=_resolve(args, "radius", None),
+            max_attempts=args.max_attempts,
+            safety=args.safety,
+            radius_override=args.radius,
         )
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -279,7 +276,7 @@ def _parse_sweep(spec: str) -> list[tuple[int, int, float]]:
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    seed = _resolve(args, "seed", 0)
+    seed = args.seed
     try:
         sweep = _parse_sweep(args.sweep)
     except ParameterError as exc:
@@ -339,12 +336,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.perf_counter()
-    seed = _resolve(args, "seed", 0)
+    seed = args.seed
     try:
-        prep = prepare(PipelineConfig(
-            N=args.n, d=_resolve(args, "d", None), m=_resolve(args, "m", None),
-            seed=seed, safety=_resolve(args, "safety", 4),
-        ))
+        prep = prepare(PipelineConfig(N=args.n, d=args.d, m=args.m, seed=seed, safety=args.safety))
         if isinstance(prep, FactoringOutcome):
             print(f"error: {_unfactored_reason(prep)}", file=sys.stderr)
             return EXIT_VIOLATION
@@ -416,7 +410,7 @@ def cmd_estimate(args) -> int:
     results = {"rows": table}
     report = make_report(
         "estimate",
-        _resolve(args, "seed", 0),
+        args.seed,
         {"n_values": args.n_values, "d": args.d, "log2d": args.log2d, "eps_values": args.eps_values, "c": args.c},
         results,
         started,
@@ -431,7 +425,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    seed = _resolve(args, "seed", 0)
+    seed = args.seed
     if args.trials < 1:
         print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return EXIT_USAGE
@@ -466,21 +460,21 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # file values go right after the subcommand, so explicit flags win
+            at = argv.index(args.cmd) + 1
+            argv[at:at] = _config_flags(args.config, parser.subcommands[args.cmd]._option_string_actions)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "config", None):
-        try:
-            args._config_values = _load_config_file(args.config)
-        except (OSError, ParameterError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        args._config_values = {}
-    seed = _resolve(args, "seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        print(f"error: the seed must be a nonnegative integer, got {seed!r}", file=sys.stderr)
+    except (OSError, ParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"error: the seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     return _HANDLERS[args.cmd](args)
 

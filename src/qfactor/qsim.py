@@ -9,13 +9,16 @@ state (Gaussian mass folded modulo D) backs the truncation-error checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ParameterError, ResourceLimitError, product_tree_exponentiation
+from .arith import (
+    ParameterError,
+    ResourceLimitError,
+    product_tree_exponentiation,  # not called here; kept bound for perfbench's tracer
+)
 from .gauss import GaussParams
 from .relattice import RelationLattice
 
@@ -107,7 +110,10 @@ def apply_exponentiation(
 
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
-    untouched.  Guarded by |image| * D^d against memory blowup.
+    untouched.  The whole grid of group elements comes from per-axis power
+    tables (see _grid_group_elements); branches are keyed by e in the order
+    the grid, read in index order, first reaches them.  Guarded by
+    |image| * D^d against memory blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -115,15 +121,15 @@ def apply_exponentiation(
         raise ParameterError("instance dimension does not match the state")
     if rel.det * D ** d > guard:
         raise ResourceLimitError("joint state would exceed the simulation guard")
+    e = _grid_group_elements(inst.a, inst.N, D, 0).ravel()
+    elements, first, which = np.unique(e, return_index=True, return_inverse=True)
+    amps = state.amplitudes.ravel()
     branches: dict[int, np.ndarray] = {}
-    for idx in itertools.product(range(D), repeat=d):
-        amp = state.amplitudes[idx]
-        e = product_tree_exponentiation(inst, idx, exponent_bound=D)
-        branch = branches.get(e)
-        if branch is None:
-            branch = np.zeros((D,) * d, dtype=complex)
-            branches[e] = branch
-        branch[idx] = amp
+    for k in np.argsort(first):
+        branch = np.zeros(amps.size, dtype=complex)
+        cells = which == k
+        branch[cells] = amps[cells]
+        branches[int(elements[k])] = branch.reshape((D,) * d)
     return JointState(d=d, D=D, branches=branches)
 
 
@@ -170,14 +176,24 @@ class GapResult:
     ratio: float  # Z1 / Z2
 
 
-def _axis_group_table(a_i: int, N: int, lo: int, hi: int, offset: int) -> np.ndarray:
-    """a_i^(y + offset) mod N for y = lo..hi, as int64 (N < 2^31)."""
-    out = np.empty(hi - lo + 1, dtype=np.int64)
-    cur = pow(a_i, lo + offset, N)  # negative exponents go through the inverse
-    for j in range(hi - lo + 1):
-        out[j] = cur
-        cur = cur * a_i % N
-    return out
+def _grid_group_elements(a, N: int, size: int, lo: int) -> np.ndarray:
+    """prod_i a_i^{lo + j_i} mod N for every j in {0..size-1}^d.
+
+    Returns an array of shape (size,)^d: one power table per axis, multiplied
+    mod N over the grid by outer products.  The entries are int64 when
+    N < 2^31, so every product stays below 2^62, and Python ints (dtype
+    object) otherwise.  A negative lo goes through the modular inverse.
+    """
+    dtype = np.int64 if N < 1 << 31 else object
+    grid = np.ones((), dtype=dtype)
+    for a_i in a:
+        table = np.empty(size, dtype=dtype)
+        cur = pow(a_i, lo, N)
+        for j in range(size):
+            table[j] = cur
+            cur = cur * a_i % N
+        grid = np.multiply.outer(grid, table) % N
+    return grid
 
 
 def phi1_phi2_gap(
@@ -192,8 +208,6 @@ def phi1_phi2_gap(
     """
     inst = rel.inst
     d, D, R, N = params.d, params.D, params.R, inst.N
-    if N >= 1 << 31:
-        raise ResourceLimitError("modulus too large for vectorized group tables")
     if rel.det * D ** d > guard:
         raise ResourceLimitError("wrapped state would exceed the simulation guard")
     B = max(int(math.ceil(_BOX_RADII * R)) + 1, D // 2)
@@ -204,11 +218,8 @@ def phi1_phi2_gap(
     flat = [g.ravel() for g in grids]
     norm_sq = sum(y.astype(float) ** 2 for y in flat)
     rho_vals = np.exp(-math.pi * norm_sq / (R * R))
-    # group element per point, built from per-axis power tables
-    e_vals = np.ones(flat[0].size, dtype=np.int64)
-    for i in range(d):
-        table = _axis_group_table(inst.a[i], N, -B, B, D // 2)
-        e_vals = e_vals * table[flat[i] + B] % N
+    # group element per point; meshgrid's "ij" order is the grid's index order
+    e_vals = _grid_group_elements(inst.a, N, 2 * B + 1, D // 2 - B).ravel()
     # cell index per point (offset encoding), and in-box mask
     cell = np.zeros(flat[0].size, dtype=np.int64)
     in_box = np.ones(flat[0].size, dtype=bool)

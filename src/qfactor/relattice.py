@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
+import numpy as np
+
 from . import intmat, latred
 from .arith import (
     FactoringInstance,
@@ -175,13 +177,17 @@ class DualStructure:
         for x in itertools.product(*(range(s) for s in self.snf_diag)):
             yield self.coset(x)
 
-    def scaled_coset(self, x) -> tuple[int, ...]:
-        """The coset for x, scaled by det into an integer vector mod det."""
-        return tuple(
-            sum(row[j] * x[j] * (self.det // self.snf_diag[j]) for j in range(self.d))
-            % self.det
+    def scaled_coset(self, x) -> np.ndarray:
+        """The cosets for quotient coordinates x, scaled by det into integer
+        vectors mod det: an array of shape (..., d) maps to one of the same
+        shape, one matrix product mod det for all of them."""
+        scale = [
+            [row[j] * (self.det // s) % self.det for j, s in enumerate(self.snf_diag)]
             for row in self.u_transpose
-        )
+        ]
+        # each entry sums d products of two numbers below det
+        dtype = np.int64 if self.d * self.det ** 2 < 1 << 63 else object
+        return np.asarray(x, dtype=dtype) @ np.array(scale, dtype=dtype).T % self.det
 
     def quotient_reps(self) -> list[tuple[int, ...]]:
         """Coset representatives of the primal quotient Z^d / L."""

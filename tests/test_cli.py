@@ -243,6 +243,33 @@ def test_config_file_merging(tmp_path, capsys):
     assert json.loads(out)["seed"] == 3
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["factor", "--n", "35", "--d", "1"], "safety = abc"),
+    (["factor", "--n", "35"], "d = 1.5"),
+    (["check", "--suite", "poisson"], "trials = x"),
+    (["sample", "--n", "77", "--d", "1"], "mode = oracle"),  # not a flag of sample
+    (["factor", "--n", "35", "--d", "1"], "max = 5"),  # only a prefix of --max-attempts
+])
+def test_config_file_bad_key_or_value_exit_64(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, [*argv, "--config", str(cfg)])
+    assert code == 64
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_config_file_values_parse_as_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = poisson\ntrials = 3\nseed = 4\n")
+    code, out, _ = run_cli(capsys, ["check", "--config", str(cfg), "--seed", "6", "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"] == {"suite": "poisson", "trials": 3}
+    assert report["seed"] == 6
+
+
 def test_simulate_sweep(capsys):
     code, out, _ = run_cli(
         capsys, ["simulate", "--n", "77", "--sweep", "1:16:4", "--trials", "200", "--json"]

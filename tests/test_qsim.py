@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qfactor.arith import FactoringInstance, ResourceLimitError
+from qfactor.arith import FactoringInstance, ResourceLimitError, product_tree_exponentiation
 from qfactor.gauss import GaussParams, q_table
 from qfactor.qsim import (
+    JointState,
     apply_exponentiation,
     build_gaussian_state,
     phi1_phi2_gap,
@@ -206,3 +208,74 @@ def test_wrapped_mass_oracle_tiny_case():
         cells[key] = cells.get(key, 0.0) + math.exp(-math.pi * y * y / 4.0)
     z2_direct = math.sqrt(sum(v * v for v in cells.values()))
     assert res.z2 == pytest.approx(z2_direct, rel=1e-12)
+
+
+def apply_exponentiation_reference(state, rel):
+    """The per-point register attachment: one exponentiation per grid point,
+    with branches created in the order the grid first reaches them."""
+    d, D = state.d, state.D
+    branches = {}
+    for idx in itertools.product(range(D), repeat=d):
+        e = product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
+        branch = branches.get(e)
+        if branch is None:
+            branch = np.zeros((D,) * d, dtype=complex)
+            branches[e] = branch
+        branch[idx] = state.amplitudes[idx]
+    return JointState(d=d, D=D, branches=branches)
+
+
+def assert_same_joint_state(rel, params):
+    state = build_gaussian_state(params)
+    got = apply_exponentiation(state, rel)
+    want = apply_exponentiation_reference(state, rel)
+    assert list(got.branches) == list(want.branches)
+    assert all(type(e) is int for e in got.branches)
+    for e, branch in want.branches.items():
+        assert got.branches[e].shape == branch.shape
+        assert np.array_equal(got.branches[e], branch)
+    assert np.array_equal(qft_measure_distribution(got), qft_measure_distribution(want))
+    return got
+
+
+@pytest.mark.parametrize("N", [15, 21, 35, 77, 91, 221])
+@pytest.mark.parametrize("d,D", [(1, 16), (1, 64), (2, 8), (2, 16), (3, 8)])
+def test_exponentiation_matches_per_point_reference(N, d, D):
+    bases = [b for b in (2, 3, 5, 7, 11) if math.gcd(b, N) == 1][:d]
+    assert_same_joint_state(rel_for(N, d, bases), GaussParams(R=D / 4, D=D, d=d))
+
+
+@pytest.mark.parametrize("N,d,D,R", [
+    # the grids statevector `factor` builds for these N at d = 1
+    (15, 1, 8192, 4096.0), (35, 1, 32768, 16384.0), (91, 1, 65536, 32768.0), (77, 1, 131072, 65536.0),
+    # the grids of `simulate --n 77 --sweep "1:16:4;2:32:8;3:32:4.62"`
+    (77, 1, 16, 4.0), (77, 2, 32, 8.0), (77, 3, 32, 4.62),
+])
+def test_exponentiation_matches_reference_on_benchmark_grids(N, d, D, R):
+    assert_same_joint_state(rel_for(N, d), GaussParams(R=R, D=D, d=d))
+
+
+@pytest.mark.parametrize("b,D", [((2,), 64), ((2, 256), 32)])
+def test_exponentiation_matches_reference_above_int64_tables(b, D):
+    # N = 2^32 + 1 = 641 * 6700417: 4 has order 32 and 4^16 = N - 1, so the
+    # group elements need Python-int arithmetic (at d = 2, products of two
+    # of them pass 2^63)
+    N = (1 << 32) + 1
+    rel = rel_for(N, len(b), b)
+    assert rel.det == 32
+    joint = assert_same_joint_state(rel, GaussParams(R=D / 4, D=D, d=len(b)))
+    assert N - 1 in joint.branches
+
+
+def test_wrapped_mass_above_int64_tables():
+    # the gap analysis shares the grid helper, Python-int path included
+    N = (1 << 32) + 1
+    rel = rel_for(N, 1)
+    params = GaussParams(R=16.0, D=64, d=1)
+    res = phi1_phi2_gap(rel, params)
+    cells = {}
+    for y in range(-120, 121):
+        key = ((y + 32) % 64, pow(4, y + 32, N))
+        cells[key] = cells.get(key, 0.0) + math.exp(-math.pi * y * y / 256.0)
+    assert res.z2 == pytest.approx(math.sqrt(sum(v * v for v in cells.values())), rel=1e-12)
+    assert res.gap <= 2.0 * 2.0**-1

@@ -192,6 +192,17 @@ def test_scaled_cosets_match_fractions():
             assert Fraction(s, dual.det) % 1 == f
 
 
+@pytest.mark.parametrize("basis", [[[4, 1], [0, 3]], [[3, 1 << 33], [0, 1 << 33]], [[(1 << 35) + 1, 7], [0, 1 << 30]]])
+def test_scaled_coset_maps_arrays(basis):
+    # one call maps a stack of quotient coordinates; past int64 range too
+    dual = dual_structure_from_basis(basis)
+    xs = [[(s - 1 - k) % s for s in dual.snf_diag] for k in range(4)]
+    got = dual.scaled_coset(xs)
+    assert got.shape == (4, 2)
+    for row, x in zip(got, xs):
+        assert [Fraction(int(s), dual.det) % 1 for s in row] == list(dual.coset(x))
+
+
 def test_witness_examples(rel15):
     assert shortest_nontrivial_witness(rel15, 2) in ((2,), (-2,))
     assert shortest_nontrivial_witness(rel15, 1) is None
