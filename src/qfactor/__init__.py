@@ -45,14 +45,12 @@ from .qsim import (
     build_gaussian_state,
     phi1_phi2_gap,
     qft_measure_distribution,
-    state_prep_approximation,
 )
 from .relattice import (
     DualStructure,
     RelationLattice,
     build_relation_lattice,
     dual_cosets,
-    extract_factor,
     in_L0,
     shortest_nontrivial_witness,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "dual_cosets",
     "enumerate_lattice_vectors",
     "estimate_gate_cost",
-    "extract_factor",
     "extract_short_generators",
     "in_L0",
     "lll_reduce",
@@ -104,6 +101,5 @@ __all__ = [
     "sample_Q",
     "sample_Qv",
     "shortest_nontrivial_witness",
-    "state_prep_approximation",
     "tradeoff_rows",
 ]

@@ -22,6 +22,7 @@ from .latred import (
 from .relattice import dual_structure_from_basis
 
 CONFIDENCE_ALPHA = 0.01
+BLOCK_CELLS = 1 << 17  # array entries per trial block of a batched suite
 
 
 def binomial_lower_pvalue(successes: int, trials: int, p: float) -> float:
@@ -64,9 +65,10 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
     For each tiny lattice, draw m = d+4 uniform cosets of L*/Z^d and check
     exhaustively that every nonzero element of Z^d/L has some inner product
     at least eps = (4 det)^{-1/m}/3 away from the integers.  Guaranteed
-    frequency of the event: 1/4.  All trials of a lattice are drawn in one
-    call, which yields the same stream as drawing them trial by trial, and
-    are decided together.
+    frequency of the event: 1/4.  The trials of a lattice are drawn and
+    decided in blocks of about BLOCK_CELLS residues, one call per block,
+    which yields the same stream as drawing them trial by trial and bounds
+    the memory.
     """
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
@@ -80,14 +82,18 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
         dual = dual_structure_from_basis(basis)
         det = dual.det
         eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
-        cosets = dual.scaled_coset(rng.integers(0, dual.snf_diag, size=(trials, m, d)))
-        if det > 1:
-            reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64)
-            r = cosets @ reps.T % det  # trials x m x (det - 1)
-            dist = np.minimum(r, det - r)
-            successes = int(np.all(np.any(dist > eps_scaled, axis=1), axis=1).sum())
-        else:
-            successes = trials  # no nonzero cosets to separate
+        reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64)
+        block = max(1, BLOCK_CELLS // (m * det))
+        successes = 0
+        for start in range(0, trials, block):
+            rows = min(block, trials - start)
+            cosets = dual.scaled_coset(rng.integers(0, dual.snf_diag, size=(rows, m, d)))
+            if det > 1:
+                r = cosets @ reps.T % det  # rows x m x (det - 1)
+                dist = np.minimum(r, det - r)
+                successes += int(np.all(np.any(dist > eps_scaled, axis=1), axis=1).sum())
+            else:
+                successes += rows  # no nonzero cosets to separate
         verdict = frequency_verdict(successes, trials, 0.25)
         verdict["basis"] = basis
         verdict["det"] = det
@@ -137,20 +143,25 @@ def generation_suite(trials: int = 2000, seed: int = 0, ranks=(1, 2, 3, 4), modu
     """r+4 uniform elements generate (Z_t)^r with guaranteed frequency 1/2.
 
     Generation is decided exactly: for each prime p | t the elements must
-    have full rank r modulo p.  All trials of an (r, t) case are drawn in
-    one call, which yields the same stream as drawing them trial by trial,
-    and their ranks are decided by one batched elimination per prime.
+    have full rank r modulo p.  The trials of an (r, t) case are drawn in
+    blocks of about BLOCK_CELLS entries, one call per block, which yields
+    the same stream as drawing them trial by trial, and each block's ranks
+    are decided by one batched elimination per prime.
     """
     rng = np.random.default_rng(seed)
     cases = []
     all_passed = True
     for r in ranks:
         for t in moduli:
-            vecs = rng.integers(0, t, size=(trials, r + 4, r))
-            generated = np.ones(trials, dtype=bool)
-            for p in _prime_factors(t):
-                generated &= _full_rank_mod_p(vecs, p)
-            verdict = frequency_verdict(int(generated.sum()), trials, 0.5)
+            block = max(1, BLOCK_CELLS // ((r + 4) * r))
+            successes = 0
+            for start in range(0, trials, block):
+                vecs = rng.integers(0, t, size=(min(block, trials - start), r + 4, r))
+                generated = np.ones(len(vecs), dtype=bool)
+                for p in _prime_factors(t):
+                    generated &= _full_rank_mod_p(vecs, p)
+                successes += int(generated.sum())
+            verdict = frequency_verdict(successes, trials, 0.5)
             verdict["rank"] = r
             verdict["modulus"] = t
             cases.append(verdict)

@@ -6,8 +6,13 @@ grid {0, 1/D, ..., (D-1)/D}^d.  Everything here evaluates those masses by
 explicit wrap-around (theta) sums whose neglected tails stay below 2^-64.
 The sampler draws each coordinate by inverse CDF over its window: the
 2W+1 cells around the center, outside which the mass is below 2^-64, so
-its cost and memory do not grow with D.  Dense D-cell tables exist only
-where every cell is needed, in qv_table and q_table.
+its cost and memory do not grow with D.  Windows are batched: window_cdf
+takes an array of centers and evaluates all their theta sums as one
+array, so a draw's d coordinates share one call, and concentration_check
+draws its trials in blocks of about THETA_BLOCK window cells, one
+rng.random call per block, in the stream order of one trial at a time.
+Dense D-cell tables exist only where every cell is needed, in qv_table
+and q_table.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ THETA_BLOCK = 1 << 12  # cells per block of the vectorized theta sum
 # Widest noise s the theta sum accepts: it needs about 3.8 s shifts, and
 # its scratch is (2K+1) * THETA_BLOCK floats, about 64 MB at this width.
 WIDTH_CAP = 256.0
+# exp(x) rounds to 0.0 for every x below -745.134, and the slow underflow
+# path of np.exp is skipped by writing those zeros directly
+EXP_ZERO = -746.0
 
 
 def theta_cutoff_for(s: float) -> int:
@@ -135,23 +143,39 @@ def rho(s: float, x) -> float:
     return float(np.exp(-math.pi * float(np.dot(arr, arr)) / (s * s)))
 
 
-def theta_sum(x: float, cells: np.ndarray, params: GaussParams) -> np.ndarray:
+def theta_sum(x, cells, params: GaussParams) -> np.ndarray:
     """Unnormalized masses at cells/D of the width-s wrap-around Gaussian
     centered at x (already reduced mod 1): the theta sum over the shifts
     t = -K..K, added in that order.
 
-    All shifts of a block of cells are evaluated at once, one row per shift;
-    reducing along the first axis adds the rows one after another, so every
-    cell's sum is the same float sequence as a loop over t.  Blocks bound
-    the scratch memory of dense tables to (2K+1) * THETA_BLOCK floats.
+    x is one center or an array of centers, and cells holds one row of
+    cells per center (shape x.shape + (cells,)), the shape of the result.
+    All shifts of a block of rows and cells are evaluated at once, as one
+    (2K+1, rows, cells) array; reducing along the shift axis adds its
+    slices one after another, so every cell's sum is the same float
+    sequence as a loop over t.  Terms whose exponent is below EXP_ZERO are
+    the 0.0 that exp would return.  Blocks bound the scratch memory to about
+    (2K+1) * THETA_BLOCK floats.
     """
     s, K = params.s, params.theta_cutoff
-    shifts = np.arange(-K, K + 1, dtype=float)[:, None]
-    total = np.empty(len(cells))
-    for lo in range(0, len(cells), THETA_BLOCK):
-        diff = x - cells[lo:lo + THETA_BLOCK] / params.D
-        terms = np.exp(-math.pi * ((diff + shifts) / s) ** 2)
-        total[lo:lo + THETA_BLOCK] = np.add.reduce(terms, axis=0)
+    x = np.asarray(x, dtype=float)
+    cells = np.asarray(cells)
+    n = cells.shape[-1]
+    total = np.empty(cells.shape)
+    x, cells, out = x.reshape(-1, 1), cells.reshape(-1, n), total.reshape(-1, n)
+    shifts = np.arange(-K, K + 1, dtype=float)[:, None, None]
+    step = max(1, THETA_BLOCK // n)
+    for r in range(0, len(x), step):
+        rows = slice(r, r + step)
+        for c in range(0, n, THETA_BLOCK):
+            cols = slice(c, c + THETA_BLOCK)
+            diff = x[rows] - cells[rows, cols] / params.D
+            terms = diff + shifts  # then in place: exp(-pi ((diff + t) / s)^2)
+            terms /= s
+            terms **= 2
+            terms *= -math.pi
+            terms = np.exp(terms, out=np.zeros_like(terms), where=terms > EXP_ZERO)
+            np.add.reduce(terms, axis=0, out=out[rows, cols])
     return total
 
 
@@ -162,25 +186,37 @@ def coordinate_masses(v_j: float, params: GaussParams) -> np.ndarray:
     return total / total.sum()
 
 
-def window_cdf(x: float, params: GaussParams) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table of one coordinate centered at x (reduced mod 1).
+def window_cdf(x, params: GaussParams) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF tables of coordinates centered at x (reduced mod 1).
 
-    Returns (cells, cdf) over the cells within W of the cell holding x, or
-    the whole grid when 2W+1 >= D.  The cells are listed in ascending order
-    mod D, also when the window wraps past 0, so the CDF matches the dense
-    D-cell table's at every window cell and a uniform draw maps to the same
-    cell.  The masses are normalized over the window.
+    x is one center or an array of them; each center gets one row of cells
+    and one of CDF values, so both results have shape x.shape + (cells,).
+    A row lists the cells within W of the cell holding its center, or the
+    whole grid when 2W+1 >= D, in ascending order mod D, also when the
+    window wraps past 0; so the CDF matches the dense D-cell table's at
+    every window cell and a uniform draw maps to the same cell.  The masses
+    are normalized over the window.  All rows come from one theta_sum call.
     """
     D, W = params.D, params.window
-    if 2 * W + 1 >= D:
-        cells = np.arange(D)
+    x = np.asarray(x, dtype=float)
+    if 2 * W + 1 >= D:  # the whole grid in every row
+        cells = np.zeros(x.shape + (1,), dtype=np.int64) + np.arange(D)
     else:
-        c = int(x * D)
-        cells = np.sort(np.arange(c - W, c + W + 1) % D)
+        c = (x * D).astype(np.int64)[..., None]
+        cells = np.sort((c + np.arange(-W, W + 1)) % D, axis=-1)
     masses = theta_sum(x, cells, params)
-    cdf = np.cumsum(masses / masses.sum())
-    cdf[-1] = 1.0
+    cdf = np.cumsum(masses / masses.sum(axis=-1, keepdims=True), axis=-1)
+    cdf[..., -1] = 1.0
     return cells, cdf
+
+
+def _window_draws(x: np.ndarray, u: np.ndarray, params: GaussParams) -> np.ndarray:
+    """The cell each uniform u selects from the window of its center x (two
+    arrays of one shape): searchsorted(cdf, u, side="right") row by row,
+    taken as the count of CDF entries <= u."""
+    cells, cdf = window_cdf(x.ravel(), params)
+    picks = (cdf <= u.reshape(-1, 1)).sum(axis=1)
+    return cells[np.arange(len(cells)), picks].reshape(x.shape)
 
 
 def qv_coordinate_tables(v, params: GaussParams) -> list[np.ndarray]:
@@ -221,18 +257,18 @@ def q_table(dual, params: GaussParams, table_cap: int = TABLE_CAP) -> np.ndarray
 def sample_Qv(v, params: GaussParams, rng) -> DualSample:
     """Draw one grid point from the single-coset distribution around v.
 
-    Per coordinate: inverse CDF over the coordinate's window (window_cdf);
-    the mass left outside it is below 2^-64.  Time and memory per draw do
-    not depend on D.  Reproducible given the generator state.
+    Per coordinate: inverse CDF over the coordinate's window (window_cdf,
+    one call for all d coordinates) at one uniform, drawn in coordinate
+    order; the mass left outside the window is below 2^-64.  Time and
+    memory per draw do not depend on D.  Reproducible given the generator
+    state.
     """
     vv = tuple(v)
     if len(vv) != params.d:
         raise ParameterError("coset representative has wrong dimension")
-    indices = []
-    for v_j in vv:
-        cells, cdf = window_cdf(float(v_j) % 1.0, params)
-        indices.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]))
-    return DualSample(indices=tuple(indices), params=params)
+    x = np.array([float(v_j) % 1.0 for v_j in vv])
+    indices = _window_draws(x, rng.random(params.d), params)
+    return DualSample(indices=tuple(indices.tolist()), params=params)
 
 
 def sample_Q(dual, params: GaussParams, rng):
@@ -245,14 +281,16 @@ def sample_Q(dual, params: GaussParams, rng):
     return v, sample_Qv(v, params, rng)
 
 
-def torus_distance(w, v) -> float:
-    """Euclidean distance on the torus R^d / Z^d."""
-    total = 0.0
-    for a, b in zip(w, v, strict=True):
-        delta = (float(a) - float(b)) % 1.0
-        delta = min(delta, 1.0 - delta)
-        total += delta * delta
-    return math.sqrt(total)
+def torus_distance(w, v):
+    """Euclidean distance on the torus R^d / Z^d between the points of w and
+    v along their last axis: a float for two points, an array for stacks.
+    The squared coordinate distances are added in coordinate order."""
+    delta = np.remainder(np.asarray(w, dtype=float) - np.asarray(v, dtype=float), 1.0)
+    delta = np.minimum(delta, 1.0 - delta)
+    total = np.zeros(delta.shape[:-1])
+    for j in range(delta.shape[-1]):
+        total += delta[..., j] * delta[..., j]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -272,16 +310,34 @@ def concentration_check(
     v fixed if given, else a fresh uniform torus point per trial.  The rate
     is reported next to the 2^-d reference scale, never asserted against an
     invented constant.
+
+    Each trial consumes the stream as sample_Qv after drawing its center
+    would: d center coordinates (unless v is fixed), then d uniforms.
+    Trials run in blocks of about THETA_BLOCK window cells, each drawn by
+    one rng.random call, so memory does not grow with trials.
     """
     if trials < 1:
         raise ParameterError("trials must be positive")
-    threshold = math.sqrt(params.d) * params.s
+    d = params.d
+    threshold = math.sqrt(d) * params.s
+    if v is not None:
+        vv = tuple(v)
+        if len(vv) != d:
+            raise ParameterError("coset representative has wrong dimension")
+        center = np.array([float(x) for x in vv])
+        reduced = np.array([float(x) % 1.0 for x in vv])
+    block = max(1, THETA_BLOCK // (d * min(params.D, 2 * params.window + 1)))
     failures = 0
-    for _ in range(trials):
-        center = tuple(rng.random(params.d)) if v is None else tuple(v)
-        w = sample_Qv(center, params, rng)
-        if torus_distance(w.floats(), center) > threshold:
-            failures += 1
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
+        if v is None:
+            draw = rng.random((rows, 2 * d))
+            center = reduced = draw[:, :d]
+            u = draw[:, d:]
+        else:
+            u = rng.random((rows, d))
+        w = _window_draws(np.broadcast_to(reduced, u.shape), u, params) / params.D
+        failures += int((torus_distance(w, center) > threshold).sum())
     return ConcentrationReport(
         trials=trials,
         failures=failures,

@@ -2,10 +2,12 @@
 lattice-ball enumeration, and the extended lattice that embeds noisy dual
 samples.
 
-All arithmetic is over Python ints and Fractions: LLL keeps integer
-Gram-Schmidt data, and enumeration compares Fractions.  At desk-scale
-dimensions exactness is affordable and removes every floating-point
-soundness question from the downstream guarantees.
+All arithmetic is exact: LLL and enumeration both run on the integer
+Gram-Schmidt data of de Weger and Cohen (Alg. 2.6.7), and enumeration
+scales every squared norm it compares to one common integer denominator.
+Floats only bracket coefficient ranges.  At desk-scale dimensions
+exactness is affordable and removes every floating-point soundness
+question from the downstream guarantees.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ def _as_basis(basis) -> LatticeBasis:
 
 
 def gram_schmidt(vectors):
-    """Exact Gram-Schmidt data: (mu, b_star, sq_norms) over Fractions."""
+    """Exact Gram-Schmidt data: (mu, b_star, sq_norms) over Fractions.
+
+    Not called in this package; kept bound for perfbench's tracer.
+    """
     n = len(vectors)
     mu = [[Fraction(0)] * n for _ in range(n)]
     b_star: list[list[Fraction]] = []
@@ -199,11 +204,18 @@ def enumerate_lattice_vectors(
 ) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors of norm <= the bound, exactly.
 
-    Fincke-Pohst enumeration over exact Gram-Schmidt data; float square
-    roots are only used to bracket coefficient ranges, every candidate is
-    admitted or rejected by an exact rational comparison.  Each coefficient
-    value tried at each level is one enumeration node; with node_cap set,
-    a search that would try more nodes raises ResourceLimitError.
+    Fincke-Pohst enumeration over the integer Gram-Schmidt data (dets, lam)
+    of `_integral_gram_schmidt`.  With B_i = dets[i+1] / dets[i] and
+    mu_ti = lam[t][i] / dets[i+1], coefficient x at level i uses
+    (x + sum_{t>i} c_t mu_ti)^2 B_i = (x dets[i+1] + S_i)^2 / (dets[i] dets[i+1])
+    of the squared bound, where S_i = sum_{t>i} c_t lam[t][i].  The bound
+    and every such part are integers over one common denominator M, so each
+    candidate is admitted or rejected by an exact integer comparison.  Float
+    square roots only bracket the coefficient range of a level, around the
+    correctly rounded quotients remaining / B_i and -S_i / dets[i+1].  Each
+    coefficient value tried at each level is one enumeration node; with
+    node_cap set, a search that would try more nodes raises
+    ResourceLimitError.
     """
     if (norm_bound is None) == (norm_bound_sq is None):
         raise ParameterError("pass exactly one of norm_bound, norm_bound_sq")
@@ -215,23 +227,29 @@ def enumerate_lattice_vectors(
     b = _as_basis(basis)
     vecs = [list(v) for v in b.vectors]
     n = len(vecs)
-    mu, _bs, sq = gram_schmidt(vecs)
+    dets, lam = _integral_gram_schmidt(vecs)
+    pairs = [dets[i] * dets[i + 1] for i in range(n)]
+    M = math.lcm(t_sq.denominator, *pairs)
+    scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
+    gs_scaled = [scale[i] * dets[i + 1] ** 2 for i in range(n)]  # M B_i
     out: list[tuple[int, ...]] = []
     coeffs = [0] * n
     nodes = 0
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, remaining: int):
+        # remaining: M times the squared norm the levels <= i may still use
         nonlocal nodes
-        shift = sum(coeffs[t] * mu[t][i] for t in range(i + 1, n))
-        # |x + shift| <= sqrt(remaining / sq[i]); bracket with slack, verify exactly
-        radius = math.sqrt(float(remaining / sq[i])) + 1.0
-        center = float(-shift)
+        d_i, scale_i = dets[i + 1], scale[i]
+        s_i = sum(coeffs[t] * lam[t][i] for t in range(i + 1, n))
+        # |x + S_i / dets[i+1]| <= sqrt(remaining / (M B_i)); bracket with slack, verify exactly
+        radius = math.sqrt(remaining / gs_scaled[i]) + 1.0
+        center = -s_i / d_i
         lo, hi = math.floor(center - radius), math.ceil(center + radius)
         nodes += hi - lo + 1
         if node_cap is not None and nodes > node_cap:
             raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
         for x in range(lo, hi + 1):
-            used = (x + shift) ** 2 * sq[i]
+            used = (x * d_i + s_i) ** 2 * scale_i
             if used > remaining:
                 continue
             coeffs[i] = x
@@ -246,7 +264,7 @@ def enumerate_lattice_vectors(
                 descend(i - 1, remaining - used)
         coeffs[i] = 0
 
-    descend(n - 1, t_sq)
+    descend(n - 1, t_sq.numerator * (M // t_sq.denominator))
     return out
 
 

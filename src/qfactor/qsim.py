@@ -80,29 +80,6 @@ def build_gaussian_state(params: GaussParams, guard: int = STATEVECTOR_GUARD) ->
     )
 
 
-def state_prep_approximation(D: int, R: float, k: int):
-    """One-dimensional Gaussian state prepared with only k exact qubits.
-
-    The k most significant qubits receive their exact conditional
-    amplitudes; every remaining qubit is the uniform plus state.  In state
-    terms: within each block of 2^{log2 D - k} consecutive indices the
-    approximate amplitude is flat, carrying the block's exact total mass.
-    Returns (approximate amplitudes, fidelity |<exact|approx>|^2).
-    """
-    if D < 2 or D & (D - 1):
-        raise ParameterError("D must be a power of two >= 2")
-    nbits = D.bit_length() - 1
-    if not 0 <= k <= nbits:
-        raise ParameterError("k must lie in [0, log2 D]")
-    exact = _axis_weights(D, R)
-    exact = exact / np.linalg.norm(exact)
-    block = 1 << (nbits - k)
-    masses = (exact ** 2).reshape(-1, block).sum(axis=1)
-    approx = np.repeat(np.sqrt(masses / block), block)
-    fidelity = float(np.dot(exact, approx) ** 2)
-    return approx, fidelity
-
-
 def apply_exponentiation(
     state: StateVector, rel: RelationLattice, guard: int = STATEVECTOR_GUARD
 ) -> JointState:

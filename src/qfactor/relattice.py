@@ -57,10 +57,6 @@ class RelationLattice:
     def d(self) -> int:
         return self.inst.d
 
-    def contains(self, z) -> bool:
-        """Membership via exact lattice algebra (not the homomorphism)."""
-        return intmat.lattice_contains([list(r) for r in self.basis], list(z))
-
 
 def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) -> RelationLattice:
     """BFS the subgroup <a_1..a_d> of Z_N^*, harvesting one relation per
@@ -131,18 +127,6 @@ def in_L0(rel: RelationLattice, z) -> bool:
     if not c["in_lattice"]:
         raise DomainError("vector is not in the relation lattice")
     return c["in_sign"]
-
-
-def extract_factor(rel: RelationLattice, z) -> int:
-    """Nontrivial factor of N from a vector of L \\ L0 (see classify)."""
-    c = classify(rel, z)
-    if not c["in_lattice"]:
-        raise DomainError("vector is not in the relation lattice")
-    if c["in_sign"]:
-        raise DomainError("vector lies in the sign sublattice")
-    if not 1 < c["gcd"] < rel.inst.N:
-        raise AssertionError("square root of unity failed to split N")
-    return c["gcd"]
 
 
 @dataclass(frozen=True)

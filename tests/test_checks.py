@@ -2,13 +2,18 @@
 
 The references below draw and decide one trial at a time, as the suites
 did before their trials were batched; a batched suite must return the same
-dict for every seed and trial count.
+dict for every seed and trial count, whether its trials fit in one block
+or are split into several.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qfactor import checks
 from qfactor.checks import (
+    BLOCK_CELLS,
     _full_rank_mod_p,
     _prime_factors,
     _random_tiny_lattice,
@@ -131,3 +136,34 @@ def test_full_rank_mod_p_matches_reference(p):
         got = _full_rank_mod_p(vecs, p)
         want = [rank_mod_p_reference(m.tolist(), p) == r for m in vecs]
         assert got.tolist() == want
+
+
+# the default blocks hold 409 trials of the det-64 separation case and 4096
+# of the r = 4 generation cases; the counts below straddle both, and the
+# smaller budgets split every case into blocks of one or a few trials
+@pytest.mark.parametrize("cells, trials", [
+    (BLOCK_CELLS, 409), (BLOCK_CELLS, 410), (BLOCK_CELLS, 819), (BLOCK_CELLS, 4097),
+    (1, 50), (97, 410),
+])
+@pytest.mark.parametrize("suite", [separation_suite, generation_suite])
+def test_blocked_suites_match_one_unblocked_draw(suite, cells, trials, monkeypatch):
+    monkeypatch.setattr(checks, "BLOCK_CELLS", cells)
+    blocked = suite(trials=trials, seed=3)
+    monkeypatch.setattr(checks, "BLOCK_CELLS", 1 << 40)  # every trial in one block
+    assert blocked == suite(trials=trials, seed=3)
+
+
+def test_suite_memory_does_not_grow_with_trials(monkeypatch):
+    # One unblocked draw held 561 MB (separation) and 56 MB (generation) at
+    # 60,000 trials.  The exact binomial verdict, a Python loop over the
+    # successes, is stubbed out: it is not what this bounds, and under
+    # tracemalloc it would take most of the time.
+    monkeypatch.setattr(checks, "frequency_verdict", lambda successes, trials, p: {"passed": True})
+    for suite in (separation_suite, generation_suite):
+        tracemalloc.start()
+        try:
+            suite(trials=60_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, suite.__name__

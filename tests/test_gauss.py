@@ -330,3 +330,104 @@ def test_sample_Qv_memory_does_not_grow_with_D():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def concentration_reference(params, trials, rng, v=None):
+    """concentration_check as a per-trial loop: a center (unless v is fixed),
+    one window and one uniform per coordinate, a scalar torus distance."""
+    threshold = math.sqrt(params.d) * params.s
+    failures = 0
+    for _ in range(trials):
+        center = tuple(rng.random(params.d)) if v is None else tuple(v)
+        w = []
+        for x in center:
+            cells, cdf = window_cdf(float(x) % 1.0, params)
+            w.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]) / params.D)
+        total = 0.0
+        for a, b in zip(w, center):
+            delta = (a - float(b)) % 1.0
+            delta = min(delta, 1.0 - delta)
+            total += delta * delta
+        failures += math.sqrt(total) > threshold
+    return ConcentrationReport(
+        trials=trials,
+        failures=failures,
+        failure_rate=failures / trials,
+        threshold=threshold,
+        reference_rate=2.0 ** (-params.d),
+    )
+
+
+# selected grids (windows of 17..33 cells), whole-grid windows, and a window
+# wider than one theta block
+CONCENTRATION_PARAMS = [
+    *(GaussParams.choose(d, R) for d, R in [(1, 4.0), (2, 8.0), (3, 4.62), (4, 64.0)]),
+    *(GaussParams(R=4.0, D=8, d=d) for d in (1, 2, 3, 4)),
+    GaussParams(R=2.0, D=2**14, d=1),
+]
+
+
+@pytest.mark.parametrize("params", CONCENTRATION_PARAMS, ids=lambda p: f"d{p.d}-D{p.D}-R{p.R}")
+def test_concentration_check_matches_per_trial_reference(params):
+    # fixed centers: at 0 and just below 1 (windows wrap past 0), a cell
+    # edge, and an exact Fraction; trial counts straddle the trial blocks
+    fixed = [None, (0.0,) * params.d, (-1e-12,) * params.d,
+             tuple(Fraction(j + 1, 3 * params.D) for j in range(params.d))]
+    for seed in range(5):
+        for v in fixed:
+            trials = 3 if params.D == 2**14 else 120 + 121 * seed
+            got = concentration_check(params, trials, np.random.default_rng(seed), v=v)
+            want = concentration_reference(params, trials, np.random.default_rng(seed), v=v)
+            assert got == want, (seed, v)
+
+
+def test_window_cdf_rows_match_single_windows():
+    for d, R in WINDOW_CASES:
+        p = GaussParams.choose(d, R)
+        centres = np.array(window_centres(p.D))
+        cells, cdf = window_cdf(centres, p)
+        assert cells.shape == cdf.shape and len(cells) == len(centres)
+        for row, x in enumerate(centres):
+            one_cells, one_cdf = window_cdf(float(x), p)
+            assert np.array_equal(cells[row], one_cells) and np.array_equal(cdf[row], one_cdf)
+        masses = theta_sum(centres, cells, p)
+        for row, x in enumerate(centres):
+            assert np.array_equal(masses[row], theta_sum(float(x), cells[row], p))
+
+
+def test_sample_Qv_matches_one_window_per_coordinate():
+    for d, R in WINDOW_CASES + [(3, 4.62)]:
+        p = GaussParams.choose(d, R)
+        for i in range(100):
+            v = tuple(np.random.default_rng(1000 + i).random(d) * 3 - 1)
+            got = sample_Qv(v, p, np.random.default_rng(i)).indices
+            rng = np.random.default_rng(i)
+            want = []
+            for x in v:
+                cells, cdf = window_cdf(float(x) % 1.0, p)
+                want.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]))
+            assert got == tuple(want), (d, R, v)
+
+
+def test_torus_distance_rows_match_pairs():
+    rng = np.random.default_rng(8)
+    w, v = rng.random((50, 3)) * 4 - 2, rng.random((50, 3))
+    rows = torus_distance(w, v)
+    assert rows.shape == (50,)
+    assert rows.tolist() == [torus_distance(a, b) for a, b in zip(w, v)]
+
+
+def test_concentration_memory_does_not_grow_with_trials():
+    p = GaussParams.choose(2, 1024.0)
+    assert p.D == 1 << 12
+    peaks = []
+    for trials in (2_000, 200_000):
+        tracemalloc.start()
+        try:
+            concentration_check(p, trials, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1 << 20
+    assert peaks[1] <= peaks[0] * 1.25

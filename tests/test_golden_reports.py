@@ -1,0 +1,43 @@
+"""Seeded reports stay byte-identical outside their timings.
+
+Each command below runs in-process with a fixed seed; the sha256 of its
+JSON report, with the `timings` block dropped and keys sorted, is pinned.
+Together they cover the simulate sweep (statevector, mixture tables and the
+concentration check), every check suite, oracle factoring with
+certification at the default and at a pinned radius, and sampling.  A
+change that moves one of these digests changes a transcript and must say
+why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from qfactor.cli import main
+
+GOLDEN = [
+    (["simulate", "--n", "77", "--sweep", "1:16:4;2:32:8;3:32:4.62", "--trials", "300", "--seed", "1"],
+     "bc56c98f18dad50c7577972c3ae12e60bea71164c51cbb3b79fdc1d567d90e96"),
+    (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
+     "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
+    (["factor", "--n", "10403", "--d", "4", "--seed", "1"],
+     "c9d3c0d345d6c24bad395d0c1a9b50a88b1b6119baa7cab3b033804ec6fdcb48"),
+    (["factor", "--n", "1147", "--d", "4", "--radius", "256", "--seed", "1"],
+     "f2e6f138e63a90d1590b70135d73c1c44f603e5f1ef466f887ee228df4de5d0f"),
+    (["sample", "--n", "437", "--d", "3", "--seed", "1"],
+     "d6f468f7529407d05bebd7a01289ec3c708cec4acd4963b6f7a1d29024e0886a"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=["simulate-77", "check-all", "factor-10403-d4",
+                                                      "factor-1147-d4-r256", "sample-437-d3"])
+def test_report_digest_is_pinned(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    body = {k: v for k, v in report.items() if k != "timings"}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfactor import intmat
+from qfactor import checks, intmat, latred
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
 from qfactor.gauss import GaussParams
 from qfactor.latred import (
@@ -19,7 +21,7 @@ from qfactor.latred import (
     lll_reduce,
     recover_relation_vectors,
 )
-from qfactor.pipeline import draw_samples
+from qfactor.pipeline import certify_assumption, default_witness_bound, draw_samples
 from qfactor.relattice import build_relation_lattice, dual_cosets, dual_structure_from_basis
 
 
@@ -233,6 +235,131 @@ def test_extract_cover_on_random_lattices():
                 assert intmat.lattice_contains(rows, list(v))
         else:
             assert not short
+
+
+def fraction_enumerate_reference(basis, norm_bound=None, norm_bound_sq=None, node_cap=None):
+    """Fincke-Pohst over Fraction Gram-Schmidt data, as enumerate_lattice_vectors
+    ran before it moved to integers; returns (vectors, nodes tried).
+
+    Same brackets and the same exact admissions by construction; kept here
+    only as the reference the integer enumeration must reproduce exactly.
+    """
+    t_sq = Fraction(norm_bound_sq) if norm_bound_sq is not None else Fraction(norm_bound) ** 2
+    vecs = [list(v) for v in getattr(basis, "vectors", basis)]
+    n = len(vecs)
+    mu, _bs, sq = gram_schmidt(vecs)
+    out = []
+    coeffs = [0] * n
+    nodes = 0
+
+    def descend(i, remaining):
+        nonlocal nodes
+        shift = sum(coeffs[t] * mu[t][i] for t in range(i + 1, n))
+        radius = math.sqrt(float(remaining / sq[i])) + 1.0
+        center = float(-shift)
+        lo, hi = math.floor(center - radius), math.ceil(center + radius)
+        nodes += hi - lo + 1
+        if node_cap is not None and nodes > node_cap:
+            raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
+        for x in range(lo, hi + 1):
+            used = (x + shift) ** 2 * sq[i]
+            if used > remaining:
+                continue
+            coeffs[i] = x
+            if i == 0:
+                if any(coeffs):
+                    vec = [0] * len(vecs[0])
+                    for c, bv in zip(coeffs, vecs):
+                        if c:
+                            vec = [a + c * e for a, e in zip(vec, bv)]
+                    out.append(tuple(vec))
+            else:
+                descend(i - 1, remaining - used)
+        coeffs[i] = 0
+
+    descend(n - 1, t_sq)
+    return out, nodes
+
+
+def assert_enumeration_matches_reference(basis, **bound):
+    """Same list in the same order, and the same node count: the reference's
+    count passes as node_cap and one less is refused."""
+    want, nodes = fraction_enumerate_reference(basis, **bound)
+    assert enumerate_lattice_vectors(basis, **bound) == want
+    assert enumerate_lattice_vectors(basis, **bound, node_cap=nodes) == want
+    with pytest.raises(ResourceLimitError):
+        enumerate_lattice_vectors(basis, **bound, node_cap=nodes - 1)
+
+
+# the factor jobs of both benchmark workloads, at their certification bounds
+BENCHMARK_INSTANCES = [
+    (15, 1), (35, 1), (77, 1), (91, 1), (221, 1), (77, 2), (143, 2), (221, 2), (323, 2),
+    (1147, 2), (221, 3), (437, 3), (1147, 3), (3127, 3), (10403, 3), (1147, 4),
+]
+
+
+@pytest.fixture(scope="module")
+def benchmark_enumerations():
+    """The (basis, bound, cap) of every enumeration that certification of the
+    benchmark instances and two short-cover suites make, as they call it."""
+    calls = []
+
+    def record(basis, **kwargs):
+        calls.append((basis, kwargs))
+        return enumerate_lattice_vectors(basis, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(latred, "enumerate_lattice_vectors", record)
+        mp.setattr(checks, "enumerate_lattice_vectors", record)
+        for N, d in BENCHMARK_INSTANCES:
+            inst = FactoringInstance.build(N, d)
+            certify_assumption(inst, default_witness_bound(inst))
+        for seed in (0, 1):
+            checks.short_cover_suite(n_lattices=100, seed=seed)
+    return calls
+
+
+def test_integer_enumeration_matches_reference_on_benchmark_inputs(benchmark_enumerations):
+    assert len(benchmark_enumerations) == len(BENCHMARK_INSTANCES) + 200
+    for basis, kwargs in benchmark_enumerations:
+        bound = {k: v for k, v in kwargs.items() if k != "node_cap"}
+        assert_enumeration_matches_reference(basis, **bound)
+
+
+# a bound is a multiple of the shortest basis row's (squared) norm, so the
+# balls hold from no vector to thousands
+SCALES = st.one_of(
+    st.integers(0, 3),
+    st.fractions(0, 3, max_denominator=60),
+    st.floats(0, 3, allow_nan=False),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(1, 8),
+    entries=st.lists(st.integers(-9, 9), min_size=64, max_size=64),
+    scale=SCALES,
+    squared=st.booleans(),
+)
+def test_integer_enumeration_matches_reference_on_random_bases(k, entries, scale, squared):
+    basis = [entries[i * k:(i + 1) * k] for i in range(k)]
+    if not intmat.determinant(basis):
+        basis = [[5 * int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(basis)]
+    if not intmat.determinant(basis):
+        return
+    shortest = min(sum(x * x for x in row) for row in basis)
+    if squared:
+        bound = {"norm_bound_sq": scale * shortest}
+    else:
+        bound = {"norm_bound": scale * math.isqrt(shortest)}
+    try:
+        fraction_enumerate_reference(basis, **bound, node_cap=3_000)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            enumerate_lattice_vectors(basis, **bound, node_cap=3_000)
+        return
+    assert_enumeration_matches_reference(basis, **bound)
 
 
 def test_enumeration_matches_box_oracle():

@@ -8,12 +8,12 @@ from qfactor.arith import FactoringInstance, ResourceLimitError, product_tree_ex
 from qfactor.gauss import GaussParams, q_table
 from qfactor.qsim import (
     JointState,
+    _axis_weights,
     apply_exponentiation,
     build_gaussian_state,
     phi1_phi2_gap,
     qft_measure_distribution,
     sample_measurement,
-    state_prep_approximation,
 )
 from qfactor.relattice import build_relation_lattice, dual_cosets
 
@@ -49,6 +49,25 @@ def test_z1_mass_window_reference_config():
 def test_simulation_guard():
     with pytest.raises(ResourceLimitError):
         build_gaussian_state(GaussParams(R=600.0, D=4096, d=2), guard=2**20)
+
+
+def state_prep_approximation(D: int, R: float, k: int):
+    """One-dimensional Gaussian state prepared with only k exact qubits.
+
+    The k most significant qubits receive their exact conditional
+    amplitudes; every remaining qubit is the uniform plus state.  In state
+    terms: within each block of 2^{log2 D - k} consecutive indices the
+    approximate amplitude is flat, carrying the block's exact total mass.
+    Returns (approximate amplitudes, fidelity |<exact|approx>|^2).
+    """
+    nbits = D.bit_length() - 1
+    exact = _axis_weights(D, R)
+    exact = exact / np.linalg.norm(exact)
+    block = 1 << (nbits - k)
+    masses = (exact ** 2).reshape(-1, block).sum(axis=1)
+    approx = np.repeat(np.sqrt(masses / block), block)
+    fidelity = float(np.dot(exact, approx) ** 2)
+    return approx, fidelity
 
 
 def test_state_prep_exact_when_all_qubits_rotated():
