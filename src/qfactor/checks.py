@@ -9,6 +9,7 @@ suite fails only when the observed rate is below the guaranteed rate at
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,18 +26,34 @@ CONFIDENCE_ALPHA = 0.01
 BLOCK_CELLS = 1 << 17  # array entries per trial block of a batched suite
 
 
+# math.exp returns exactly 0.0 for every argument below this
+_EXP_UNDERFLOW = -745.2
+
+
+@lru_cache(maxsize=16)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only table of log(j!) = math.lgamma(j + 1) for j = 0..n."""
+    table = np.array([math.lgamma(j + 1) for j in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def binomial_lower_pvalue(successes: int, trials: int, p: float) -> float:
-    """P[Bin(trials, p) <= successes], computed exactly in log space."""
+    """P[Bin(trials, p) <= successes], computed exactly in log space.
+
+    The log terms are built elementwise in the order a scalar loop would
+    use, and summed left to right with math.exp, so the value matches the
+    term-by-term sum bit for bit; terms that exp rounds to 0.0 are skipped.
+    """
     if successes >= trials:
         return 1.0
     lp, lq = math.log(p), math.log1p(-p)
-    lgn = math.lgamma(trials + 1)
-    logs = [
-        lgn - math.lgamma(i + 1) - math.lgamma(trials - i + 1) + i * lp + (trials - i) * lq
-        for i in range(successes + 1)
-    ]
-    peak = max(logs)
-    return min(1.0, math.exp(peak) * sum(math.exp(x - peak) for x in logs))
+    lf = _log_factorials(trials)
+    i = np.arange(successes + 1)
+    logs = lf[trials] - lf[i] - lf[trials - i] + i * lp + (trials - i) * lq
+    peak = float(logs.max())
+    shifted = logs - peak
+    return min(1.0, math.exp(peak) * sum(map(math.exp, shifted[shifted >= _EXP_UNDERFLOW].tolist())))
 
 
 def frequency_verdict(successes: int, trials: int, guaranteed: float) -> dict:

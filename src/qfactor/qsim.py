@@ -3,8 +3,12 @@
 The register holds amplitudes over {0..D-1}^d in offset encoding (index i
 stands for the integer i - D/2).  The pipeline is: Gaussian state over the
 box, group-element register attached in superposition, per-axis Fourier
-transform over Z_D, exact outcome distribution.  A wrapped variant of the
-state (Gaussian mass folded modulo D) backs the truncation-error checks.
+transform over Z_D, exact outcome distribution.  The joint state is kept
+compact (the amplitudes plus one group-element label per grid cell), and
+the transform expands the branches a block at a time into one reused
+buffer, so no dense array per group element is ever built.  A wrapped
+variant of the state (Gaussian mass folded modulo D) backs the
+truncation-error checks.
 """
 
 from __future__ import annotations
@@ -29,6 +33,12 @@ BOX_GUARD = 1 << 24
 # a desk-scale box, so enumeration can stop there.
 _BOX_RADII = 4.5
 
+# Complex cells (16 bytes each) in the Fourier buffer: 8 MB, several
+# branches per transform call at desk-scale grids.  numpy plans every
+# transform call afresh, so fewer calls save time; a bounded buffer keeps
+# peak memory well below one dense array per branch.
+_BLOCK_CELLS = 1 << 19
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -46,18 +56,25 @@ class StateVector:
 
 @dataclass(frozen=True)
 class JointState:
-    """State after the exponentiation register is attached.
+    """State after the exponentiation register is attached, kept compact.
 
-    branches maps each group element e to the amplitude array of the grid
-    states whose register holds e; the branches are globally normalized.
+    amplitudes are the grid state's own (globally normalized) amplitudes,
+    which the attachment leaves untouched.  elements lists the group
+    elements in the order the grid, read in index order, first reaches them,
+    and labels[idx] is the position in elements of the element the register
+    holds at grid cell idx.  Branch k, the grid state entangled with
+    register value elements[k], is the amplitudes where labels == k and 0
+    elsewhere.
     """
 
     d: int
     D: int
-    branches: dict[int, np.ndarray]
+    amplitudes: np.ndarray
+    elements: tuple[int, ...]
+    labels: np.ndarray
 
     def norm_sq(self) -> float:
-        return float(sum(np.vdot(a, a).real for a in self.branches.values()))
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 def _axis_weights(D: int, R: float) -> np.ndarray:
@@ -88,9 +105,9 @@ def apply_exponentiation(
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
     untouched.  The whole grid of group elements comes from per-axis power
-    tables (see _grid_group_elements); branches are keyed by e in the order
-    the grid, read in index order, first reaches them.  Guarded by
-    |image| * D^d against memory blowup.
+    tables (see _grid_group_elements), and each cell gets the label of its
+    element in first-appearance order.  Guarded by |image| * D^d against
+    memory blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -100,40 +117,57 @@ def apply_exponentiation(
         raise ResourceLimitError("joint state would exceed the simulation guard")
     e = _grid_group_elements(inst.a, inst.N, D, 0).ravel()
     elements, first, which = np.unique(e, return_index=True, return_inverse=True)
-    amps = state.amplitudes.ravel()
-    branches: dict[int, np.ndarray] = {}
-    for k in np.argsort(first):
-        branch = np.zeros(amps.size, dtype=complex)
-        cells = which == k
-        branch[cells] = amps[cells]
-        branches[int(elements[k])] = branch.reshape((D,) * d)
-    return JointState(d=d, D=D, branches=branches)
-
-
-def _qft_axes(arr: np.ndarray, D: int, d: int) -> np.ndarray:
-    """Fourier transform over Z_D^d with kernel exp(+2 pi i <w, z> / D).
-
-    Offset-encoded input: indices are first rolled to the computational
-    (mod D) order, then transformed axis by axis.
-    """
-    phys = arr
-    for axis in range(d):
-        phys = np.roll(phys, D // 2, axis=axis)
-    return np.fft.ifftn(phys) * D ** (d / 2)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return JointState(
+        d=d,
+        D=D,
+        amplitudes=state.amplitudes,
+        elements=tuple(int(x) for x in elements[order]),
+        labels=rank[which].reshape((D,) * d),
+    )
 
 
 def qft_measure_distribution(joint: JointState) -> np.ndarray:
     """Exact outcome distribution of the measurement after the transform.
 
     Each group-element branch is transformed separately and the squared
-    magnitudes are summed (the register is discarded); entry [k_1..k_d]
-    is the probability of outcome w = (k_1/D, ..., k_d/D).
+    magnitudes are summed in branch order (the register is discarded);
+    entry [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D).
+    The transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).
+
+    Branches go through in blocks of rows of one reused buffer: each block
+    is scattered in computational (mod D) order, transformed by one ifftn
+    over its grid axes and scaled in place.
     """
     d, D = joint.d, joint.D
-    P = np.zeros((D,) * d)
-    for branch in joint.branches.values():
-        P += np.abs(_qft_axes(branch, D, d)) ** 2
-    return P
+    cells = D ** d
+    amps, labels = joint.amplitudes, joint.labels
+    for axis in range(d):
+        amps = np.roll(amps, D // 2, axis=axis)
+        labels = np.roll(labels, D // 2, axis=axis)
+    amps, labels = amps.ravel(), labels.ravel()
+    n = len(joint.elements)
+    rows = max(1, min(n, _BLOCK_CELLS // cells))
+    buf = np.empty((rows, cells), dtype=complex)
+    mag = np.empty(cells)
+    P = np.zeros(cells)
+    scale = D ** (d / 2)
+    for k0 in range(0, n, rows):
+        k1 = min(k0 + rows, n)
+        block = buf[: k1 - k0]
+        block.fill(0)
+        sel = np.flatnonzero((labels >= k0) & (labels < k1))
+        block.reshape(-1)[(labels[sel] - k0) * cells + sel] = amps[sel]
+        grid = block.reshape((k1 - k0,) + (D,) * d)
+        np.fft.ifftn(grid, axes=range(1, d + 1), out=grid)
+        block *= scale
+        for row in block:
+            np.abs(row, out=mag)
+            np.square(mag, out=mag)
+            P += mag
+    return P.reshape((D,) * d)
 
 
 def sample_measurement(P: np.ndarray, rng) -> tuple[int, ...]:
@@ -156,19 +190,22 @@ class GapResult:
 def _grid_group_elements(a, N: int, size: int, lo: int) -> np.ndarray:
     """prod_i a_i^{lo + j_i} mod N for every j in {0..size-1}^d.
 
-    Returns an array of shape (size,)^d: one power table per axis, multiplied
-    mod N over the grid by outer products.  The entries are int64 when
-    N < 2^31, so every product stays below 2^62, and Python ints (dtype
-    object) otherwise.  A negative lo goes through the modular inverse.
+    Returns an array of shape (size,)^d: one power table per axis, built by
+    repeated doubling and multiplied mod N over the grid by outer products.
+    The entries are int64 when N < 2^31, so every product stays below 2^62,
+    and Python ints (dtype object) otherwise.  A negative lo goes through the
+    modular inverse.
     """
     dtype = np.int64 if N < 1 << 31 else object
     grid = np.ones((), dtype=dtype)
     for a_i in a:
         table = np.empty(size, dtype=dtype)
-        cur = pow(a_i, lo, N)
-        for j in range(size):
-            table[j] = cur
-            cur = cur * a_i % N
+        table[0] = pow(a_i, lo, N)
+        filled = 1
+        while filled < size:  # doubling: a^(lo+f+j) = a^(lo+j) * a^f
+            step = min(filled, size - filled)
+            table[filled : filled + step] = table[:step] * pow(a_i, filled, N) % N
+            filled += step
         grid = np.multiply.outer(grid, table) % N
     return grid
 
@@ -205,10 +242,10 @@ def phi1_phi2_gap(
         in_box &= (flat[i] >= -D // 2) & (flat[i] < D // 2)
     uniq, branch_idx = np.unique(e_vals, return_inverse=True)
     n_branch = uniq.size
-    a2 = np.zeros(n_branch * D ** d)
-    np.add.at(a2, branch_idx * D ** d + cell, rho_vals)
-    a1 = np.zeros(n_branch * D ** d)
-    np.add.at(a1, branch_idx[in_box] * D ** d + cell[in_box], rho_vals[in_box])
+    size = n_branch * D ** d
+    # bincount adds the weights in input order, as a per-point loop would
+    a2 = np.bincount(branch_idx * D ** d + cell, weights=rho_vals, minlength=size)
+    a1 = np.bincount(branch_idx[in_box] * D ** d + cell[in_box], weights=rho_vals[in_box], minlength=size)
     z1 = math.sqrt(float((a1 ** 2).sum()))
     z2 = math.sqrt(float((a2 ** 2).sum()))
     gap = math.sqrt(float(((a1 / z1 - a2 / z2) ** 2).sum()))

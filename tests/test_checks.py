@@ -3,9 +3,12 @@
 The references below draw and decide one trial at a time, as the suites
 did before their trials were batched; a batched suite must return the same
 dict for every seed and trial count, whether its trials fit in one block
-or are split into several.
+or are split into several.  The exact binomial p-value is held to its
+scalar loop the same way.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from qfactor.checks import (
     _full_rank_mod_p,
     _prime_factors,
     _random_tiny_lattice,
+    binomial_lower_pvalue,
     frequency_verdict,
     generation_suite,
     separation_suite,
@@ -155,9 +159,8 @@ def test_blocked_suites_match_one_unblocked_draw(suite, cells, trials, monkeypat
 
 def test_suite_memory_does_not_grow_with_trials(monkeypatch):
     # One unblocked draw held 561 MB (separation) and 56 MB (generation) at
-    # 60,000 trials.  The exact binomial verdict, a Python loop over the
-    # successes, is stubbed out: it is not what this bounds, and under
-    # tracemalloc it would take most of the time.
+    # 60,000 trials.  The exact binomial verdict is stubbed out: it is not
+    # what this bounds.
     monkeypatch.setattr(checks, "frequency_verdict", lambda successes, trials, p: {"passed": True})
     for suite in (separation_suite, generation_suite):
         tracemalloc.start()
@@ -167,3 +170,31 @@ def test_suite_memory_does_not_grow_with_trials(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, suite.__name__
+
+
+def binomial_lower_pvalue_reference(successes, trials, p):
+    """The scalar loop: one lgamma expression and one exp per term."""
+    if successes >= trials:
+        return 1.0
+    lp, lq = math.log(p), math.log1p(-p)
+    lgn = math.lgamma(trials + 1)
+    logs = [
+        lgn - math.lgamma(i + 1) - math.lgamma(trials - i + 1) + i * lp + (trials - i) * lq
+        for i in range(successes + 1)
+    ]
+    peak = max(logs)
+    return min(1.0, math.exp(peak) * sum(math.exp(x - peak) for x in logs))
+
+
+def test_binomial_pvalue_matches_scalar_loop():
+    # both tails, the peak, and tails long enough that exp underflows to 0
+    rng = np.random.default_rng(5)
+    cases = []
+    for trials, p in itertools.product([1, 2, 10, 300, 2000, 4097, 60_000],
+                                       [1e-9, 0.01, 0.25, 0.5, 0.9, 1 - 1e-9]):
+        picks = {0, 1, trials // 4, trials // 2, trials - 1, trials, int(rng.integers(trials + 1))}
+        cases += [(s, trials, p) for s in sorted(picks) if trials < 60_000 or s < trials // 2]
+    cases += [(int(rng.integers(t + 1)), t, float(rng.random())) for t in rng.integers(1, 5000, size=200)]
+    for successes, trials, p in cases:
+        got = binomial_lower_pvalue(successes, trials, p)
+        assert got == binomial_lower_pvalue_reference(successes, trials, p), (successes, trials, p)

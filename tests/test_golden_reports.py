@@ -4,7 +4,8 @@ Each command below runs in-process with a fixed seed; the sha256 of its
 JSON report, with the `timings` block dropped and keys sorted, is pinned.
 Together they cover the simulate sweep (statevector, mixture tables and the
 concentration check), every check suite, oracle factoring with
-certification at the default and at a pinned radius, and sampling.  A
+certification at the default and at a pinned radius, statevector factoring
+on the two largest grids of the benchmark, and sampling.  A
 change that moves one of these digests changes a transcript and must say
 why.
 """
@@ -29,11 +30,16 @@ GOLDEN = [
      "f2e6f138e63a90d1590b70135d73c1c44f603e5f1ef466f887ee228df4de5d0f"),
     (["sample", "--n", "437", "--d", "3", "--seed", "1"],
      "d6f468f7529407d05bebd7a01289ec3c708cec4acd4963b6f7a1d29024e0886a"),
+    (["factor", "--n", "77", "--d", "1", "--mode", "statevector", "--seed", "1"],
+     "711a0d025ad845e2fef5ee7022f23eeec39228d18ec073fefc9a2bea76fef6f4"),
+    (["factor", "--n", "91", "--d", "1", "--mode", "statevector", "--seed", "1"],
+     "d81d5b3566fd6ca59bce3f2a2caac6ec15c3ac776487660a393facdf624e572d"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN, ids=["simulate-77", "check-all", "factor-10403-d4",
-                                                      "factor-1147-d4-r256", "sample-437-d3"])
+                                                      "factor-1147-d4-r256", "sample-437-d3",
+                                                      "factor-77-d1-statevector", "factor-91-d1-statevector"])
 def test_report_digest_is_pinned(argv, digest, tmp_path):
     out = tmp_path / "report.json"
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qfactor import qsim
 from qfactor.arith import FactoringInstance, ResourceLimitError, product_tree_exponentiation
 from qfactor.gauss import GaussParams, q_table
 from qfactor.qsim import (
     JointState,
     _axis_weights,
+    _grid_group_elements,
     apply_exponentiation,
     build_gaussian_state,
     phi1_phi2_gap,
@@ -20,6 +23,33 @@ from qfactor.relattice import build_relation_lattice, dual_cosets
 
 def rel_for(N, d, b=None):
     return build_relation_lattice(FactoringInstance.build(N, d, b))
+
+
+def dense_branches(joint):
+    """The dense form of a joint state: one complex array per group element,
+    the amplitudes where the register holds it and 0 elsewhere, keyed in
+    first-appearance order (what apply_exponentiation once returned)."""
+    amps = joint.amplitudes.ravel()
+    labels = joint.labels.ravel()
+    branches = {}
+    for k, e in enumerate(joint.elements):
+        branch = np.zeros(amps.size, dtype=complex)
+        cells = labels == k
+        branch[cells] = amps[cells]
+        branches[e] = branch.reshape((joint.D,) * joint.d)
+    return branches
+
+
+def qft_measure_distribution_reference(branches, D, d):
+    """The per-branch transform: roll to computational order, ifftn, scale,
+    and add the squared magnitudes to P one branch at a time."""
+    P = np.zeros((D,) * d)
+    for branch in branches.values():
+        phys = branch
+        for axis in range(d):
+            phys = np.roll(phys, D // 2, axis=axis)
+        P += np.abs(np.fft.ifftn(phys) * D ** (d / 2)) ** 2
+    return P
 
 
 def test_gaussian_state_d1_amplitudes():
@@ -96,20 +126,23 @@ def test_exponentiation_branch_parity():
     rel = rel_for(15, 1)
     state = build_gaussian_state(GaussParams(R=2.0, D=8, d=1))
     joint = apply_exponentiation(state, rel)
-    assert set(joint.branches) == {1, 4}
+    branches = dense_branches(joint)
+    assert set(branches) == {1, 4}
     for idx in range(8):
         e = pow(4, idx, 15)
-        assert joint.branches[e][idx] == state.amplitudes[idx]
+        assert joint.elements[joint.labels[idx]] == e
+        assert branches[e][idx] == state.amplitudes[idx]
         other = 4 if e == 1 else 1
-        assert joint.branches[other][idx] == 0
+        assert branches[other][idx] == 0
 
 
 def test_exponentiation_trivial_group_single_branch():
     rel = rel_for(15, 1, b=(1,))
     state = build_gaussian_state(GaussParams(R=2.0, D=8, d=1))
     joint = apply_exponentiation(state, rel)
-    assert list(joint.branches) == [1]
-    assert np.allclose(joint.branches[1], state.amplitudes)
+    assert joint.elements == (1,)
+    assert not joint.labels.any()
+    assert np.allclose(dense_branches(joint)[1], state.amplitudes)
 
 
 def test_exponentiation_support_and_marginals():
@@ -126,7 +159,7 @@ def test_exponentiation_support_and_marginals():
         e = pow(4, idx, 21)
         direct[e] = direct.get(e, 0.0) + w
         total += w
-    for e, branch in joint.branches.items():
+    for e, branch in dense_branches(joint).items():
         mass = float(np.vdot(branch, branch).real)
         assert mass == pytest.approx(direct[e] / total, rel=1e-10)
         # support: every populated cell carries exactly its own group element
@@ -231,29 +264,31 @@ def test_wrapped_mass_oracle_tiny_case():
 
 def apply_exponentiation_reference(state, rel):
     """The per-point register attachment: one exponentiation per grid point,
-    with branches created in the order the grid first reaches them."""
+    each new group element labelled in the order the grid first reaches it."""
     d, D = state.d, state.D
-    branches = {}
+    elements = {}
+    labels = np.empty((D,) * d, dtype=np.intp)
     for idx in itertools.product(range(D), repeat=d):
         e = product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
-        branch = branches.get(e)
-        if branch is None:
-            branch = np.zeros((D,) * d, dtype=complex)
-            branches[e] = branch
-        branch[idx] = state.amplitudes[idx]
-    return JointState(d=d, D=D, branches=branches)
+        labels[idx] = elements.setdefault(e, len(elements))
+    return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels)
 
 
 def assert_same_joint_state(rel, params):
     state = build_gaussian_state(params)
     got = apply_exponentiation(state, rel)
     want = apply_exponentiation_reference(state, rel)
-    assert list(got.branches) == list(want.branches)
-    assert all(type(e) is int for e in got.branches)
-    for e, branch in want.branches.items():
-        assert got.branches[e].shape == branch.shape
-        assert np.array_equal(got.branches[e], branch)
-    assert np.array_equal(qft_measure_distribution(got), qft_measure_distribution(want))
+    assert got.elements == want.elements
+    assert all(type(e) is int for e in got.elements)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    got_branches, want_branches = dense_branches(got), dense_branches(want)
+    assert list(got_branches) == list(want_branches)
+    for e, branch in want_branches.items():
+        assert got_branches[e].shape == branch.shape
+        assert np.array_equal(got_branches[e], branch)
+    P = qft_measure_distribution(got)
+    assert np.array_equal(P, qft_measure_distribution_reference(want_branches, params.D, params.d))
     return got
 
 
@@ -283,7 +318,7 @@ def test_exponentiation_matches_reference_above_int64_tables(b, D):
     rel = rel_for(N, len(b), b)
     assert rel.det == 32
     joint = assert_same_joint_state(rel, GaussParams(R=D / 4, D=D, d=len(b)))
-    assert N - 1 in joint.branches
+    assert N - 1 in joint.elements
 
 
 def test_wrapped_mass_above_int64_tables():
@@ -298,3 +333,51 @@ def test_wrapped_mass_above_int64_tables():
         cells[key] = cells.get(key, 0.0) + math.exp(-math.pi * y * y / 256.0)
     assert res.z2 == pytest.approx(math.sqrt(sum(v * v for v in cells.values())), rel=1e-12)
     assert res.gap <= 2.0 * 2.0**-1
+
+
+@pytest.mark.parametrize("N,d,D,rows", [
+    (77, 1, 64, 4),  # 15 branches: three full blocks and one of three rows
+    (77, 1, 64, 1),  # one row per transform call
+    (221, 2, 16, 5),  # 48 branches over d = 2
+    (77, 3, 8, 2),  # 15 branches over d = 3
+])
+def test_blocked_transform_matches_per_branch_reference(monkeypatch, N, d, D, rows):
+    monkeypatch.setattr(qsim, "_BLOCK_CELLS", rows * D**d)
+    joint = apply_exponentiation(build_gaussian_state(GaussParams(R=D / 4, D=D, d=d)), rel_for(N, d))
+    n = len(joint.elements)
+    assert rows == 1 or n % rows != 0
+    want = qft_measure_distribution_reference(dense_branches(joint), D, d)
+    assert np.array_equal(qft_measure_distribution(joint), want)
+
+
+@pytest.mark.parametrize("a,N", [((4,), 77), ((2, 3), 77), ((4, 9, 25), 221), ((2, 256), (1 << 32) + 1)])
+def test_grid_power_tables_match_pow(a, N):
+    # the doubling tables at sizes around powers of two, from negative
+    # (modular inverse) and nonnegative starting exponents
+    for size, lo in itertools.product([1, 2, 7, 33], [-40, -5, -1, 0, 3]):
+        grid = _grid_group_elements(a, N, size, lo)
+        assert grid.shape == (size,) * len(a)
+        for idx in itertools.product(range(size), repeat=len(a)):
+            want = 1
+            for a_i, j in zip(a, idx):
+                want = want * pow(a_i, lo + j, N) % N
+            assert grid[idx] == want
+
+
+def test_joint_state_and_transform_memory_stay_below_dense_branches():
+    # the 77/d=1 statevector grid: 15 branches of 2^17 complex cells would
+    # take 30 MB as dense arrays
+    rel = rel_for(77, 1)
+    state = build_gaussian_state(GaussParams(R=65536.0, D=131072, d=1))
+    tracemalloc.start()
+    try:
+        joint = apply_exponentiation(state, rel)
+        _, apply_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        qft_measure_distribution(joint)
+        _, qft_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(joint.elements) == 15
+    assert apply_peak < 8 << 20
+    assert qft_peak < 20 << 20
