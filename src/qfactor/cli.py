@@ -66,8 +66,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+_LEAVES = frozenset((int, str, float, bool, type(None)))
+
+
 def _plain(obj):
-    """Recursively convert to JSON-serializable plain types."""
+    """Recursively convert to JSON-serializable plain types.  The exact types
+    a report is mostly made of are tested first."""
+    kind = type(obj)
+    if kind is dict:
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_plain(x) for x in obj]
+    if kind in _LEAVES:
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, (np.integer,)):

@@ -8,7 +8,8 @@ The sampler draws each coordinate by inverse CDF over its window: the
 2W+1 cells around the center, outside which the mass is below 2^-64, so
 its cost and memory do not grow with D.  Windows are batched: window_cdf
 takes an array of centers and evaluates all their theta sums as one
-array, so a draw's d coordinates share one call, and concentration_check
+array, so the d coordinates of every draw of a batch (sample_Q_many)
+share one call, and concentration_check
 draws its trials in blocks of about THETA_BLOCK window cells, one
 rng.random call per block, in the stream order of one trial at a time.
 Dense D-cell tables exist only where every cell is needed, in qv_table
@@ -271,14 +272,30 @@ def sample_Qv(v, params: GaussParams, rng) -> DualSample:
     return DualSample(indices=tuple(indices.tolist()), params=params)
 
 
-def sample_Q(dual, params: GaussParams, rng):
-    """One output sample: a uniform dual coset v, then a draw around it.
+def sample_Q_many(dual, params: GaussParams, rngs) -> list[tuple]:
+    """One output sample per generator: a uniform dual coset v, then a draw
+    around it.
 
     This is the classical oracle standing in for the measurement procedure.
-    Returns (v, DualSample) with v as exact Fractions.
+    Each generator draws its coset, then its d uniforms, as sample_Qv would;
+    the windows of all the draws come from one window_cdf call.  Returns a
+    list of (v, DualSample) with v as exact Fractions.
     """
-    v = dual.sample(rng)
-    return v, sample_Qv(v, params, rng)
+    if dual.d != params.d:
+        raise ParameterError("coset representative has wrong dimension")
+    cosets = []
+    u = np.empty((len(rngs), params.d))
+    for row, rng in zip(u, rngs):
+        cosets.append(dual.sample(rng))
+        row[:] = rng.random(params.d)
+    x = np.array([[float(v_j) % 1.0 for v_j in v] for v in cosets]).reshape(u.shape)
+    indices = _window_draws(x, u, params).tolist()
+    return [(v, DualSample(indices=tuple(w), params=params)) for v, w in zip(cosets, indices)]
+
+
+def sample_Q(dual, params: GaussParams, rng):
+    """One output sample, (v, DualSample): the one-generator sample_Q_many."""
+    return sample_Q_many(dual, params, [rng])[0]
 
 
 def torus_distance(w, v):

@@ -24,12 +24,14 @@ from .arith import (
     ResourceLimitError,
     precheck,
 )
-from .gauss import GaussParams, sample_Q
+from .gauss import GaussParams, sample_Q_many
+from .gauss import sample_Q  # not called here; kept bound for perfbench's tracer
 from .latred import build_extended_lattice, recover_relation_vectors
 from .qsim import (
     STATEVECTOR_GUARD,
     apply_exponentiation,
     build_gaussian_state,
+    outcome_cdf,
     qft_measure_distribution,
     sample_measurement,
 )
@@ -188,24 +190,23 @@ class FactoringOutcome:
 
 def draw_samples(
     seed: int, attempt: int, m: int, params: GaussParams, dual: DualStructure,
-    P: np.ndarray | None = None,
+    P: np.ndarray | None = None, cdf: np.ndarray | None = None,
 ) -> list[dict]:
     """The m samples of one attempt, as transcript entries {"v", "w_indices"}.
 
     Sample i draws from its own stream SeedSequence(seed, spawn_key=(attempt, i)),
     so every sample reproduces on its own.  Without P the classical oracle
-    draws a dual coset v and a grid point around it; with P, the statevector
-    outcome distribution, the grid point is measured and v is None.
+    draws a dual coset v and a grid point around it, all m in one batch;
+    with P, the statevector outcome distribution, the grid point is measured
+    and v is None.  cdf, the cumulative sums of P.ravel(), spares a caller
+    that draws from P again its recomputation.
     """
-    samples = []
-    for i in range(m):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
-        if P is None:
-            v, samp = sample_Q(dual, params, rng)
-            samples.append({"v": [str(x) for x in v], "w_indices": list(samp.indices)})
-        else:
-            samples.append({"v": None, "w_indices": list(sample_measurement(P, rng))})
-    return samples
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
+            for i in range(m)]
+    if P is None:
+        return [{"v": [str(x) for x in v], "w_indices": list(samp.indices)}
+                for v, samp in sample_Q_many(dual, params, rngs)]
+    return [{"v": None, "w_indices": list(sample_measurement(P, rng, cdf))} for rng in rngs]
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     rel, params, transcript = prep.rel, prep.params, prep.transcript
     d, D = rel.d, params.D
     delta_sq = Fraction(d, 2 * prep.R * prep.R)
-    P = None
+    P = cdf = None
     if config.mode == "statevector":
         if D ** d > config.sim_guard:
             raise ResourceLimitError(
@@ -296,11 +297,12 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
         state = build_gaussian_state(params, guard=config.sim_guard)
         joint = apply_exponentiation(state, rel, guard=config.sim_guard)
         P = qft_measure_distribution(joint)
+        cdf = outcome_cdf(P)
 
     attempts = []
     transcript["attempts"] = attempts
     for attempt in range(config.max_attempts):
-        record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, P),
+        record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, P, cdf),
                         "candidates": [], "factor": None}
         attempts.append(record)
         w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in record["samples"]]

@@ -170,12 +170,18 @@ def qft_measure_distribution(joint: JointState) -> np.ndarray:
     return P.reshape((D,) * d)
 
 
-def sample_measurement(P: np.ndarray, rng) -> tuple[int, ...]:
-    """Draw one grid index tuple from an outcome distribution table."""
-    flat = P.ravel()
-    cdf = np.cumsum(flat)
+def outcome_cdf(P: np.ndarray) -> np.ndarray:
+    """The cumulative sums of an outcome table in flat (C) order."""
+    return np.cumsum(P.ravel())
+
+
+def sample_measurement(P: np.ndarray, rng, cdf: np.ndarray | None = None) -> tuple[int, ...]:
+    """Draw one grid index tuple from an outcome distribution table; cdf,
+    outcome_cdf(P), may be passed in when P is drawn from repeatedly."""
+    if cdf is None:
+        cdf = outcome_cdf(P)
     pos = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    pos = min(pos, flat.size - 1)
+    pos = min(pos, cdf.size - 1)
     return tuple(int(x) for x in np.unravel_index(pos, P.shape))
 
 

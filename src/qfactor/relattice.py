@@ -4,14 +4,16 @@ The relation lattice L collects integer exponent vectors z with
 prod a_i^{z_i} = 1 mod N; the sign sublattice L0 additionally forces
 prod b_i^{z_i} into {+-1}.  A vector of L outside L0 exhibits a nontrivial
 square root of unity, and gcd then yields a factor.  L is built exactly by
-BFS over the Cayley graph of the subgroup generated by the a_i, and the
-quotient L*/Z^d is made samplable through a Smith decomposition.
+coset expansion of the subgroup generated by the a_i, one generator at a
+time, and the quotient L*/Z^d is made samplable through a Smith
+decomposition.
 
 The short vectors of L are listed by exact Fincke-Pohst enumeration over an
 LLL-reduced basis (ball_census).  The list is complete because the basis
-generates all of L: its determinant is checked against the BFS group order.
-Each listed vector is still confirmed by the homomorphism before it is
-classified against L0.
+generates all of L: its determinant is checked against the subgroup order.
+Each listed vector is proven in L by its coefficients on the Hermite basis,
+whose parities decide whether it lies in L0; the Hermite rows and the
+witness are confirmed by the homomorphism.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .arith import (
     hom_image,
 )
 
+# subgroup order; the coset expansion holds up to this many residues, each
+# in a list and a position dict (about 100 bytes per element)
 GROUP_CAP = 1 << 22
 ENUM_CAP = 1 << 22  # enumeration nodes: coefficient values tried, over all levels
 
@@ -59,47 +63,58 @@ class RelationLattice:
 
 
 def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) -> RelationLattice:
-    """BFS the subgroup <a_1..a_d> of Z_N^*, harvesting one relation per
-    cycle-closing edge, and return the Hermite basis of the harvest.
+    """Expand the subgroup <a_1..a_d> of Z_N^* one generator at a time and
+    return the Hermite basis of its relations (coset expansion, after
+    Buchmann, Jacobson and Teske, Math. Comp. 1997).
 
-    The BFS-discovered group order is the lattice determinant; it is
-    cross-checked against the basis determinant and any mismatch is a hard
-    internal error.
+    G_{j-1} lists <a_1..a_{j-1}> with prod a_i^{e_i} at position
+    e_1 + k_1 (e_2 + k_2 (e_3 + ...)), so a position read in mixed radix
+    k_1..k_{j-1} is a discrete logarithm.  k_j is the least k >= 1 with
+    a_j^k in G_{j-1}; if a_j^{k_j} = prod a_i^{e_i}, row j is
+    (-e_1, ..., -e_{j-1}, k_j, 0, ..., 0), and G_j lists a_j^p g for p < k_j
+    (outer) and g in G_{j-1} (inner).  The rows are triangular and generate
+    every relation (reduce its last coordinate first), and prod k_j is the
+    group order, cross-checked against the Hermite basis determinant; any
+    mismatch is a hard internal error.  A subgroup of more than group_cap
+    elements is refused before it is listed.
     """
     N, d = inst.N, inst.d
-    exps: dict[int, tuple[int, ...]] = {1: (0,) * d}
-    frontier = [1]
-    relations: set[tuple[int, ...]] = set()
-    while frontier:
-        nxt = []
-        for g in frontier:
-            eg = exps[g]
-            for i, ai in enumerate(inst.a):
-                h = g * ai % N
-                cand = tuple(x + (1 if j == i else 0) for j, x in enumerate(eg))
-                known = exps.get(h)
-                if known is None:
-                    if len(exps) >= group_cap:
-                        raise ResourceLimitError(
-                            f"subgroup exceeds cap {group_cap}; shrink N or d"
-                        )
-                    exps[h] = cand
-                    nxt.append(h)
-                else:
-                    rel = tuple(x - y for x, y in zip(cand, known))
-                    if any(rel):
-                        relations.add(rel)
-        frontier = nxt
-    group_order = len(exps)
-    rows = intmat.hermite_basis(sorted(relations), d)
-    if len(rows) != d:
-        raise AssertionError("relation harvest is rank-deficient")
-    det = abs(intmat.determinant(rows))
+    group = [1]
+    where = {1: 0}  # position of each element of the group listed so far
+    radices: list[int] = []
+    rows = []
+    for j, a in enumerate(inst.a):
+        size = len(group)
+        power, k = a % N, 1
+        while power not in where:
+            if (k + 1) * size > group_cap:
+                raise ResourceLimitError(
+                    f"subgroup exceeds cap {group_cap}; shrink N or d"
+                )
+            power = power * a % N
+            k += 1
+        pos, row = where[power], []
+        for r in radices:
+            pos, e = divmod(pos, r)
+            row.append(-e)
+        rows.append(row + [k] + [0] * (d - j - 1))
+        radices.append(k)
+        if k > 1 and j + 1 < d:  # the last expansion is never looked up
+            powers = [1]
+            for _ in range(k - 1):
+                powers.append(powers[-1] * a % N)
+            group = [p * g % N for p in powers for g in group]
+            where = dict(zip(group, range(len(group))))
+    group_order = prod(radices)
+    basis = intmat.hermite_basis(rows, d)
+    if len(basis) != d:
+        raise AssertionError("relation rows are rank-deficient")
+    det = abs(intmat.determinant(basis))
     if det != group_order:
         raise AssertionError(
-            f"basis determinant {det} != BFS group order {group_order}"
+            f"basis determinant {det} != subgroup order {group_order}"
         )
-    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
+    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in basis), det=det)
 
 
 def classify(rel: RelationLattice, z) -> dict:
@@ -148,10 +163,14 @@ class DualStructure:
         return len(self.snf_diag)
 
     def coset(self, x) -> tuple[Fraction, ...]:
-        """Dual coset representative in [0,1)^d for quotient coordinates x."""
-        frac = [Fraction(int(xi), si) for xi, si in zip(x, self.snf_diag, strict=True)]
-        v = [sum(row[j] * frac[j] for j in range(self.d)) for row in self.u_transpose]
-        return tuple(c % 1 for c in v)
+        """Dual coset representative in [0,1)^d for quotient coordinates x:
+        U^T (x_j / s_j) mod 1, summed in integers over the common
+        denominator det."""
+        det = self.det
+        scaled = [int(xi) * (det // si) for xi, si in zip(x, self.snf_diag, strict=True)]
+        return tuple(
+            Fraction(sum(r * y for r, y in zip(row, scaled)) % det, det) for row in self.u_transpose
+        )
 
     def sample(self, rng) -> tuple[Fraction, ...]:
         x = [int(rng.integers(s)) for s in self.snf_diag]
@@ -222,12 +241,36 @@ class BallCensus:
         return min(self.outside, key=lambda z: (sum(x * x for x in z), z), default=None)
 
 
+def hermite_parity(basis, z) -> int:
+    """The parity class of z in L: bit i is set when z's coefficient on row i
+    of the Hermite basis is odd.
+
+    The coefficients come from forward substitution along the pivots with
+    exact divmod; a nonzero remainder proves z is not in L, a DomainError.
+    """
+    w = list(z)
+    mask = 0
+    for i, row in enumerate(basis):
+        c, r = divmod(w[i], row[i])
+        if r:
+            raise DomainError("vector is not in the relation lattice")
+        if c:
+            mask |= (c & 1) << i
+            for j in range(i + 1, len(w)):
+                w[j] -= c * row[j]
+    return mask
+
+
 def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCensus:
     """Every nonzero vector of L with norm <= bound, each classified once.
 
     The vectors come from one exact enumeration over the LLL-reduced basis,
-    capped at enum_cap enumeration nodes.  in_L0 confirms each one by the
-    homomorphism before testing the sign sublattice.
+    capped at enum_cap enumeration nodes.  b(z) = prod b_i^{z_i} mod N maps L
+    into the square roots of 1 and is a homomorphism, so it is trivial on 2L
+    and depends only on z's parity class (hermite_parity): the product of
+    b(H_i) over the odd coefficients, kept in a table per class.  Each
+    Hermite row H_i is confirmed in L by the homomorphism, and the witness
+    by classify.
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
@@ -235,8 +278,30 @@ def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCe
     members = latred.enumerate_lattice_vectors(
         reduced, norm_bound_sq=Fraction(bound) ** 2, node_cap=enum_cap
     )
-    outside = tuple(z for z in members if not in_L0(rel, z))
-    return BallCensus(members=tuple(members), outside=outside)
+    inst, N = rel.inst, rel.inst.N
+    row_signs = []
+    for row in rel.basis:
+        if hom_image(inst, row) != 1:
+            raise AssertionError(f"Hermite row {row} is not a relation")
+        row_signs.append(base_product(inst, row))
+    signs = {0: 1}  # parity class -> b of its members
+    outside = []
+    for z in members:
+        mask = hermite_parity(rel.basis, z)
+        b = signs.get(mask)
+        if b is None:
+            b = 1
+            for i, s in enumerate(row_signs):
+                if mask >> i & 1:
+                    b = b * s % N
+            signs[mask] = b
+        if b != 1 and b != N - 1:
+            outside.append(z)
+    census = BallCensus(members=tuple(members), outside=tuple(outside))
+    witness = census.witness()
+    if witness is not None and classify(rel, witness)["in_sign"] is not False:
+        raise AssertionError(f"witness {witness} is not outside the sign sublattice")
+    return census
 
 
 def shortest_nontrivial_witness(

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qfactor import latred
 from qfactor.arith import (
     FactoringInstance,
     FactorFound,
@@ -29,7 +30,22 @@ from qfactor.pipeline import (
     default_witness_bound,
     run_factoring,
 )
-from qfactor.relattice import ball_census, build_relation_lattice, shortest_nontrivial_witness
+from qfactor.relattice import (
+    BallCensus,
+    ball_census,
+    build_relation_lattice,
+    in_L0,
+    shortest_nontrivial_witness,
+)
+
+
+def census_reference(rel, bound):
+    """The census with every member classified on its own: in_L0 confirms
+    it by the homomorphism and then tests the sign sublattice."""
+    reduced = latred.lll_reduce(rel.basis).basis
+    members = latred.enumerate_lattice_vectors(reduced, norm_bound_sq=Fraction(bound) ** 2)
+    outside = tuple(z for z in members if not in_L0(rel, z))
+    return BallCensus(members=tuple(members), outside=outside)
 
 
 def box_scan_reference(rel, bound):
@@ -124,6 +140,18 @@ def test_census_matches_box_scan_on_benchmark_instances(N, d):
     assert _report_tuple(report) == _expected(*expected)
     assert report.bound == int(bound)
     assert shortest_nontrivial_witness(rel, bound) == expected[0]
+
+
+@pytest.mark.parametrize("N,d,bound", [
+    *((N, d, None) for N, d in BENCHMARK_INSTANCES), (10403, 6, 6), (10403, 4, 22), (1022117, 5, 10),
+])
+def test_parity_census_matches_per_member_reference(N, d, bound):
+    rel = build_relation_lattice(FactoringInstance.build(N, d))
+    if bound is None:
+        bound = default_witness_bound(rel.inst)
+    census = ball_census(rel, bound)
+    assert census == census_reference(rel, bound)
+    assert census.members
 
 
 SMALL_BOUNDS = [0, 1, 2, 3, 5, 8, Fraction(5, 2), Fraction(7, 3), 2.5, Fraction(99, 10)]

@@ -1,8 +1,13 @@
+import hashlib
 import json
+from collections import OrderedDict
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qfactor.cli import main, validate_report, load_schema
+from qfactor.cli import _plain, main, validate_report, load_schema
+from qfactor.gauss import GaussParams
 
 
 def run_cli(capsys, argv):
@@ -15,6 +20,36 @@ def test_factor_oracle_prints_factor(capsys):
     code, out, _ = run_cli(capsys, ["factor", "--n", "15", "--d", "1", "--mode", "oracle", "--seed", "7"])
     assert code == 0
     assert int(out.strip()) in (3, 5)
+
+
+def test_factor_20_bit_modulus(capsys, tmp_path):
+    # 1022117 = 1009 * 1013 at d = 5: a subgroup of 255,024 elements
+    out = tmp_path / "report.json"
+    code, printed, _ = run_cli(capsys, ["factor", "--n", "1022117", "--d", "5", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert printed.strip() == "1013"
+    report = json.loads(out.read_text())
+    assert report["results"]["transcript"]["lattice"]["det"] == 255024
+    # the report the BFS construction of the lattice gave, outside timings
+    body = {k: v for k, v in report.items() if k != "timings"}
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == (
+        "59bdb3aafaa3358e4c4946664b725975217030284ba4534c15794e57a247cb44"
+    )
+
+
+def test_plain_converts_exact_types_and_subclasses_alike():
+    params = GaussParams(R=4.0, D=16, d=1)
+    obj = {
+        1: (True, None, 2.5, "s", Fraction(3, 4)),
+        "np": [np.int64(7), np.float64(0.5), np.arange(3)],
+        "sub": OrderedDict(x=params),
+    }
+    assert _plain(obj) == {
+        "1": [True, None, 2.5, "s", "3/4"],
+        "np": [7, 0.5, [0, 1, 2]],
+        "sub": {"x": {"R": 4.0, "D": 16, "d": 1, "theta_cutoff": params.theta_cutoff}},
+    }
+    assert type(_plain(np.int64(7))) is int and type(_plain(True)) is bool
 
 
 def test_factor_even_resolved_by_precheck(capsys):

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
+from qfactor.gauss import sample_Qv
 from qfactor.pipeline import (
     ASSUMPTION_VIOLATED,
     ATTEMPTS_EXHAUSTED,
@@ -12,12 +14,43 @@ from qfactor.pipeline import (
     PipelineConfig,
     certify_assumption,
     default_dimension,
+    draw_samples,
     estimate_gate_cost,
+    prepare,
     run_factoring,
     select_radius,
     tradeoff_rows,
 )
 from qfactor.relattice import build_relation_lattice
+
+
+def draw_samples_reference(seed, attempt, m, params, dual):
+    """The oracle draws of one attempt, one sample at a time: its coset,
+    then its own window tables (sample_Qv)."""
+    samples = []
+    for i in range(m):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
+        v = dual.sample(rng)
+        samp = sample_Qv(v, params, rng)
+        samples.append({"v": [str(x) for x in v], "w_indices": list(samp.indices)})
+    return samples
+
+
+# the (N, d, pinned radius or None) of every oracle-mix job
+ORACLE_MIX_JOBS = [
+    (221, 1, 16), (221, 1, 32), (77, 2, None), (143, 2, None), (221, 2, None), (323, 2, None),
+    (1147, 2, None), (221, 3, None), (1147, 3, None), (437, 3, None), (1147, 3, 64),
+    (1147, 3, 256), (3127, 3, 256), (10403, 3, 256), (1147, 4, 256), (1147, 4, 1024),
+]
+
+
+@pytest.mark.parametrize("N,d,R", ORACLE_MIX_JOBS)
+def test_batched_draws_match_per_sample_reference(N, d, R):
+    for seed in range(3):
+        prep = prepare(PipelineConfig(N=N, d=d, seed=seed, radius_override=R))
+        for attempt in range(5):
+            got = draw_samples(seed, attempt, prep.m, prep.params, prep.dual)
+            assert got == draw_samples_reference(seed, attempt, prep.m, prep.params, prep.dual)
 
 
 def test_factor_15_oracle_seeded():

@@ -14,6 +14,7 @@ from qfactor.qsim import (
     _grid_group_elements,
     apply_exponentiation,
     build_gaussian_state,
+    outcome_cdf,
     phi1_phi2_gap,
     qft_measure_distribution,
     sample_measurement,
@@ -217,6 +218,18 @@ def test_sample_measurement_hits_support():
     for _ in range(50):
         idx = sample_measurement(P, rng)
         assert P[idx] > 0
+
+
+def test_sample_measurement_with_cumulated_table_draws_the_same():
+    # the 77/d=1 statevector job's grid, cumulated once and drawn from often
+    rel = rel_for(77, 1)
+    params = GaussParams.choose(1, 4096.0)
+    P = qft_measure_distribution(apply_exponentiation(build_gaussian_state(params), rel))
+    cdf = outcome_cdf(P)
+    assert np.array_equal(cdf, np.cumsum(P.ravel()))
+    for seed in range(20):
+        once = sample_measurement(P, np.random.default_rng(seed), cdf)
+        assert once == sample_measurement(P, np.random.default_rng(seed))
 
 
 def test_phi_gap_trivial_lattice_d1():

@@ -3,18 +3,64 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfactor import intmat
-from qfactor.arith import FactoringInstance, ResourceLimitError
+from qfactor.arith import (
+    FactoringInstance,
+    FactorFound,
+    ParameterError,
+    ResourceLimitError,
+    base_product,
+    hom_image,
+    is_probable_prime,
+)
 from qfactor.relattice import (
     DomainError,
+    RelationLattice,
     build_relation_lattice,
     classify,
     dual_cosets,
     dual_structure_from_basis,
+    hermite_parity,
     in_L0,
     shortest_nontrivial_witness,
 )
+
+
+def bfs_relation_lattice_reference(inst, group_cap=1 << 22):
+    """The former construction, kept as the reference: BFS over the Cayley
+    graph of <a_1..a_d>, one relation per cycle-closing edge, then the
+    Hermite basis of the harvest, its determinant checked against the
+    number of elements the BFS found."""
+    N, d = inst.N, inst.d
+    exps = {1: (0,) * d}
+    frontier = [1]
+    relations = set()
+    while frontier:
+        nxt = []
+        for g in frontier:
+            eg = exps[g]
+            for i, ai in enumerate(inst.a):
+                h = g * ai % N
+                cand = tuple(x + (1 if j == i else 0) for j, x in enumerate(eg))
+                known = exps.get(h)
+                if known is None:
+                    if len(exps) >= group_cap:
+                        raise ResourceLimitError(f"subgroup exceeds cap {group_cap}")
+                    exps[h] = cand
+                    nxt.append(h)
+                else:
+                    rel = tuple(x - y for x, y in zip(cand, known))
+                    if any(rel):
+                        relations.add(rel)
+        frontier = nxt
+    rows = intmat.hermite_basis(sorted(relations), d)
+    assert len(rows) == d
+    det = abs(intmat.determinant(rows))
+    assert det == len(exps)
+    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
 
 
 def subgroup_oracle(gens, N):
@@ -200,6 +246,20 @@ def test_dual_quotient_reps_cover():
     assert len(seen) == 6
 
 
+def coset_reference(dual, x):
+    """U^T diag(1/s) x mod 1, in Fractions throughout."""
+    frac = [Fraction(int(xi), si) for xi, si in zip(x, dual.snf_diag, strict=True)]
+    v = [sum(row[j] * frac[j] for j in range(dual.d)) for row in dual.u_transpose]
+    return tuple(c % 1 for c in v)
+
+
+@pytest.mark.parametrize("N,d", [(77, 2), (437, 3), (1147, 3), (10403, 3), (1147, 4)])
+def test_cosets_match_fraction_reference(N, d):
+    dual = dual_cosets(build_relation_lattice(FactoringInstance.build(N, d)))
+    for x in itertools.product(*(range(s) for s in dual.snf_diag)):
+        assert dual.coset(x) == coset_reference(dual, x)
+
+
 def test_scaled_cosets_match_fractions():
     dual = dual_structure_from_basis([[4, 1], [0, 3]])
     for x, v in zip(
@@ -278,3 +338,77 @@ def test_basis_columns_are_relations():
             assert prod_mod(inst.a, col, N) == 1
         assert abs(intmat.determinant([list(r) for r in rel.basis])) == rel.det
         assert rel.det <= N  # index bounded by the modulus
+
+
+# the (N, d) of every benchmark job and warm-up, both workloads and the
+# simulate sweep, plus 10403 at larger d
+LATTICE_INSTANCES = [
+    (15, 1), (35, 1), (77, 1), (91, 1), (221, 1), (77, 2), (143, 2), (221, 2), (323, 2),
+    (1147, 2), (77, 3), (221, 3), (437, 3), (1147, 3), (3127, 3), (10403, 3), (1147, 4),
+    (10403, 4), (10403, 6), (10403, 8),
+]
+
+
+@pytest.mark.parametrize("N,d", LATTICE_INSTANCES)
+def test_coset_expansion_matches_bfs_reference(N, d):
+    inst = FactoringInstance.build(N, d)
+    assert build_relation_lattice(inst) == bfs_relation_lattice_reference(inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(7, (1 << 13) - 1).map(lambda k: 2 * k + 1), d=st.integers(1, 8))
+def test_coset_expansion_matches_bfs_reference_on_odd_composites(N, d):
+    assume(not is_probable_prime(N))
+    try:
+        inst = FactoringInstance.build(N, d)
+    except (FactorFound, ParameterError):  # a base shares a factor, or N is a perfect power
+        return
+    assert build_relation_lattice(inst) == bfs_relation_lattice_reference(inst)
+
+
+# Hermite bases the BFS built for 1022117 = 1009 * 1013, both of det 255,024
+BASES_1022117 = {
+    5: ((1, 0, 0, 11, 2038), (0, 1, 0, 3, 9126), (0, 0, 1, 5, 7966), (0, 0, 0, 22, 8368),
+        (0, 0, 0, 0, 11592)),
+    6: ((1, 0, 0, 1, 6, 2456), (0, 1, 0, 1, 13, 1501), (0, 0, 1, 1, 9, 4289), (0, 0, 0, 2, 20, 2140),
+        (0, 0, 0, 0, 21, 847), (0, 0, 0, 0, 0, 6072)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(BASES_1022117))
+def test_coset_expansion_pins_the_20_bit_bases(d):
+    rel = build_relation_lattice(FactoringInstance.build(1022117, d))
+    assert rel.basis == BASES_1022117[d]
+    assert rel.det == 255024
+
+
+@pytest.mark.parametrize("N,d,order", [(77, 2, 15), (10403, 4, 2550), (1022117, 5, 255024)])
+def test_group_cap_bounds_the_subgroup_order(N, d, order):
+    inst = FactoringInstance.build(N, d)
+    assert build_relation_lattice(inst, group_cap=order).det == order
+    with pytest.raises(ResourceLimitError):
+        build_relation_lattice(inst, group_cap=order - 1)
+    with pytest.raises(ResourceLimitError):
+        build_relation_lattice(inst, group_cap=4)
+
+
+@pytest.mark.parametrize("N,d", [(77, 2), (221, 3), (1147, 4)])
+def test_hermite_parity_proves_membership_and_decides_the_sign(N, d):
+    inst = FactoringInstance.build(N, d)
+    rel = build_relation_lattice(inst)
+    signs = [base_product(inst, row) for row in rel.basis]
+    r = 3 if d < 4 else 2
+    for z in itertools.product(range(-r, r + 1), repeat=d):
+        if hom_image(inst, z) != 1:
+            with pytest.raises(DomainError):
+                hermite_parity(rel.basis, z)
+            continue
+        mask = hermite_parity(rel.basis, z)
+        b = 1
+        for i, s in enumerate(signs):
+            if mask >> i & 1:
+                b = b * s % N
+        assert b == base_product(inst, z)
+        # the coefficients of z + 2 H_i keep their parities
+        for row in rel.basis:
+            assert hermite_parity(rel.basis, [x + 2 * y for x, y in zip(z, row)]) == mask
