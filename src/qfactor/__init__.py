@@ -28,7 +28,6 @@ from .latred import (
     recover_relation_vectors,
 )
 from .pipeline import (
-    CostConstants,
     FactoringOutcome,
     GateCostReport,
     PipelineConfig,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConcentrationReport",
-    "CostConstants",
     "DualSample",
     "DualStructure",
     "ExtendedLattice",

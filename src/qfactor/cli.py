@@ -6,18 +6,19 @@ exhausted, 64 usage.  A --config file holds `key = value` lines; each is
 read as the flag --key=value placed before the command line's own flags, so
 explicit flags win and every value goes through its flag's type.  Usage
 errors are found before any work starts: flags or a config file that do not
-parse (including a config key that is not a flag of the subcommand, or a
-value its flag rejects), a negative seed, factor settings that
-PipelineConfig rejects (such as a negative attempt count or radius), a
-check or simulate run with fewer than one trial, a simulate sweep that does
-not parse, estimate lists that are not numbers or are out of range, an
-estimate --c or --log2d that is not finite (or a --c that is not
-positive), and an estimate --eps-values given with --d or --log2d (the
-sweep picks both itself).  Range errors found once a run has started (such
-as --d 0, --m below d+4, or an estimate that overflows a float) exit 2 with
-the guard violations.  Without --json, every non-zero exit writes an error:
-line to stderr.  Identical flags and seed produce byte-identical JSON up to
-the timings block.
+parse (including a config file that is not UTF-8 text, a config key that is
+not a flag of the subcommand, or a value its flag rejects), a negative
+seed, factor settings that PipelineConfig rejects (such as a negative
+attempt count or radius), a check or simulate run with fewer than one
+trial, a simulate sweep that does not parse, estimate lists that are not
+numbers or are out of range, an estimate --c or --log2d that is not finite
+(or a --c that is not positive), and an estimate --eps-values given with
+--d or --log2d (the sweep picks both itself).  One usage error is found
+only after the run: an --out path that cannot be written.  Range errors
+found once a run has started (such as --d 0, --m below d+4, or an estimate
+that overflows a float) exit 2 with the guard violations.  Without --json,
+every non-zero exit writes an error: line to stderr.  Identical flags and
+seed produce byte-identical JSON up to the timings block.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def validate_report(report: dict) -> None:
 
 def emit(report: dict, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     if getattr(args, "json", False):
@@ -149,8 +150,12 @@ def _config_flags(path: str, options) -> list[str]:
     left for the flag's own type to parse.
     """
     flags = []
-    with open(path) as fh:
-        for raw in fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ParameterError(f"config file {path} is not UTF-8 text") from None
+        for raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -447,7 +452,7 @@ def cmd_check(args) -> int:
         try:
             results = checks.run_suites(names, trials=args.trials, seed=seed)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return EXIT_USAGE
     report = make_report("check", seed, {"suite": args.suite, "trials": args.trials}, results, started)
     emit(report, args)
@@ -487,7 +492,11 @@ def main(argv=None) -> int:
     if args.seed < 0:
         print(f"error: the seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
-    return _HANDLERS[args.cmd](args)
+    try:
+        return _HANDLERS[args.cmd](args)
+    except OSError as exc:  # a run touches files only in emit, writing --out
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

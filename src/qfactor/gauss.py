@@ -227,13 +227,13 @@ def qv_coordinate_tables(v, params: GaussParams) -> list[np.ndarray]:
     return [coordinate_masses(float(x), params) for x in vv]
 
 
-def qv_table(v, params: GaussParams, table_cap: int = TABLE_CAP) -> np.ndarray:
+def qv_table(v, params: GaussParams) -> np.ndarray:
     """Full d-dimensional mass table of the single-coset distribution.
 
     The product structure of the Gaussian makes this the outer product of
     the per-coordinate tables.
     """
-    if params.D ** params.d > table_cap:
+    if params.D ** params.d > TABLE_CAP:
         raise ResourceLimitError("full mass table would exceed the cap")
     tables = qv_coordinate_tables(v, params)
     out = tables[0]
@@ -242,15 +242,15 @@ def qv_table(v, params: GaussParams, table_cap: int = TABLE_CAP) -> np.ndarray:
     return out
 
 
-def q_table(dual, params: GaussParams, table_cap: int = TABLE_CAP) -> np.ndarray:
+def q_table(dual, params: GaussParams) -> np.ndarray:
     """Brute-force mixture table: average of the single-coset tables over
     every dual coset.  Only viable for tiny determinants and grids."""
-    if dual.det * params.D ** params.d > table_cap:
+    if dual.det * params.D ** params.d > TABLE_CAP:
         raise ResourceLimitError("mixture table would exceed the cap")
     out = np.zeros((params.D,) * params.d)
     count = 0
     for v in dual.all_cosets():
-        out += qv_table(v, params, table_cap)
+        out += qv_table(v, params)
         count += 1
     return out / count
 

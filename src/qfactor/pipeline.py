@@ -11,12 +11,13 @@ factor.  Every intermediate object lands in a JSON-friendly transcript.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 
+from . import relattice
 from .arith import (
     FactoringInstance,
     FactorFound,
@@ -28,7 +29,6 @@ from .gauss import GaussParams, sample_Q_many
 from .gauss import sample_Q  # not called here; kept bound for perfbench's tracer
 from .latred import build_extended_lattice, recover_relation_vectors
 from .qsim import (
-    STATEVECTOR_GUARD,
     apply_exponentiation,
     build_gaussian_state,
     outcome_cdf,
@@ -36,8 +36,6 @@ from .qsim import (
     sample_measurement,
 )
 from .relattice import (
-    ENUM_CAP,
-    GROUP_CAP,
     DualStructure,
     RelationLattice,
     ball_census,
@@ -62,7 +60,9 @@ class PipelineConfig:
 
     d defaults to ceil(sqrt(n)); m to d+4.  The radius is derived from the
     certified witness norm (see select_radius); radius_override pins it for
-    experiments.  All randomness flows from `seed`.
+    experiments.  All randomness flows from `seed`.  The resource limits
+    are module constants, not knobs: relattice.GROUP_CAP and ENUM_CAP,
+    qsim.STATEVECTOR_GUARD and gauss.TABLE_CAP.
     """
 
     N: int
@@ -72,11 +72,7 @@ class PipelineConfig:
     seed: int = 0
     max_attempts: int = 50
     safety: int = 4
-    witness_bound: int | None = None
     radius_override: int | None = None
-    group_cap: int = GROUP_CAP
-    enum_cap: int = ENUM_CAP
-    sim_guard: int = STATEVECTOR_GUARD
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -101,13 +97,13 @@ class WitnessReport:
 
 
 def certify_assumption(
-    inst: FactoringInstance, T_bound, rel: RelationLattice | None = None, enum_cap: int = ENUM_CAP
+    inst: FactoringInstance, T_bound, rel: RelationLattice | None = None
 ) -> WitnessReport:
     """Certify (by enumeration) that some short vector escapes the sign
     sublattice, and measure what fraction of short relation vectors do."""
     if rel is None:
         rel = build_relation_lattice(inst)
-    census = ball_census(rel, T_bound, enum_cap=enum_cap)
+    census = ball_census(rel, T_bound)
     witness = census.witness()
     members = len(census.members)
     outside = len(census.outside)
@@ -131,11 +127,11 @@ def default_dimension(N: int) -> int:
     return max(1, _ceil_sqrt(N.bit_length()))
 
 
-def default_witness_bound(inst: FactoringInstance, enum_cap: int = ENUM_CAP) -> int:
+def default_witness_bound(inst: FactoringInstance) -> int:
     """Pigeonhole-scale radius sqrt(d) 2^{n/d}, clamped to the enumeration cap."""
     d = inst.d
     want = int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
-    r_cap = (int(round(enum_cap ** (1.0 / d))) - 1) // 2
+    r_cap = (int(round(relattice.ENUM_CAP ** (1.0 / d))) - 1) // 2
     return max(1, min(want, r_cap))
 
 
@@ -248,11 +244,10 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
         return _finish(transcript, FACTORED, hit.factor)
     transcript["instance"] = {"N": N, "n": inst.n, "d": d, "b": list(inst.b), "a": list(inst.a)}
 
-    rel = build_relation_lattice(inst, group_cap=config.group_cap)
+    rel = build_relation_lattice(inst)
     transcript["lattice"] = {"basis": [list(v) for v in rel.basis], "det": rel.det}
 
-    bound = config.witness_bound if config.witness_bound is not None else default_witness_bound(inst, config.enum_cap)
-    witness = certify_assumption(inst, bound, rel=rel, enum_cap=config.enum_cap)
+    witness = certify_assumption(inst, default_witness_bound(inst), rel=rel)
     transcript["witness"] = {**asdict(witness), "vector": list(witness.vector) if witness.vector else None}
     if not witness.found:
         return _finish(transcript, ASSUMPTION_VIOLATED)
@@ -290,12 +285,7 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     delta_sq = Fraction(d, 2 * prep.R * prep.R)
     P = cdf = None
     if config.mode == "statevector":
-        if D ** d > config.sim_guard:
-            raise ResourceLimitError(
-                f"statevector mode needs D^d <= {config.sim_guard}, got {D}^{d}"
-            )
-        state = build_gaussian_state(params, guard=config.sim_guard)
-        joint = apply_exponentiation(state, rel, guard=config.sim_guard)
+        joint = apply_exponentiation(build_gaussian_state(params), rel)
         P = qft_measure_distribution(joint)
         cdf = outcome_cdf(P)
 
@@ -323,17 +313,6 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
 
 
 @dataclass(frozen=True)
-class CostConstants:
-    """Multipliers for the four cost terms (all 1 by default)."""
-
-    tree: float = 1.0
-    qft: float = 1.0
-    square: float = 1.0
-    prep: float = 1.0
-    prep_log_exponent: int = 3  # the poly(log d) degree of the state prep
-
-
-@dataclass(frozen=True)
 class GateCostReport:
     n: int
     d: int
@@ -352,9 +331,7 @@ def default_log2_D(n: int, d: int, C: float = 1.0, epsilon: float = 0.0) -> floa
 def estimate_gate_cost(
     n: int,
     d: int,
-    D: int | None = None,
     log2_D: float | None = None,
-    constants: CostConstants | None = None,
     epsilon_qft: float | None = None,
     C: float = 1.0,
 ) -> GateCostReport:
@@ -363,13 +340,13 @@ def estimate_gate_cost(
     Terms: subset product trees log2D * d * log2(d)^3; transform
     log2D * d * log2(log2 D) (or log2D * d * log2(log2 D / eps) when an
     explicit transform accuracy eps is supplied); accumulator squarings
-    log2D * n * log2 n; state preparation d * log2(d)^prep_exponent.
+    log2D * n * log2 n; state preparation d * log2(d)^3, taking degree 3
+    for its poly(log d) factor.
     """
     if n < 2 or d < 1:
         raise ParameterError("need n >= 2 and d >= 1")
-    cc = constants or CostConstants()
     if log2_D is None:
-        log2_D = math.log2(D) if D is not None else default_log2_D(n, d, C)
+        log2_D = default_log2_D(n, d, C)
     if log2_D < 1:
         raise ParameterError("log2 of D must be at least 1")
     log_d = math.log2(d) if d > 1 else 0.0
@@ -381,10 +358,10 @@ def estimate_gate_cost(
     else:
         qft_inner = loglog_D
     terms = {
-        "tree": cc.tree * log2_D * d * log_d ** 3,
-        "qft": cc.qft * log2_D * d * qft_inner,
-        "square": cc.square * log2_D * n * math.log2(n),
-        "prep": cc.prep * d * log_d ** cc.prep_log_exponent,
+        "tree": log2_D * d * log_d ** 3,
+        "qft": log2_D * d * qft_inner,
+        "square": log2_D * n * math.log2(n),
+        "prep": d * log_d ** 3,
     }
     return GateCostReport(
         n=n,
@@ -397,27 +374,13 @@ def estimate_gate_cost(
     )
 
 
-def tradeoff_rows(
-    n: int, epsilons, constants: CostConstants | None = None, C: float = 1.0
-) -> list[GateCostReport]:
+def tradeoff_rows(n: int, epsilons, C: float = 1.0) -> list[GateCostReport]:
     """Cost rows along the dimension/radius tradeoff d = n^{1/2+eps}."""
     rows = []
     for eps in epsilons:
         if not 0 <= eps <= 0.5:
             raise ParameterError("epsilon must lie in [0, 1/2]")
         d = max(1, round(n ** (0.5 + eps)))
-        row = estimate_gate_cost(
-            n, d, log2_D=max(1.0, default_log2_D(n, d, C, epsilon=eps)), constants=constants
-        )
-        rows.append(
-            GateCostReport(
-                n=row.n,
-                d=row.d,
-                log2_D=row.log2_D,
-                epsilon=eps,
-                terms=row.terms,
-                total=row.total,
-                shor_reference=row.shor_reference,
-            )
-        )
+        row = estimate_gate_cost(n, d, log2_D=max(1.0, default_log2_D(n, d, C, epsilon=eps)))
+        rows.append(replace(row, epsilon=eps))
     return rows

@@ -82,11 +82,11 @@ def _axis_weights(D: int, R: float) -> np.ndarray:
     return np.exp(-math.pi * z.astype(float) ** 2 / (R * R))
 
 
-def build_gaussian_state(params: GaussParams, guard: int = STATEVECTOR_GUARD) -> StateVector:
+def build_gaussian_state(params: GaussParams) -> StateVector:
     """Gaussian state over the box {-D/2..D/2-1}^d, normalized."""
     d, D = params.d, params.D
-    if D ** d > guard:
-        raise ResourceLimitError(f"state size {D}^{d} exceeds the simulation guard")
+    if D ** d > STATEVECTOR_GUARD:
+        raise ResourceLimitError(f"state size {D}^{d} exceeds the simulation guard {STATEVECTOR_GUARD}")
     axis = _axis_weights(D, params.R)
     amps = axis
     for _ in range(d - 1):
@@ -97,9 +97,7 @@ def build_gaussian_state(params: GaussParams, guard: int = STATEVECTOR_GUARD) ->
     )
 
 
-def apply_exponentiation(
-    state: StateVector, rel: RelationLattice, guard: int = STATEVECTOR_GUARD
-) -> JointState:
+def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState:
     """Attach e = prod a_i^{index_i} mod N to every basis state.
 
     The exponent of each axis is the offset index itself (the value plus
@@ -113,7 +111,7 @@ def apply_exponentiation(
     inst = rel.inst
     if inst.d != d:
         raise ParameterError("instance dimension does not match the state")
-    if rel.det * D ** d > guard:
+    if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
     e = _grid_group_elements(inst.a, inst.N, D, 0).ravel()
     elements, first, which = np.unique(e, return_index=True, return_inverse=True)
@@ -216,9 +214,7 @@ def _grid_group_elements(a, N: int, size: int, lo: int) -> np.ndarray:
     return grid
 
 
-def phi1_phi2_gap(
-    rel: RelationLattice, params: GaussParams, guard: int = STATEVECTOR_GUARD
-) -> GapResult:
+def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     """Exact gap between the box-truncated state and its mod-D wrapped twin.
 
     The wrapped state accumulates, per grid cell and group element, the
@@ -228,7 +224,7 @@ def phi1_phi2_gap(
     """
     inst = rel.inst
     d, D, R, N = params.d, params.D, params.R, inst.N
-    if rel.det * D ** d > guard:
+    if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("wrapped state would exceed the simulation guard")
     B = max(int(math.ceil(_BOX_RADII * R)) + 1, D // 2)
     if (2 * B + 1) ** d > BOX_GUARD:

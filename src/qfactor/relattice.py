@@ -62,7 +62,7 @@ class RelationLattice:
         return self.inst.d
 
 
-def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) -> RelationLattice:
+def build_relation_lattice(inst: FactoringInstance) -> RelationLattice:
     """Expand the subgroup <a_1..a_d> of Z_N^* one generator at a time and
     return the Hermite basis of its relations (coset expansion, after
     Buchmann, Jacobson and Teske, Math. Comp. 1997).
@@ -75,10 +75,11 @@ def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) 
     (outer) and g in G_{j-1} (inner).  The rows are triangular and generate
     every relation (reduce its last coordinate first), and prod k_j is the
     group order, cross-checked against the Hermite basis determinant; any
-    mismatch is a hard internal error.  A subgroup of more than group_cap
+    mismatch is a hard internal error.  A subgroup of more than GROUP_CAP
     elements is refused before it is listed.
     """
     N, d = inst.N, inst.d
+    cap = GROUP_CAP
     group = [1]
     where = {1: 0}  # position of each element of the group listed so far
     radices: list[int] = []
@@ -87,10 +88,8 @@ def build_relation_lattice(inst: FactoringInstance, group_cap: int = GROUP_CAP) 
         size = len(group)
         power, k = a % N, 1
         while power not in where:
-            if (k + 1) * size > group_cap:
-                raise ResourceLimitError(
-                    f"subgroup exceeds cap {group_cap}; shrink N or d"
-                )
+            if (k + 1) * size > cap:
+                raise ResourceLimitError(f"subgroup exceeds cap {cap}; shrink N or d")
             power = power * a % N
             k += 1
         pos, row = where[power], []
@@ -261,11 +260,11 @@ def hermite_parity(basis, z) -> int:
     return mask
 
 
-def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCensus:
+def ball_census(rel: RelationLattice, bound) -> BallCensus:
     """Every nonzero vector of L with norm <= bound, each classified once.
 
     The vectors come from one exact enumeration over the LLL-reduced basis,
-    capped at enum_cap enumeration nodes.  b(z) = prod b_i^{z_i} mod N maps L
+    capped at ENUM_CAP enumeration nodes.  b(z) = prod b_i^{z_i} mod N maps L
     into the square roots of 1 and is a homomorphism, so it is trivial on 2L
     and depends only on z's parity class (hermite_parity): the product of
     b(H_i) over the odd coefficients, kept in a table per class.  Each
@@ -276,7 +275,7 @@ def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCe
         raise ParameterError("bound must be nonnegative")
     reduced = latred.lll_reduce(rel.basis).basis
     members = latred.enumerate_lattice_vectors(
-        reduced, norm_bound_sq=Fraction(bound) ** 2, node_cap=enum_cap
+        reduced, norm_bound_sq=Fraction(bound) ** 2, node_cap=ENUM_CAP
     )
     inst, N = rel.inst, rel.inst.N
     row_signs = []
@@ -304,13 +303,11 @@ def ball_census(rel: RelationLattice, bound, enum_cap: int = ENUM_CAP) -> BallCe
     return census
 
 
-def shortest_nontrivial_witness(
-    rel: RelationLattice, bound, enum_cap: int = ENUM_CAP
-):
+def shortest_nontrivial_witness(rel: RelationLattice, bound):
     """A shortest vector of L \\ L0 with norm <= bound, or None.
 
     Taken from the ball census: exact enumeration over the lattice basis,
     every vector confirmed by the homomorphism.  Among several shortest
     witnesses the lexicographically smallest is returned.
     """
-    return ball_census(rel, bound, enum_cap).witness()
+    return ball_census(rel, bound).witness()

@@ -24,12 +24,7 @@ from qfactor.arith import (
     base_product,
     hom_image,
 )
-from qfactor.pipeline import (
-    PipelineConfig,
-    certify_assumption,
-    default_witness_bound,
-    run_factoring,
-)
+from qfactor.pipeline import certify_assumption, default_witness_bound
 from qfactor.relattice import (
     BallCensus,
     ball_census,
@@ -204,23 +199,19 @@ def test_witness_tie_break_is_lexicographic():
     assert shortest_nontrivial_witness(rel15, 8) == (-2,)
 
 
-def test_enum_cap_counts_nodes_not_box_volume():
+def test_enum_cap_counts_nodes_not_box_volume(monkeypatch):
     rel = build_relation_lattice(FactoringInstance.build(77, 2))
     # the ball of radius 100 holds 2084 lattice vectors: far more than 100 nodes
     assert certify_assumption(rel.inst, 100, rel=rel).lattice_vectors == 2084
+    monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        shortest_nontrivial_witness(rel, 100, enum_cap=100)
+        shortest_nontrivial_witness(rel, 100)
     with pytest.raises(ResourceLimitError):
-        certify_assumption(rel.inst, 100, rel=rel, enum_cap=100)
+        certify_assumption(rel.inst, 100, rel=rel)
     # the 4.1e6-point box of radius 22 at d = 4 holds 446 vectors, < 2000 nodes
+    monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 2000)
     rel = build_relation_lattice(FactoringInstance.build(10403, 4))
-    assert shortest_nontrivial_witness(rel, 22, enum_cap=2000) is not None
-
-
-def test_pipeline_config_enum_cap_reaches_the_census():
-    cfg = PipelineConfig(N=77, d=2, witness_bound=100, enum_cap=100)
-    with pytest.raises(ResourceLimitError):
-        run_factoring(cfg)
+    assert shortest_nontrivial_witness(rel, 22) is not None
 
 
 def test_negative_bound_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import OrderedDict
@@ -6,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qfactor.cli import _plain, main, validate_report, load_schema
+from qfactor.cli import _plain, build_parser, main, validate_report, load_schema
 from qfactor.gauss import GaussParams
+from qfactor.pipeline import PipelineConfig
 
 
 def run_cli(capsys, argv):
@@ -30,10 +32,10 @@ def test_factor_20_bit_modulus(capsys, tmp_path):
     assert printed.strip() == "1013"
     report = json.loads(out.read_text())
     assert report["results"]["transcript"]["lattice"]["det"] == 255024
-    # the report the BFS construction of the lattice gave, outside timings
+    # the BFS construction of the lattice gave the same transcript
     body = {k: v for k, v in report.items() if k != "timings"}
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == (
-        "59bdb3aafaa3358e4c4946664b725975217030284ba4534c15794e57a247cb44"
+        "e79446621332f77c99a0660d4ac07fa6406e0f21d029e5848941330fb58e85ce"
     )
 
 
@@ -284,10 +286,11 @@ def test_config_file_merging(tmp_path, capsys):
     (["check", "--suite", "poisson"], "trials = x"),
     (["sample", "--n", "77", "--d", "1"], "mode = oracle"),  # not a flag of sample
     (["factor", "--n", "35", "--d", "1"], "max = 5"),  # only a prefix of --max-attempts
+    (["check", "--suite", "none"], "seed = \udcff"),  # the byte 0xff: not UTF-8
 ])
 def test_config_file_bad_key_or_value_exit_64(tmp_path, capsys, argv, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
+    cfg.write_bytes((line + "\n").encode("utf-8", "surrogateescape"))
     code, out, err = run_cli(capsys, [*argv, "--config", str(cfg)])
     assert code == 64
     assert out == ""
@@ -393,8 +396,51 @@ def test_check_poisson_suite(capsys):
 
 
 def test_check_unknown_suite_usage_error(capsys):
-    code, _, _ = run_cli(capsys, ["check", "--suite", "nonsense"])
+    code, _, err = run_cli(capsys, ["check", "--suite", "nonsense"])
     assert code == 64
+    assert err == (
+        "error: unknown suite 'nonsense'; options: "
+        "['generation', 'poisson', 'separation', 'short-cover', 'tail']\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["check", "--suite", "none"], ["factor", "--n", "15", "--d", "1", "--json"]])
+def test_unwritable_out_path_exit_64_after_the_run(tmp_path, capsys, argv):
+    for out_path in (str(tmp_path / "missing" / "report.json"), ""):
+        code, out, err = run_cli(capsys, [*argv, f"--out={out_path}"])
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{out_path}'" in err
+
+
+def test_pipeline_config_fields_are_the_factor_flags():
+    # a field no flag sets is a knob users cannot reach, yet every factor
+    # report would still carry it in its config block
+    factor = build_parser().subcommands["factor"]
+    dests = {action.dest for action in factor._actions} - {"help", "out", "config", "json"}
+    renamed = {"n": "N", "radius": "radius_override"}
+    assert {renamed.get(dest, dest) for dest in dests} == {
+        field.name for field in dataclasses.fields(PipelineConfig)
+    }
+
+
+STATEVECTOR_SWEEP = ["simulate", "--n", "77", "--sweep", "1:16:4", "--trials", "5"]
+
+
+@pytest.mark.parametrize("constant, value, argv, message", [
+    ("qfactor.relattice.GROUP_CAP", 4, ["factor", "--n", "77", "--d", "2"], "subgroup exceeds cap 4"),
+    ("qfactor.qsim.STATEVECTOR_GUARD", 8, STATEVECTOR_SWEEP, "state size 16^1 exceeds"),
+    ("qfactor.qsim.STATEVECTOR_GUARD", 16, STATEVECTOR_SWEEP, "wrapped state"),
+    ("qfactor.qsim.STATEVECTOR_GUARD", 1 << 16,
+     ["factor", "--n", "91", "--d", "1", "--mode", "statevector", "--seed", "1"], "joint state"),
+    ("qfactor.gauss.TABLE_CAP", 16, STATEVECTOR_SWEEP, "mixture table"),
+], ids=["group", "statevector", "wrapped-state", "joint-state", "table"])
+def test_resource_caps_exit_2(capsys, monkeypatch, constant, value, argv, message):
+    # at the real caps every run here succeeds; one cap lowered refuses it
+    monkeypatch.setattr(constant, value)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_schema_file_loads():

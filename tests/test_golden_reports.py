@@ -25,15 +25,15 @@ GOLDEN = [
     (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
      "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
     (["factor", "--n", "10403", "--d", "4", "--seed", "1"],
-     "c9d3c0d345d6c24bad395d0c1a9b50a88b1b6119baa7cab3b033804ec6fdcb48"),
+     "7be4db29898f64dcf10bc009fdfa209e03ebb5386dbc6d3936c516d3cda0c101"),
     (["factor", "--n", "1147", "--d", "4", "--radius", "256", "--seed", "1"],
-     "f2e6f138e63a90d1590b70135d73c1c44f603e5f1ef466f887ee228df4de5d0f"),
+     "0068abaec3dc5270652b21922148057ad1690645f3ad7d44325dd05b992aa7b8"),
     (["sample", "--n", "437", "--d", "3", "--seed", "1"],
      "d6f468f7529407d05bebd7a01289ec3c708cec4acd4963b6f7a1d29024e0886a"),
     (["factor", "--n", "77", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "711a0d025ad845e2fef5ee7022f23eeec39228d18ec073fefc9a2bea76fef6f4"),
+     "d566d214b33267cb13487ac937f6d3582c95747b32f72963d4386238420fcb89"),
     (["factor", "--n", "91", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "d81d5b3566fd6ca59bce3f2a2caac6ec15c3ac776487660a393facdf624e572d"),
+     "36156b371adfac75f8cbb304277dce6cc9c9a52b9d6e3a1429734ca93cb053f8"),
 ]
 
 

@@ -10,7 +10,6 @@ from qfactor.pipeline import (
     ATTEMPTS_EXHAUSTED,
     FACTORED,
     REJECTED_PRIME,
-    CostConstants,
     PipelineConfig,
     certify_assumption,
     default_dimension,
@@ -245,12 +244,3 @@ def test_tradeoff_rows_shapes():
     assert rows[2].terms["square"] < rows[2].terms["tree"]
     with pytest.raises(ParameterError):
         tradeoff_rows(4096, [0.7])
-
-
-def test_constants_scale_terms():
-    doubled = estimate_gate_cost(
-        256, 16, log2_D=24.0, constants=CostConstants(tree=2.0)
-    )
-    single = estimate_gate_cost(256, 16, log2_D=24.0)
-    assert doubled.terms["tree"] == 2 * single.terms["tree"]
-    assert doubled.terms["square"] == single.terms["square"]

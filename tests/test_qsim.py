@@ -77,9 +77,10 @@ def test_z1_mass_window_reference_config():
     assert (1 - slack) * ref <= state.z1_squared <= (1 + slack) * ref
 
 
-def test_simulation_guard():
+def test_simulation_guard(monkeypatch):
+    monkeypatch.setattr("qfactor.qsim.STATEVECTOR_GUARD", 2**20)
     with pytest.raises(ResourceLimitError):
-        build_gaussian_state(GaussParams(R=600.0, D=4096, d=2), guard=2**20)
+        build_gaussian_state(GaussParams(R=600.0, D=4096, d=2))
 
 
 def state_prep_approximation(D: int, R: float, k: int):

@@ -137,10 +137,10 @@ def test_build_77_matches_enumeration_oracle():
         assert in_lattice == in_kernel
 
 
-def test_group_cap_enforced():
-    inst = FactoringInstance.build(77, 2)
+def test_group_cap_enforced(monkeypatch):
+    monkeypatch.setattr("qfactor.relattice.GROUP_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        build_relation_lattice(inst, group_cap=3)
+        build_relation_lattice(FactoringInstance.build(77, 2))
 
 
 @pytest.fixture(scope="module")
@@ -287,10 +287,11 @@ def test_witness_examples(rel15):
     assert shortest_nontrivial_witness(rel15, 0) is None
 
 
-def test_witness_enum_cap():
+def test_witness_enum_cap(monkeypatch):
     rel = build_relation_lattice(FactoringInstance.build(77, 2))
+    monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        shortest_nontrivial_witness(rel, 100, enum_cap=100)
+        shortest_nontrivial_witness(rel, 100)
 
 
 def test_witness_absent_when_sign_sublattice_fills():
@@ -383,13 +384,14 @@ def test_coset_expansion_pins_the_20_bit_bases(d):
 
 
 @pytest.mark.parametrize("N,d,order", [(77, 2, 15), (10403, 4, 2550), (1022117, 5, 255024)])
-def test_group_cap_bounds_the_subgroup_order(N, d, order):
+def test_group_cap_bounds_the_subgroup_order(monkeypatch, N, d, order):
     inst = FactoringInstance.build(N, d)
-    assert build_relation_lattice(inst, group_cap=order).det == order
-    with pytest.raises(ResourceLimitError):
-        build_relation_lattice(inst, group_cap=order - 1)
-    with pytest.raises(ResourceLimitError):
-        build_relation_lattice(inst, group_cap=4)
+    monkeypatch.setattr("qfactor.relattice.GROUP_CAP", order)
+    assert build_relation_lattice(inst).det == order
+    for cap in (order - 1, 4):
+        monkeypatch.setattr("qfactor.relattice.GROUP_CAP", cap)
+        with pytest.raises(ResourceLimitError):
+            build_relation_lattice(inst)
 
 
 @pytest.mark.parametrize("N,d", [(77, 2), (221, 3), (1147, 4)])
