@@ -205,8 +205,8 @@ def short_cover_suite(n_lattices: int = 100, seed: int = 0, k_max: int = 5, entr
         basis = LatticeBasis(vectors=tuple(tuple(r) for r in m))
         first = lll_reduce(basis).basis.vectors[0]
         T = math.isqrt(sum(x * x for x in first)) + 1
-        gens = extract_short_generators(basis, T=T)
-        short = enumerate_lattice_vectors(basis, norm_bound=T)
+        gens = extract_short_generators(basis, T * T)
+        short = enumerate_lattice_vectors(basis, T * T)
         checked_vectors += len(short)
         norm_cap = k * (1 << k) * T * T
         for g in gens:

@@ -15,8 +15,8 @@ numbers or are out of range, an estimate --c or --log2d that is not finite
 (or a --c that is not positive), and an estimate --eps-values given with
 --d or --log2d (the sweep picks both itself).  One usage error is found
 only after the run: an --out path that cannot be written.  Range errors
-found once a run has started (such as --d 0, --m below d+4, or an estimate
-that overflows a float) exit 2 with the guard violations.  Without --json,
+found once a run has started (such as --d 0, --m below d+4, or a radius,
+sweep or estimate that overflows a float) exit 2 with the guard violations.  Without --json,
 every non-zero exit writes an error: line to stderr.  Identical flags and
 seed produce byte-identical JSON up to the timings block.
 """
@@ -311,7 +311,10 @@ def cmd_simulate(args) -> int:
                            "tail_regime": params.in_tail_regime}
             state = qsim.build_gaussian_state(params)
             z1_sq = state.z1_squared
-            ref = (R / math.sqrt(2)) ** d
+            try:
+                ref = (R / math.sqrt(2)) ** d
+            except OverflowError:
+                raise ResourceLimitError(f"(R / sqrt 2)^{d} overflows a float at R = {R:g}") from None
             slack = 2.0 * 2.0 ** -d
             entry["z1_squared"] = z1_sq
             entry["z1_bounds_pass"] = (

@@ -78,12 +78,14 @@ def _nearest_int(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+LLL_DELTA = Fraction(3, 4)  # the Lovasz constant
+
+
 @dataclass(frozen=True)
 class LLLResult:
     basis: LatticeBasis
     transform: tuple[tuple[int, ...], ...]  # output rows = transform @ input rows
     gs_sq_norms: tuple[Fraction, ...]
-    delta: Fraction
 
 
 def _integral_gram_schmidt(vecs):
@@ -111,23 +113,20 @@ def _integral_gram_schmidt(vecs):
     return dets, lam
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)) -> LLLResult:
+def lll_reduce(basis) -> LLLResult:
     """LLL-reduce a full-rank integer basis with exact integer arithmetic.
 
     Output spans the same lattice (the unimodular transform is returned),
     is size-reduced (|mu_ij| <= 1/2), and satisfies the Lovasz condition
-    with the given delta; at the default delta = 3/4 consecutive
-    Gram-Schmidt norms decay by at most sqrt(2).
+    with delta = LLL_DELTA = 3/4, so consecutive Gram-Schmidt norms decay
+    by at most sqrt(2).
 
     The loop is fraction-free (de Weger 1989; Cohen, Alg. 2.6.7): it keeps
     the integer data (dets, lam) of `_integral_gram_schmidt` and updates
     it in place on each reduction and swap, with exact divisions only.
     Row k is size-reduced against k-1 down to 0 before each Lovasz test.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ParameterError("delta must lie in (1/4, 1]")
-    p, q = delta.numerator, delta.denominator
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     b = _as_basis(basis)
     vecs = [list(v) for v in b.vectors]
     n = len(vecs)
@@ -169,23 +168,19 @@ def lll_reduce(basis, delta=Fraction(3, 4)) -> LLLResult:
         basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
         transform=tuple(tuple(r) for r in trans),
         gs_sq_norms=tuple(Fraction(dets[i + 1], dets[i]) for i in range(n)),
-        delta=delta,
     )
 
 
-def extract_short_generators(basis, T=None, norm_bound_sq=None) -> list[tuple[int, ...]]:
-    """Generators covering every lattice vector of norm <= T.
+def extract_short_generators(basis, norm_bound_sq) -> list[tuple[int, ...]]:
+    """Generators covering every lattice vector of norm <= T, where
+    norm_bound_sq = T^2 (an int or a Fraction, compared exactly).
 
     LLL-reduce, then keep the prefix z_1..z_l where l is the first index
     whose Gram-Schmidt norm reaches 2^{k/2} T (all k vectors if none does).
     Every returned vector has norm at most sqrt(k) 2^{k/2} T, and any
     lattice vector of norm <= T is an integer combination of the output.
-
-    Pass either T (any real; exact if int/Fraction) or norm_bound_sq = T^2.
     """
-    if (T is None) == (norm_bound_sq is None):
-        raise ParameterError("pass exactly one of T, norm_bound_sq")
-    t_sq = Fraction(norm_bound_sq) if norm_bound_sq is not None else Fraction(T) ** 2
+    t_sq = Fraction(norm_bound_sq)
     if t_sq <= 0:
         raise ParameterError("norm bound must be positive")
     reduced = lll_reduce(basis)
@@ -199,10 +194,9 @@ def extract_short_generators(basis, T=None, norm_bound_sq=None) -> list[tuple[in
     return [tuple(v) for v in reduced.basis.vectors[:ell]]
 
 
-def enumerate_lattice_vectors(
-    basis, norm_bound=None, norm_bound_sq=None, node_cap=None
-) -> list[tuple[int, ...]]:
-    """All nonzero lattice vectors of norm <= the bound, exactly.
+def enumerate_coefficients(basis, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
+    """The coefficient rows x of all nonzero lattice vectors sum_i x_i b_i
+    of squared norm <= norm_bound_sq (an int or a Fraction), exactly.
 
     Fincke-Pohst enumeration over the integer Gram-Schmidt data (dets, lam)
     of `_integral_gram_schmidt`.  With B_i = dets[i+1] / dets[i] and
@@ -217,17 +211,10 @@ def enumerate_lattice_vectors(
     node_cap set, a search that would try more nodes raises
     ResourceLimitError.
     """
-    if (norm_bound is None) == (norm_bound_sq is None):
-        raise ParameterError("pass exactly one of norm_bound, norm_bound_sq")
-    t_sq = (
-        Fraction(norm_bound_sq)
-        if norm_bound_sq is not None
-        else Fraction(norm_bound) ** 2
-    )
+    t_sq = Fraction(norm_bound_sq)
     b = _as_basis(basis)
-    vecs = [list(v) for v in b.vectors]
-    n = len(vecs)
-    dets, lam = _integral_gram_schmidt(vecs)
+    n = b.rank
+    dets, lam = _integral_gram_schmidt(b.vectors)
     pairs = [dets[i] * dets[i + 1] for i in range(n)]
     M = math.lcm(t_sq.denominator, *pairs)
     scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
@@ -255,11 +242,7 @@ def enumerate_lattice_vectors(
             coeffs[i] = x
             if i == 0:
                 if any(coeffs):
-                    vec = [0] * len(vecs[0])
-                    for c, bv in zip(coeffs, vecs):
-                        if c:
-                            vec = [a + c * e for a, e in zip(vec, bv)]
-                    out.append(tuple(vec))
+                    out.append(tuple(coeffs))
             else:
                 descend(i - 1, remaining - used)
         coeffs[i] = 0
@@ -268,72 +251,87 @@ def enumerate_lattice_vectors(
     return out
 
 
+def combine_rows(basis, rows) -> list[tuple[int, ...]]:
+    """The lattice vectors sum_i x_i b_i, one for each coefficient row x."""
+    vecs = _as_basis(basis).vectors
+    out = []
+    for x in rows:
+        vec = [0] * len(vecs[0])
+        for c, bv in zip(x, vecs):
+            if c:
+                vec = [a + c * e for a, e in zip(vec, bv)]
+        out.append(tuple(vec))
+    return out
+
+
+def enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
+    """All nonzero lattice vectors of squared norm <= norm_bound_sq, in the
+    order and under the node cap of enumerate_coefficients."""
+    return combine_rows(basis, enumerate_coefficients(basis, norm_bound_sq, node_cap))
+
+
 @dataclass(frozen=True)
 class ExtendedLattice:
     """The (d+m)-dimensional integral embedding of m noisy dual samples.
 
-    With scale S a multiple of the grid denominator D and samples w_i on
-    the 1/D grid, the block matrix [[I_d, 0], [S W, S I_m]] is integral;
-    its columns are stored as basis vectors.  Short vectors of this lattice
-    project (first d coordinates) onto relation-lattice candidates.
+    Sample i is the grid point w_i = J_i / D, given by its integer indices
+    J_i in [0, D)^d.  The block matrix [[I_d, 0], [J, D I_m]], with J = D W,
+    is integral; its columns are stored as basis vectors.  Short vectors of
+    this lattice project (first d coordinates) onto relation-lattice
+    candidates.
     """
 
     d: int
     m: int
-    S: int
     D: int
-    w_list: tuple[tuple[Fraction, ...], ...]
     basis: LatticeBasis
 
 
 class DomainGridError(ParameterError):
-    def __init__(self, x, D):
-        super().__init__(f"sample coordinate {x} is not on the 1/{D} grid in [0,1)")
+    def __init__(self, j, D):
+        super().__init__(f"sample index {j!r} is not an integer in [0, {D})")
 
 
-def build_extended_lattice(d: int, w_list, S: int, D: int) -> ExtendedLattice:
-    """Assemble the embedding matrix for m >= d+4 grid samples."""
-    samples = tuple(tuple(Fraction(x) for x in w) for w in w_list)
+def build_extended_lattice(d: int, indices, D: int) -> ExtendedLattice:
+    """Assemble the embedding matrix for m >= d+4 samples on the 1/D grid,
+    each given by its d integer indices."""
+    samples = [tuple(w) for w in indices]
     m = len(samples)
     if m < d + 4:
         raise ParameterError("need at least d+4 samples")
-    if S < 1 or D < 1 or S % D:
-        raise ParameterError("S must be a positive multiple of D")
     for w in samples:
         if len(w) != d:
             raise ParameterError("sample dimension mismatch")
-        for x in w:
-            if not 0 <= x < 1 or (x * D).denominator != 1:
-                raise DomainGridError(x, D)
+        for j in w:
+            if not isinstance(j, int) or not 0 <= j < D:
+                raise DomainGridError(j, D)
     dim = d + m
     vectors = []
     for j in range(d):
         col = [0] * dim
         col[j] = 1
         for i, w in enumerate(samples):
-            col[d + i] = int(S * w[j])
+            col[d + i] = w[j]
         vectors.append(tuple(col))
     for i in range(m):
         col = [0] * dim
-        col[d + i] = S
+        col[d + i] = D
         vectors.append(tuple(col))
-    return ExtendedLattice(
-        d=d, m=m, S=S, D=D, w_list=samples, basis=LatticeBasis(vectors=tuple(vectors))
-    )
+    return ExtendedLattice(d=d, m=m, D=D, basis=LatticeBasis(vectors=tuple(vectors)))
 
 
 def recover_relation_vectors(ext: ExtendedLattice, T, delta_sq) -> list[tuple[int, ...]]:
     """Candidate relation vectors from the extended lattice.
 
     A relation vector u of norm <= T lifts into the extended lattice with
-    norm at most T (1 + m S^2 delta^2)^{1/2} when every sample is within
+    norm at most T (1 + m D^2 delta^2)^{1/2} when every sample is within
     delta of its coset, so the short-generator extraction runs at that
     bound; candidates are the nonzero first-d-coordinate projections.
     Membership of candidates in the relation lattice is the caller's check.
     """
     t_sq = Fraction(T) ** 2
-    lift_sq = t_sq * (1 + ext.m * ext.S ** 2 * Fraction(delta_sq))
-    gens = extract_short_generators(ext.basis, norm_bound_sq=lift_sq)
+    lift_sq = t_sq * (1 + ext.m * ext.D ** 2 * Fraction(delta_sq))
+    gens = extract_short_generators(ext.basis, lift_sq)
     seen = set()
     candidates = []
     for g in gens:

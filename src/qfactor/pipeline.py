@@ -146,22 +146,24 @@ def select_radius(inst: FactoringInstance, rel: RelationLattice, T: int, m: int,
     """
     d, n = inst.d, inst.n
     k = d + m
+    lift = math.sqrt(1 + 8 * m * d * d)
     try:
         base = 2.0 ** (d + n / d) * T * 2 ** safety
+        need = (
+            6.0
+            * math.sqrt(k)
+            * 2.0 ** (k / 2)
+            * lift
+            * T
+            * math.sqrt(d / 2.0)
+            * (4 * rel.det) ** (1.0 / m)
+        )
+        target = max(base, 2.0 * need, 2.0)
+        return 1 << max(1, math.ceil(math.log2(target) - 1e-9))
     except OverflowError:
-        raise ResourceLimitError(f"safety margin 2^{safety} overflows the radius") from None
-    lift = math.sqrt(1 + 8 * m * d * d)
-    need = (
-        6.0
-        * math.sqrt(k)
-        * 2.0 ** (k / 2)
-        * lift
-        * T
-        * math.sqrt(d / 2.0)
-        * (4 * rel.det) ** (1.0 / m)
-    )
-    target = max(base, 2.0 * need, 2.0)
-    return 1 << max(1, math.ceil(math.log2(target) - 1e-9))
+        raise ResourceLimitError(
+            f"the radius for m = {m} and safety margin 2^{safety} overflows a float"
+        ) from None
 
 
 def recovery_recheck(rel: RelationLattice, params: GaussParams, T: int, m: int) -> dict:
@@ -259,7 +261,10 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
     R = config.radius_override
     if R is None:
         R = select_radius(inst, rel, T, m, config.safety)
-    params = GaussParams.choose(d, float(R))
+    try:
+        params = GaussParams.choose(d, float(R))
+    except OverflowError:
+        raise ResourceLimitError(f"radius R >= 2^{R.bit_length() - 1} overflows a float") from None
     transcript["parameters"] = {
         "T": T, "R": R, "D": params.D, "S": params.D, "m": m,
         "noise_width": params.s, "recheck": recovery_recheck(rel, params, T, m),
@@ -295,8 +300,7 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
         record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, P, cdf),
                         "candidates": [], "factor": None}
         attempts.append(record)
-        w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in record["samples"]]
-        ext = build_extended_lattice(d, w_list, S=D, D=D)
+        ext = build_extended_lattice(d, [s["w_indices"] for s in record["samples"]], D)
         for cand in recover_relation_vectors(ext, prep.T, delta_sq):
             entry = {"vector": list(cand), **classify(rel, cand)}
             record["candidates"].append(entry)

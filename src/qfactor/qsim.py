@@ -226,7 +226,10 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     d, D, R, N = params.d, params.D, params.R, inst.N
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("wrapped state would exceed the simulation guard")
-    B = max(int(math.ceil(_BOX_RADII * R)) + 1, D // 2)
+    try:
+        B = max(int(math.ceil(_BOX_RADII * R)) + 1, D // 2)
+    except OverflowError:
+        raise ResourceLimitError(f"enumeration box radius overflows a float at R = {R:g}") from None
     if (2 * B + 1) ** d > BOX_GUARD:
         raise ResourceLimitError("enumeration box too large")
     ys = np.arange(-B, B + 1)

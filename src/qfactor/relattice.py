@@ -9,11 +9,12 @@ time, and the quotient L*/Z^d is made samplable through a Smith
 decomposition.
 
 The short vectors of L are listed by exact Fincke-Pohst enumeration over an
-LLL-reduced basis (ball_census).  The list is complete because the basis
-generates all of L: its determinant is checked against the subgroup order.
-Each listed vector is proven in L by its coefficients on the Hermite basis,
-whose parities decide whether it lies in L0; the Hermite rows and the
-witness are confirmed by the homomorphism.
+LLL-reduced basis (ball_census), as coefficient rows on that basis.  The
+list is complete because the basis generates all of L: its determinant is
+checked against the subgroup order.  The reduced rows are confirmed in L by
+the homomorphism, so every listed vector is in L by construction, and the
+parities of its coefficients decide whether it lies in L0; the witness is
+confirmed by the homomorphism too.
 """
 
 from __future__ import annotations
@@ -240,58 +241,37 @@ class BallCensus:
         return min(self.outside, key=lambda z: (sum(x * x for x in z), z), default=None)
 
 
-def hermite_parity(basis, z) -> int:
-    """The parity class of z in L: bit i is set when z's coefficient on row i
-    of the Hermite basis is odd.
-
-    The coefficients come from forward substitution along the pivots with
-    exact divmod; a nonzero remainder proves z is not in L, a DomainError.
-    """
-    w = list(z)
-    mask = 0
-    for i, row in enumerate(basis):
-        c, r = divmod(w[i], row[i])
-        if r:
-            raise DomainError("vector is not in the relation lattice")
-        if c:
-            mask |= (c & 1) << i
-            for j in range(i + 1, len(w)):
-                w[j] -= c * row[j]
-    return mask
-
-
 def ball_census(rel: RelationLattice, bound) -> BallCensus:
     """Every nonzero vector of L with norm <= bound, each classified once.
 
-    The vectors come from one exact enumeration over the LLL-reduced basis,
-    capped at ENUM_CAP enumeration nodes.  b(z) = prod b_i^{z_i} mod N maps L
-    into the square roots of 1 and is a homomorphism, so it is trivial on 2L
-    and depends only on z's parity class (hermite_parity): the product of
-    b(H_i) over the odd coefficients, kept in a table per class.  Each
-    Hermite row H_i is confirmed in L by the homomorphism, and the witness
-    by classify.
+    The coefficient rows x come from one exact enumeration over the
+    LLL-reduced basis B, capped at ENUM_CAP enumeration nodes, and each
+    member is z = x B.  b(z) = prod b_i^{z_i} mod N maps L into the square
+    roots of 1 and is a homomorphism, so it is trivial on 2L and depends
+    only on the parities of x: the product of b(B_i) over the odd
+    coefficients, kept in a table per parity mask.  Each reduced row B_i is
+    confirmed in L by the homomorphism, and the witness by classify.
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
     reduced = latred.lll_reduce(rel.basis).basis
-    members = latred.enumerate_lattice_vectors(
-        reduced, norm_bound_sq=Fraction(bound) ** 2, node_cap=ENUM_CAP
-    )
+    rows = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
+    members = latred.combine_rows(reduced, rows)
     inst, N = rel.inst, rel.inst.N
     row_signs = []
-    for row in rel.basis:
+    for row in reduced.vectors:
         if hom_image(inst, row) != 1:
-            raise AssertionError(f"Hermite row {row} is not a relation")
+            raise AssertionError(f"reduced row {row} is not a relation")
         row_signs.append(base_product(inst, row))
-    signs = {0: 1}  # parity class -> b of its members
+    signs = {}  # parity mask of x -> b of its members
     outside = []
-    for z in members:
-        mask = hermite_parity(rel.basis, z)
+    for x, z in zip(rows, members):
+        mask = tuple(c & 1 for c in x)
         b = signs.get(mask)
         if b is None:
             b = 1
-            for i, s in enumerate(row_signs):
-                if mask >> i & 1:
+            for odd, s in zip(mask, row_signs):
+                if odd:
                     b = b * s % N
             signs[mask] = b
         if b != 1 and b != N - 1:

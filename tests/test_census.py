@@ -38,7 +38,7 @@ def census_reference(rel, bound):
     """The census with every member classified on its own: in_L0 confirms
     it by the homomorphism and then tests the sign sublattice."""
     reduced = latred.lll_reduce(rel.basis).basis
-    members = latred.enumerate_lattice_vectors(reduced, norm_bound_sq=Fraction(bound) ** 2)
+    members = latred.enumerate_lattice_vectors(reduced, Fraction(bound) ** 2)
     outside = tuple(z for z in members if not in_L0(rel, z))
     return BallCensus(members=tuple(members), outside=outside)
 
@@ -139,6 +139,8 @@ def test_census_matches_box_scan_on_benchmark_instances(N, d):
 
 @pytest.mark.parametrize("N,d,bound", [
     *((N, d, None) for N, d in BENCHMARK_INSTANCES), (10403, 6, 6), (10403, 4, 22), (1022117, 5, 10),
+    # the paper-radius bounds sqrt(d) 2^{n/d}, with 1,392 and 126 members
+    (1022117, 5, 37), (1022117, 6, 14),
 ])
 def test_parity_census_matches_per_member_reference(N, d, bound):
     rel = build_relation_lattice(FactoringInstance.build(N, d))

@@ -104,6 +104,12 @@ def _factor_of(report, stdout):
 @example(["estimate", "--n-values", "4", "--log2d=inf", "--json"])
 @example(["estimate", "--n-values", "4", "--c=1e308", "--json"])
 @example(["simulate", "--n", "15", "--sweep", "1:2:nan", "--trials", "1"])
+# floats that overflow: the radius, the radius selection, the box, the mass
+@example(["factor", "--n", "77", "--d", "2", "--radius", "1" + "0" * 400])
+@example(["factor", "--n", "77", "--d", "2", "--m", "2100"])
+@example(["sample", "--n", "77", "--d", "2", "--m", "3000"])
+@example(["simulate", "--n", "77", "--sweep", "1:16:1e308"])
+@example(["simulate", "--n", "77", "--sweep", "2:16:1e307"])
 def test_cli_contract_holds_for_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

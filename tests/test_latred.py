@@ -11,6 +11,7 @@ from qfactor import checks, intmat, latred
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
 from qfactor.gauss import GaussParams
 from qfactor.latred import (
+    LLL_DELTA,
     LatticeBasis,
     LatticeError,
     LLLResult,
@@ -54,7 +55,7 @@ def test_near_parallel_pair_finds_shortest():
     res = lll_reduce(basis)
     shortest_reduced = min(sum(x * x for x in v) for v in res.basis.vectors)
     # enumeration oracle: the true minimum over the lattice
-    enumerated = enumerate_lattice_vectors(basis, norm_bound=3)
+    enumerated = enumerate_lattice_vectors(basis, 9)
     true_min = min(sum(x * x for x in v) for v in enumerated)
     assert shortest_reduced == true_min
     assert shortest_reduced <= min(sum(x * x for x in v) for v in basis)
@@ -78,10 +79,10 @@ def test_determinant_preserved_and_transform_unimodular():
 
 def test_lll_postconditions():
     rng = np.random.default_rng(22)
-    delta = Fraction(3, 4)
+    delta = LLL_DELTA
     for _ in range(40):
         k = int(rng.integers(2, 6))
-        res = lll_reduce(random_basis(rng, k), delta)
+        res = lll_reduce(random_basis(rng, k))
         vecs = [list(v) for v in res.basis.vectors]
         mu, _, sq = gram_schmidt(vecs)
         for i in range(k):
@@ -100,7 +101,7 @@ def test_lll_rejects_rank_deficient():
         lll_reduce([[1, 2], [2, 4]])
 
 
-def fraction_lll_reference(basis, delta=Fraction(3, 4)) -> LLLResult:
+def fraction_lll_reference(basis, delta=LLL_DELTA) -> LLLResult:
     """The Fraction LLL loop: full exact Gram-Schmidt again after each swap.
 
     Same decisions as lll_reduce by construction; kept here only as the
@@ -132,7 +133,6 @@ def fraction_lll_reference(basis, delta=Fraction(3, 4)) -> LLLResult:
         basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
         transform=tuple(tuple(r) for r in trans),
         gs_sq_norms=tuple(gram_schmidt(vecs)[2]),
-        delta=delta,
     )
 
 
@@ -148,8 +148,7 @@ def test_lll_matches_fraction_reference_on_extended_lattices(N, d, R):
     D = params.D
     for seed in range(3 if d < 3 else 1):
         samples = draw_samples(seed, 0, d + 4, params, dual_cosets(rel))
-        w_list = [tuple(Fraction(j, D) for j in s["w_indices"]) for s in samples]
-        ext = build_extended_lattice(d, w_list, S=D, D=D)
+        ext = build_extended_lattice(d, [s["w_indices"] for s in samples], D)
         assert ext.basis.rank == 2 * d + 4
         assert lll_reduce(ext.basis) == fraction_lll_reference(ext.basis.vectors)
 
@@ -165,13 +164,15 @@ def test_lll_matches_fraction_reference_on_short_cover_lattices():
 
 
 @pytest.mark.parametrize("delta", [Fraction(26, 100), Fraction(1, 2), Fraction(3, 4), Fraction(99, 100), 1])
-def test_lll_matches_fraction_reference_on_random_bases(delta):
+def test_lll_matches_fraction_reference_on_random_bases(monkeypatch, delta):
+    # the integer Lovasz test at other values of the module constant
+    monkeypatch.setattr(latred, "LLL_DELTA", Fraction(delta))
     rng = np.random.default_rng(41)
     for k in range(1, 10):
         for _ in range(3):
             bound = 10 ** int(rng.integers(1, 7))
             basis = random_basis(rng, k, bound=bound)
-            assert lll_reduce(basis, delta) == fraction_lll_reference(basis, delta)
+            assert lll_reduce(basis) == fraction_lll_reference(basis, Fraction(delta))
 
 
 @pytest.mark.parametrize("basis", [
@@ -203,18 +204,13 @@ def test_lll_rank_deficient_raises(basis):
         fraction_lll_reference(basis)
 
 
-def test_lll_delta_range():
-    with pytest.raises(ParameterError):
-        lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 4))
-
-
 def test_extract_keeps_both_unit_vectors():
-    assert extract_short_generators([[1, 0], [0, 1]], T=1) == [(1, 0), (0, 1)]
+    assert extract_short_generators([[1, 0], [0, 1]], 1) == [(1, 0), (0, 1)]
 
 
 def test_extract_empty_when_threshold_below_first():
     # k = 2: threshold 2^{k/2} T = 2 * 0.4 = 0.8 <= ||gs_1|| = 1
-    assert extract_short_generators([[1, 0], [0, 100]], T=Fraction(2, 5)) == []
+    assert extract_short_generators([[1, 0], [0, 100]], Fraction(4, 25)) == []
 
 
 def test_extract_cover_on_random_lattices():
@@ -224,11 +220,11 @@ def test_extract_cover_on_random_lattices():
         basis = random_basis(rng, k, bound=12)
         first = lll_reduce(basis).basis.vectors[0]
         T = math.isqrt(sum(x * x for x in first)) + 1
-        gens = extract_short_generators(basis, T=T)
+        gens = extract_short_generators(basis, T * T)
         cap = k * (1 << k) * T * T
         for g in gens:
             assert sum(x * x for x in g) <= cap
-        short = enumerate_lattice_vectors(basis, norm_bound=T)
+        short = enumerate_lattice_vectors(basis, T * T)
         if gens:
             rows = intmat.hermite_basis([list(g) for g in gens], k)
             for v in short:
@@ -237,14 +233,14 @@ def test_extract_cover_on_random_lattices():
             assert not short
 
 
-def fraction_enumerate_reference(basis, norm_bound=None, norm_bound_sq=None, node_cap=None):
+def fraction_enumerate_reference(basis, norm_bound_sq, node_cap=None):
     """Fincke-Pohst over Fraction Gram-Schmidt data, as enumerate_lattice_vectors
     ran before it moved to integers; returns (vectors, nodes tried).
 
     Same brackets and the same exact admissions by construction; kept here
     only as the reference the integer enumeration must reproduce exactly.
     """
-    t_sq = Fraction(norm_bound_sq) if norm_bound_sq is not None else Fraction(norm_bound) ** 2
+    t_sq = Fraction(norm_bound_sq)
     vecs = [list(v) for v in getattr(basis, "vectors", basis)]
     n = len(vecs)
     mu, _bs, sq = gram_schmidt(vecs)
@@ -281,14 +277,14 @@ def fraction_enumerate_reference(basis, norm_bound=None, norm_bound_sq=None, nod
     return out, nodes
 
 
-def assert_enumeration_matches_reference(basis, **bound):
+def assert_enumeration_matches_reference(basis, norm_bound_sq):
     """Same list in the same order, and the same node count: the reference's
     count passes as node_cap and one less is refused."""
-    want, nodes = fraction_enumerate_reference(basis, **bound)
-    assert enumerate_lattice_vectors(basis, **bound) == want
-    assert enumerate_lattice_vectors(basis, **bound, node_cap=nodes) == want
+    want, nodes = fraction_enumerate_reference(basis, norm_bound_sq)
+    assert enumerate_lattice_vectors(basis, norm_bound_sq) == want
+    assert enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes) == want
     with pytest.raises(ResourceLimitError):
-        enumerate_lattice_vectors(basis, **bound, node_cap=nodes - 1)
+        enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes - 1)
 
 
 # the factor jobs of both benchmark workloads, at their certification bounds
@@ -300,17 +296,18 @@ BENCHMARK_INSTANCES = [
 
 @pytest.fixture(scope="module")
 def benchmark_enumerations():
-    """The (basis, bound, cap) of every enumeration that certification of the
-    benchmark instances and two short-cover suites make, as they call it."""
+    """The (basis, squared bound) of every enumeration that certification of
+    the benchmark instances and two short-cover suites make, recorded at the
+    enumeration core that both reach."""
     calls = []
+    core = latred.enumerate_coefficients
 
-    def record(basis, **kwargs):
-        calls.append((basis, kwargs))
-        return enumerate_lattice_vectors(basis, **kwargs)
+    def record(basis, norm_bound_sq, node_cap=None):
+        calls.append((basis, norm_bound_sq))
+        return core(basis, norm_bound_sq, node_cap)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(latred, "enumerate_lattice_vectors", record)
-        mp.setattr(checks, "enumerate_lattice_vectors", record)
+        mp.setattr(latred, "enumerate_coefficients", record)
         for N, d in BENCHMARK_INSTANCES:
             inst = FactoringInstance.build(N, d)
             certify_assumption(inst, default_witness_bound(inst))
@@ -321,9 +318,8 @@ def benchmark_enumerations():
 
 def test_integer_enumeration_matches_reference_on_benchmark_inputs(benchmark_enumerations):
     assert len(benchmark_enumerations) == len(BENCHMARK_INSTANCES) + 200
-    for basis, kwargs in benchmark_enumerations:
-        bound = {k: v for k, v in kwargs.items() if k != "node_cap"}
-        assert_enumeration_matches_reference(basis, **bound)
+    for basis, norm_bound_sq in benchmark_enumerations:
+        assert_enumeration_matches_reference(basis, norm_bound_sq)
 
 
 # a bound is a multiple of the shortest basis row's (squared) norm, so the
@@ -350,16 +346,16 @@ def test_integer_enumeration_matches_reference_on_random_bases(k, entries, scale
         return
     shortest = min(sum(x * x for x in row) for row in basis)
     if squared:
-        bound = {"norm_bound_sq": scale * shortest}
+        bound_sq = scale * shortest
     else:
-        bound = {"norm_bound": scale * math.isqrt(shortest)}
+        bound_sq = Fraction(scale * math.isqrt(shortest)) ** 2
     try:
-        fraction_enumerate_reference(basis, **bound, node_cap=3_000)
+        fraction_enumerate_reference(basis, bound_sq, node_cap=3_000)
     except ResourceLimitError:
         with pytest.raises(ResourceLimitError):
-            enumerate_lattice_vectors(basis, **bound, node_cap=3_000)
+            enumerate_lattice_vectors(basis, bound_sq, node_cap=3_000)
         return
-    assert_enumeration_matches_reference(basis, **bound)
+    assert_enumeration_matches_reference(basis, bound_sq)
 
 
 def test_enumeration_matches_box_oracle():
@@ -367,7 +363,7 @@ def test_enumeration_matches_box_oracle():
     for _ in range(30):
         basis = random_basis(rng, 2, bound=4)
         T = int(rng.integers(2, 7))
-        got = set(enumerate_lattice_vectors(basis, norm_bound=T))
+        got = set(enumerate_lattice_vectors(basis, T * T))
         # oracle: coefficient box sized from the inverse basis, so that any
         # vector of norm <= T provably has coefficients inside the box
         inv = intmat.inverse_fractions(basis)
@@ -387,20 +383,20 @@ def test_enumeration_matches_box_oracle():
 
 def test_enumeration_exact_boundary():
     # norm exactly T must be included
-    got = set(enumerate_lattice_vectors([[1, 0], [0, 1]], norm_bound=2))
+    got = set(enumerate_lattice_vectors([[1, 0], [0, 1]], 4))
     assert (2, 0) in got and (0, -2) in got and (1, 1) in got
     assert (2, 1) not in got
 
 
 def test_enumeration_node_cap_counts_coefficients_tried():
     # on 2Z at bound 4 the single level tries x = -3..3: seven nodes
-    assert enumerate_lattice_vectors([[2]], norm_bound=4, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
+    assert enumerate_lattice_vectors([[2]], 16, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
     with pytest.raises(ResourceLimitError):
-        enumerate_lattice_vectors([[2]], norm_bound=4, node_cap=6)
+        enumerate_lattice_vectors([[2]], 16, node_cap=6)
 
 
 def test_extended_lattice_zero_samples_block_diagonal():
-    ext = build_extended_lattice(1, [(Fraction(0),)] * 5, S=8, D=8)
+    ext = build_extended_lattice(1, [(0,)] * 5, 8)
     expected = [
         (1, 0, 0, 0, 0, 0),
         (0, 8, 0, 0, 0, 0),
@@ -413,13 +409,17 @@ def test_extended_lattice_zero_samples_block_diagonal():
 
 
 def test_extended_lattice_validation():
-    w = [(Fraction(0),)] * 5
+    w = [(0,)] * 5
     with pytest.raises(ParameterError):
-        build_extended_lattice(1, w[:4], S=8, D=8)  # too few samples
-    with pytest.raises(ParameterError):
-        build_extended_lattice(1, w, S=12, D=8)  # S not a multiple of D
-    with pytest.raises(ParameterError):
-        build_extended_lattice(1, [(Fraction(1, 3),)] * 5, S=8, D=8)  # off-grid
+        build_extended_lattice(1, w[:4], 8)  # too few samples
+    for bad in (8, -1, Fraction(1, 3), 1.0):  # outside [0, D), or not an int
+        with pytest.raises(ParameterError):
+            build_extended_lattice(1, [(bad,)] * 5, 8)
+
+
+def grid_indices(ws, D):
+    """The integer indices D w of grid samples w."""
+    return [tuple(int(x * D) for x in w) for w in ws]
 
 
 def test_exact_samples_lift_with_no_penalty():
@@ -429,7 +429,7 @@ def test_exact_samples_lift_with_no_penalty():
     u = (2,)
     w = [v for v in dual.all_cosets()] * 3  # 6 on-grid samples, D = 8
     w = w[:5]
-    ext = build_extended_lattice(1, w, S=8, D=8)
+    ext = build_extended_lattice(1, grid_indices(w, 8), 8)
     # combination (u, c) with c_i = -<w_i, u>: last coordinates vanish
     coeffs = [u[0]] + [-int(sum(Fraction(x) * ui for x, ui in zip(wi, u))) for wi in w]
     lifted = [0] * 6
@@ -439,13 +439,12 @@ def test_exact_samples_lift_with_no_penalty():
 
 
 def test_lift_norm_bound_with_noise():
-    # explicit lift construction meets ||u|| (1 + m S^2 delta^2)^{1/2}
+    # explicit lift construction meets ||u|| (1 + m D^2 delta^2)^{1/2}
     rng = np.random.default_rng(31)
     for _ in range(20):
         basis = random_basis(rng, 2, bound=3)
         dual = dual_structure_from_basis(basis)
         D = 64
-        S = 64
         m = 6
         samples = []
         deltas = []
@@ -458,7 +457,7 @@ def test_lift_norm_bound_with_noise():
             samples.append(w)
             deltas.append(dist)
         delta = max(max(deltas), 1e-9)
-        ext = build_extended_lattice(2, samples, S=S, D=D)
+        ext = build_extended_lattice(2, grid_indices(samples, D), D)
         u = tuple(basis[0])
         coeffs = [u[0], u[1]] + [
             -round(sum(Fraction(x) * ui for x, ui in zip(wi, u))) for wi in samples
@@ -468,21 +467,20 @@ def test_lift_norm_bound_with_noise():
             lifted = [a + c * b for a, b in zip(lifted, vec)]
         assert lifted[:2] == list(u)
         norm_u = math.sqrt(sum(x * x for x in u))
-        bound = norm_u * math.sqrt(1 + m * S * S * delta * delta)
+        bound = norm_u * math.sqrt(1 + m * D * D * delta * delta)
         assert math.sqrt(sum(x * x for x in lifted)) <= bound * (1 + 1e-9)
 
 
 def test_recover_candidates_in_lattice_when_noiseless():
     rel = build_relation_lattice(FactoringInstance.build(21, 1))  # L = 3Z
     dual = dual_structure_from_basis(rel.basis)
-    # dual cosets are multiples of 1/3: exact on a 1/3072 grid (the embedding
-    # only needs S to be a multiple of the grid denominator).  S is sized so
-    # the projection guarantee covers every extracted vector:
-    # sqrt(k) 2^{k/2} T_lift < S (4 det)^{-1/m} / 6.
-    S = 3072
+    # dual cosets are multiples of 1/3: exact on a 1/3072 grid.  D is sized
+    # so the projection guarantee covers every extracted vector:
+    # sqrt(k) 2^{k/2} T_lift < D (4 det)^{-1/m} / 6.
+    D = 3072
     samples = [dual.coset([i % 3]) for i in range(5)]
-    ext = build_extended_lattice(1, samples, S=S, D=S)
-    cands = recover_relation_vectors(ext, T=3, delta_sq=Fraction(1, S * S))
+    ext = build_extended_lattice(1, grid_indices(samples, D), D)
+    cands = recover_relation_vectors(ext, T=3, delta_sq=Fraction(1, D * D))
     assert cands, "noiseless recovery must produce candidates"
     rows = intmat.hermite_basis([list(v) for v in rel.basis], 1)
     for c in cands:
@@ -531,7 +529,7 @@ def test_recover_second_part_projection_bound():
         if not event:
             continue
         trials += 1
-        ext = build_extended_lattice(d, ws, S=D, D=D)
+        ext = build_extended_lattice(d, grid_indices(ws, D), D)
         threshold = (1 / delta) * (4 * det) ** (-1.0 / m) / 6
         reduced = lll_reduce(ext.basis)
         rows = intmat.hermite_basis([list(v) for v in basis], d)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfactor import intmat
+from qfactor import intmat, latred
 from qfactor.arith import (
     FactoringInstance,
     FactorFound,
@@ -23,7 +23,6 @@ from qfactor.relattice import (
     classify,
     dual_cosets,
     dual_structure_from_basis,
-    hermite_parity,
     in_L0,
     shortest_nontrivial_witness,
 )
@@ -395,22 +394,22 @@ def test_group_cap_bounds_the_subgroup_order(monkeypatch, N, d, order):
 
 
 @pytest.mark.parametrize("N,d", [(77, 2), (221, 3), (1147, 4)])
-def test_hermite_parity_proves_membership_and_decides_the_sign(N, d):
+def test_reduced_basis_parity_decides_the_sign(N, d):
     inst = FactoringInstance.build(N, d)
     rel = build_relation_lattice(inst)
-    signs = [base_product(inst, row) for row in rel.basis]
+    reduced = latred.lll_reduce(rel.basis).basis
+    signs = [base_product(inst, row) for row in reduced.vectors]
     r = 3 if d < 4 else 2
-    for z in itertools.product(range(-r, r + 1), repeat=d):
-        if hom_image(inst, z) != 1:
-            with pytest.raises(DomainError):
-                hermite_parity(rel.basis, z)
-            continue
-        mask = hermite_parity(rel.basis, z)
+    # the ball of radius r sqrt(d) covers the box [-r, r]^d
+    rows = latred.enumerate_coefficients(reduced, r * r * d)
+    members = latred.combine_rows(reduced, rows)
+    for x, z in zip(rows, members):
+        assert hom_image(inst, z) == 1
         b = 1
-        for i, s in enumerate(signs):
-            if mask >> i & 1:
+        for c, s in zip(x, signs):
+            if c & 1:
                 b = b * s % N
         assert b == base_product(inst, z)
-        # the coefficients of z + 2 H_i keep their parities
-        for row in rel.basis:
-            assert hermite_parity(rel.basis, [x + 2 * y for x, y in zip(z, row)]) == mask
+    box = {z for z in itertools.product(range(-r, r + 1), repeat=d)
+           if any(z) and hom_image(inst, z) == 1}
+    assert box <= set(members)
