@@ -32,6 +32,7 @@ import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -133,8 +134,67 @@ def validate_report(report: dict) -> None:
         raise ValueError("timings must carry total_s")
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_lines(obj, parts: list, newline: str) -> None:
+    """Append the text of obj as json.dumps(obj, sort_keys=True, indent=2)
+    writes it, nested at `newline` (a newline and the enclosing indent).
+    json.dumps falls back to its generator-based pure-Python encoder when
+    indent is set; this one recursive pass writes the same bytes in less
+    than half its time."""
+    if isinstance(obj, str):
+        parts.append(_json_string(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _json_lines(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + _json_string(key) + ": ")
+            _json_lines(obj[key], parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for a report's plain values."""
+    parts: list[str] = []
+    _json_lines(obj, parts, "\n")
+    return "".join(parts)
+
+
 def emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json_text(report)
     if getattr(args, "out", None) is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

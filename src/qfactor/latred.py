@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import intmat
 from .arith import ParameterError, ResourceLimitError
 
 
@@ -83,9 +82,12 @@ LLL_DELTA = Fraction(3, 4)  # the Lovasz constant
 
 @dataclass(frozen=True)
 class LLLResult:
+    """A reduced basis and its Gram determinants: dets[0] = 1 and
+    dets[i + 1] = B_0 ... B_i, so B_i = dets[i + 1] / dets[i] is the squared
+    Gram-Schmidt norm of vector i."""
+
     basis: LatticeBasis
-    transform: tuple[tuple[int, ...], ...]  # output rows = transform @ input rows
-    gs_sq_norms: tuple[Fraction, ...]
+    dets: tuple[int, ...]
 
 
 def _integral_gram_schmidt(vecs):
@@ -116,10 +118,9 @@ def _integral_gram_schmidt(vecs):
 def lll_reduce(basis) -> LLLResult:
     """LLL-reduce a full-rank integer basis with exact integer arithmetic.
 
-    Output spans the same lattice (the unimodular transform is returned),
-    is size-reduced (|mu_ij| <= 1/2), and satisfies the Lovasz condition
-    with delta = LLL_DELTA = 3/4, so consecutive Gram-Schmidt norms decay
-    by at most sqrt(2).
+    Output spans the same lattice, is size-reduced (|mu_ij| <= 1/2), and
+    satisfies the Lovasz condition with delta = LLL_DELTA = 3/4, so
+    consecutive Gram-Schmidt norms decay by at most sqrt(2).
 
     The loop is fraction-free (de Weger 1989; Cohen, Alg. 2.6.7): it keeps
     the integer data (dets, lam) of `_integral_gram_schmidt` and updates
@@ -130,7 +131,6 @@ def lll_reduce(basis) -> LLLResult:
     b = _as_basis(basis)
     vecs = [list(v) for v in b.vectors]
     n = len(vecs)
-    trans = intmat.identity(n)
     dets, lam = _integral_gram_schmidt(vecs)
 
     k = 1
@@ -141,7 +141,6 @@ def lll_reduce(basis) -> LLLResult:
             r = _nearest_int(row[j], dj)
             if r:
                 vecs[k] = [a - r * c for a, c in zip(vecs[k], vecs[j])]
-                trans[k] = [a - r * c for a, c in zip(trans[k], trans[j])]
                 for t, x in enumerate(lam[j]):
                     row[t] -= r * x
                 row[j] -= r * dj
@@ -149,7 +148,6 @@ def lll_reduce(basis) -> LLLResult:
         lk = row[k - 1]
         if q * (dets[k + 1] * dets[k - 1] + lk * lk) < p * dets[k] * dets[k]:
             vecs[k - 1], vecs[k] = vecs[k], vecs[k - 1]
-            trans[k - 1], trans[k] = trans[k], trans[k - 1]
             # lam[k][k-1] keeps its value; only dets[k] and columns k-1, k
             # of the rows below change (Cohen's SWAPI)
             lam[k - 1], lam[k] = row[: k - 1], lam[k - 1] + [lk]
@@ -164,11 +162,7 @@ def lll_reduce(basis) -> LLLResult:
             k = max(k - 1, 1)
         else:
             k += 1
-    return LLLResult(
-        basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
-        transform=tuple(tuple(r) for r in trans),
-        gs_sq_norms=tuple(Fraction(dets[i + 1], dets[i]) for i in range(n)),
-    )
+    return LLLResult(basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)), dets=tuple(dets))
 
 
 def extract_short_generators(basis, norm_bound_sq) -> list[tuple[int, ...]]:
@@ -184,19 +178,19 @@ def extract_short_generators(basis, norm_bound_sq) -> list[tuple[int, ...]]:
     if t_sq <= 0:
         raise ParameterError("norm bound must be positive")
     reduced = lll_reduce(basis)
-    k = reduced.basis.rank
-    threshold = (1 << k) * t_sq  # (2^{k/2} T)^2, compared exactly
-    ell = k
-    for i, g in enumerate(reduced.gs_sq_norms):
-        if g >= threshold:
-            ell = i
-            break
+    k, dets = reduced.basis.rank, reduced.dets
+    # B_i >= (2^{k/2} T)^2 = 2^k T^2, cross-multiplied by dets[i] and T^2's denominator
+    num, den = (1 << k) * t_sq.numerator, t_sq.denominator
+    ell = next((i for i in range(k) if dets[i + 1] * den >= num * dets[i]), k)
     return [tuple(v) for v in reduced.basis.vectors[:ell]]
 
 
-def enumerate_coefficients(basis, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
+def enumerate_coefficients(
+    basis, norm_bound_sq, node_cap=None
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """The coefficient rows x of all nonzero lattice vectors sum_i x_i b_i
-    of squared norm <= norm_bound_sq (an int or a Fraction), exactly.
+    of squared norm <= norm_bound_sq (an int or a Fraction), exactly, and
+    the squared norm of each.
 
     Fincke-Pohst enumeration over the integer Gram-Schmidt data (dets, lam)
     of `_integral_gram_schmidt`.  With B_i = dets[i+1] / dets[i] and
@@ -209,7 +203,9 @@ def enumerate_coefficients(basis, norm_bound_sq, node_cap=None) -> list[tuple[in
     correctly rounded quotients remaining / B_i and -S_i / dets[i+1].  Each
     coefficient value tried at each level is one enumeration node; with
     node_cap set, a search that would try more nodes raises
-    ResourceLimitError.
+    ResourceLimitError.  A leaf's squared norm is what its levels used of
+    the squared bound, divided by M: an exact division, because the levels'
+    parts sum to M times the squared norm.
     """
     t_sq = Fraction(norm_bound_sq)
     b = _as_basis(basis)
@@ -219,7 +215,9 @@ def enumerate_coefficients(basis, norm_bound_sq, node_cap=None) -> list[tuple[in
     M = math.lcm(t_sq.denominator, *pairs)
     scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
     gs_scaled = [scale[i] * dets[i + 1] ** 2 for i in range(n)]  # M B_i
+    top = t_sq.numerator * (M // t_sq.denominator)  # M times the squared bound
     out: list[tuple[int, ...]] = []
+    norms_sq: list[int] = []
     coeffs = [0] * n
     nodes = 0
 
@@ -243,12 +241,13 @@ def enumerate_coefficients(basis, norm_bound_sq, node_cap=None) -> list[tuple[in
             if i == 0:
                 if any(coeffs):
                     out.append(tuple(coeffs))
+                    norms_sq.append((top - remaining + used) // M)
             else:
                 descend(i - 1, remaining - used)
         coeffs[i] = 0
 
-    descend(n - 1, t_sq.numerator * (M // t_sq.denominator))
-    return out
+    descend(n - 1, top)
+    return out, norms_sq
 
 
 def combine_rows(basis, rows) -> list[tuple[int, ...]]:
@@ -267,7 +266,7 @@ def combine_rows(basis, rows) -> list[tuple[int, ...]]:
 def enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
     """All nonzero lattice vectors of squared norm <= norm_bound_sq, in the
     order and under the node cap of enumerate_coefficients."""
-    return combine_rows(basis, enumerate_coefficients(basis, norm_bound_sq, node_cap))
+    return combine_rows(basis, enumerate_coefficients(basis, norm_bound_sq, node_cap)[0])
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,8 @@ def certify_assumption(
     if rel is None:
         rel = build_relation_lattice(inst)
     census = ball_census(rel, T_bound)
-    witness = census.witness()
-    members = len(census.members)
+    witness = census.witness
+    members = len(census.rows)
     outside = len(census.outside)
     return WitnessReport(
         found=witness is not None,

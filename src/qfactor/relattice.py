@@ -155,7 +155,6 @@ class DualStructure:
 
     snf_diag: tuple[int, ...]
     u_transpose: tuple[tuple[int, ...], ...]
-    u_inverse: tuple[tuple[int, ...], ...]
     det: int
 
     @property
@@ -193,12 +192,13 @@ class DualStructure:
         return np.asarray(x, dtype=dtype) @ np.array(scale, dtype=dtype).T % self.det
 
     def quotient_reps(self) -> list[tuple[int, ...]]:
-        """Coset representatives of the primal quotient Z^d / L."""
-        reps = []
-        for y in itertools.product(*(range(s) for s in self.snf_diag)):
-            u = intmat.mat_vec([list(r) for r in self.u_inverse], list(y))
-            reps.append(tuple(u))
-        return reps
+        """Coset representatives of the primal quotient Z^d / L: U^{-1} y
+        for y in Z_{s_1} x ... x Z_{s_d}."""
+        u_inverse = intmat.unimodular_inverse(intmat.transpose(self.u_transpose))
+        return [
+            tuple(intmat.mat_vec(u_inverse, list(y)))
+            for y in itertools.product(*(range(s) for s in self.snf_diag))
+        ]
 
 
 def dual_structure_from_basis(basis_vectors) -> DualStructure:
@@ -216,7 +216,6 @@ def dual_structure_from_basis(basis_vectors) -> DualStructure:
     return DualStructure(
         snf_diag=tuple(diag),
         u_transpose=tuple(tuple(r) for r in intmat.transpose(u)),
-        u_inverse=tuple(tuple(r) for r in intmat.unimodular_inverse(u)),
         det=det,
     )
 
@@ -230,15 +229,16 @@ def dual_cosets(rel: RelationLattice) -> DualStructure:
 
 @dataclass(frozen=True)
 class BallCensus:
-    """The nonzero vectors of L with norm <= a bound, split by L0."""
+    """The nonzero vectors of L with norm <= a bound, split by L0.
 
-    members: tuple[tuple[int, ...], ...]
-    outside: tuple[tuple[int, ...], ...]  # the members outside the sign sublattice
+    Members are held as their coefficient rows on the LLL-reduced basis, in
+    enumeration order; latred.combine_rows(basis, rows) assembles them.
+    """
 
-    def witness(self) -> tuple[int, ...] | None:
-        """A shortest member outside L0; ties go to the lexicographically
-        smallest vector."""
-        return min(self.outside, key=lambda z: (sum(x * x for x in z), z), default=None)
+    basis: latred.LatticeBasis  # LLL-reduced basis of L
+    rows: tuple[tuple[int, ...], ...]  # one per member
+    outside: tuple[tuple[int, ...], ...]  # the rows of the members outside L0
+    witness: tuple[int, ...] | None  # a shortest member outside L0, least among ties
 
 
 def ball_census(rel: RelationLattice, bound) -> BallCensus:
@@ -250,13 +250,15 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
     roots of 1 and is a homomorphism, so it is trivial on 2L and depends
     only on the parities of x: the product of b(B_i) over the odd
     coefficients, kept in a table per parity mask.  Each reduced row B_i is
-    confirmed in L by the homomorphism, and the witness by classify.
+    confirmed in L by the homomorphism.  The enumeration gives each row's
+    squared norm, and only the shortest outside rows are assembled: the
+    witness is the lexicographically smallest of them, and it is confirmed
+    by classify.
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
     reduced = latred.lll_reduce(rel.basis).basis
-    rows = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
-    members = latred.combine_rows(reduced, rows)
+    rows, norms_sq = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
     inst, N = rel.inst, rel.inst.N
     row_signs = []
     for row in reduced.vectors:
@@ -264,8 +266,8 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
             raise AssertionError(f"reduced row {row} is not a relation")
         row_signs.append(base_product(inst, row))
     signs = {}  # parity mask of x -> b of its members
-    outside = []
-    for x, z in zip(rows, members):
+    outside, outside_sq = [], []
+    for x, sq in zip(rows, norms_sq):
         mask = tuple(c & 1 for c in x)
         b = signs.get(mask)
         if b is None:
@@ -275,12 +277,15 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
                     b = b * s % N
             signs[mask] = b
         if b != 1 and b != N - 1:
-            outside.append(z)
-    census = BallCensus(members=tuple(members), outside=tuple(outside))
-    witness = census.witness()
-    if witness is not None and classify(rel, witness)["in_sign"] is not False:
-        raise AssertionError(f"witness {witness} is not outside the sign sublattice")
-    return census
+            outside.append(x)
+            outside_sq.append(sq)
+    witness = None
+    if outside:
+        least = min(outside_sq)
+        witness = min(latred.combine_rows(reduced, [x for x, sq in zip(outside, outside_sq) if sq == least]))
+        if classify(rel, witness)["in_sign"] is not False:
+            raise AssertionError(f"witness {witness} is not outside the sign sublattice")
+    return BallCensus(basis=reduced, rows=tuple(rows), outside=tuple(outside), witness=witness)
 
 
 def shortest_nontrivial_witness(rel: RelationLattice, bound):
@@ -290,4 +295,4 @@ def shortest_nontrivial_witness(rel: RelationLattice, bound):
     every vector confirmed by the homomorphism.  Among several shortest
     witnesses the lexicographically smallest is returned.
     """
-    return ball_census(rel, bound).witness()
+    return ball_census(rel, bound).witness

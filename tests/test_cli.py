@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
 from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfactor.cli import _plain, build_parser, main, validate_report, load_schema
+from qfactor.cli import _plain, build_parser, json_text, main, validate_report, load_schema
 from qfactor.gauss import GaussParams
 from qfactor.pipeline import PipelineConfig
 
@@ -52,6 +55,55 @@ def test_plain_converts_exact_types_and_subclasses_alike():
         "sub": {"x": {"R": 4.0, "D": 16, "d": 1, "theta_cutoff": params.theta_cutoff}},
     }
     assert type(_plain(np.int64(7))) is int and type(_plain(True)) is bool
+
+
+class _Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+class _Share(float):
+    def __repr__(self):
+        return "Share()"
+
+
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200) | st.integers(max_value=-(2**64)),
+    st.integers().map(_Count),
+    st.floats(),
+    st.floats().map(_Share),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "\u00e9\u20ac\U0001f600", ""]),
+    st.fractions(),
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text() | st.integers(), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORT_VALUES)
+def test_json_text_writes_the_bytes_of_json_dumps(value):
+    plain = _plain(value)
+    assert json_text(plain) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for value in (object(), {"x": [1, {2, 3}]}):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 def test_factor_even_resolved_by_precheck(capsys):

@@ -1,7 +1,9 @@
 """Seeded reports stay byte-identical outside their timings.
 
 Each command below runs in-process with a fixed seed; the sha256 of its
-JSON report, with the `timings` block dropped and keys sorted, is pinned.
+JSON report, with the `timings` block dropped and keys sorted, is pinned,
+and the written file is the text json.dumps(..., sort_keys=True, indent=2)
+gives for it.
 Together they cover the simulate sweep (statevector, mixture tables and the
 concentration check), every check suite, oracle factoring with
 certification at the default and at a pinned radius, statevector factoring
@@ -44,6 +46,8 @@ def test_report_digest_is_pinned(argv, digest, tmp_path):
     out = tmp_path / "report.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    text = out.read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
     body = {k: v for k, v in report.items() if k != "timings"}
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest

@@ -44,10 +44,17 @@ def random_unimodular(rng, k, steps=12):
     return u
 
 
+def same_lattice(a, b) -> bool:
+    """Equal canonical Hermite bases: a and b generate the same lattice,
+    exactly when some unimodular T takes the rows of a to those of b."""
+    dim = len(a[0])
+    return intmat.hermite_basis(a, dim) == intmat.hermite_basis(b, dim)
+
+
 def test_identity_basis_already_reduced():
     res = lll_reduce([[1, 0], [0, 1]])
     assert res.basis.vectors == ((1, 0), (0, 1))
-    assert res.transform == ((1, 0), (0, 1))
+    assert res.dets == (1, 1, 1)
 
 
 def test_near_parallel_pair_finds_shortest():
@@ -61,7 +68,7 @@ def test_near_parallel_pair_finds_shortest():
     assert shortest_reduced <= min(sum(x * x for x in v) for v in basis)
 
 
-def test_determinant_preserved_and_transform_unimodular():
+def test_determinant_preserved_and_lattice_unchanged():
     rng = np.random.default_rng(21)
     for _ in range(100):
         k = int(rng.integers(2, 5))
@@ -71,10 +78,8 @@ def test_determinant_preserved_and_transform_unimodular():
         assert abs(intmat.determinant([list(v) for v in res.basis.vectors])) == abs(
             intmat.determinant(base)
         )
-        assert abs(intmat.determinant([list(r) for r in res.transform])) == 1
-        assert intmat.mat_mul([list(r) for r in res.transform], perturbed) == [
-            list(v) for v in res.basis.vectors
-        ]
+        assert same_lattice(res.basis.vectors, perturbed)
+        assert same_lattice(res.basis.vectors, base)
 
 
 def test_lll_postconditions():
@@ -105,12 +110,13 @@ def fraction_lll_reference(basis, delta=LLL_DELTA) -> LLLResult:
     """The Fraction LLL loop: full exact Gram-Schmidt again after each swap.
 
     Same decisions as lll_reduce by construction; kept here only as the
-    reference its integer bookkeeping must reproduce exactly.
+    reference its integer bookkeeping must reproduce exactly.  The Gram
+    determinants are the running products of the Fraction Gram-Schmidt
+    norms, and each must come out an integer.
     """
     delta = Fraction(delta)
     vecs = [list(v) for v in basis]
     n = len(vecs)
-    trans = intmat.identity(n)
     mu, _bs, sq = gram_schmidt(vecs)
     k = 1
     while k < n:
@@ -118,21 +124,23 @@ def fraction_lll_reference(basis, delta=LLL_DELTA) -> LLLResult:
             q = math.floor(mu[k][j] + Fraction(1, 2))
             if q:
                 vecs[k] = [a - q * c for a, c in zip(vecs[k], vecs[j])]
-                trans[k] = [a - q * c for a, c in zip(trans[k], trans[j])]
                 for t in range(j):
                     mu[k][t] -= q * mu[j][t]
                 mu[k][j] -= q
         if sq[k] < (delta - mu[k][k - 1] ** 2) * sq[k - 1]:
             vecs[k - 1], vecs[k] = vecs[k], vecs[k - 1]
-            trans[k - 1], trans[k] = trans[k], trans[k - 1]
             mu, _bs, sq = gram_schmidt(vecs)
             k = max(k - 1, 1)
         else:
             k += 1
+    dets = [Fraction(1)]
+    for g in gram_schmidt(vecs)[2]:
+        dets.append(dets[-1] * g)
+    assert all(x.denominator == 1 for x in dets)
+    assert same_lattice(vecs, basis)
     return LLLResult(
         basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
-        transform=tuple(tuple(r) for r in trans),
-        gs_sq_norms=tuple(gram_schmidt(vecs)[2]),
+        dets=tuple(int(x) for x in dets),
     )
 
 
@@ -279,9 +287,11 @@ def fraction_enumerate_reference(basis, norm_bound_sq, node_cap=None):
 
 def assert_enumeration_matches_reference(basis, norm_bound_sq):
     """Same list in the same order, and the same node count: the reference's
-    count passes as node_cap and one less is refused."""
+    count passes as node_cap and one less is refused.  The squared norms
+    read at the leaves are those of the listed vectors."""
     want, nodes = fraction_enumerate_reference(basis, norm_bound_sq)
     assert enumerate_lattice_vectors(basis, norm_bound_sq) == want
+    assert latred.enumerate_coefficients(basis, norm_bound_sq)[1] == [sum(x * x for x in z) for z in want]
     assert enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes) == want
     with pytest.raises(ResourceLimitError):
         enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes - 1)

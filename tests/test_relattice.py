@@ -401,9 +401,10 @@ def test_reduced_basis_parity_decides_the_sign(N, d):
     signs = [base_product(inst, row) for row in reduced.vectors]
     r = 3 if d < 4 else 2
     # the ball of radius r sqrt(d) covers the box [-r, r]^d
-    rows = latred.enumerate_coefficients(reduced, r * r * d)
+    rows, norms_sq = latred.enumerate_coefficients(reduced, r * r * d)
     members = latred.combine_rows(reduced, rows)
-    for x, z in zip(rows, members):
+    for x, z, sq in zip(rows, members, norms_sq):
+        assert sum(c * c for c in z) == sq
         assert hom_image(inst, z) == 1
         b = 1
         for c, s in zip(x, signs):
