@@ -4,21 +4,23 @@ Subcommands: factor, simulate, sample, estimate, check.  Exit codes are a
 stable contract: 0 success, 2 assumption or guard violation, 3 attempts
 exhausted, 64 usage.  A --config file holds `key = value` lines; each is
 read as the flag --key=value placed before the command line's own flags, so
-explicit flags win and every value goes through its flag's type.  Usage
-errors are found before any work starts: flags or a config file that do not
-parse (including a config file that is not UTF-8 text, a config key that is
-not a flag of the subcommand, or a value its flag rejects), a negative
-seed, factor settings that PipelineConfig rejects (such as a negative
-attempt count or radius), a check or simulate run with fewer than one
-trial, a simulate sweep that does not parse, estimate lists that are not
-numbers or are out of range, an estimate --c or --log2d that is not finite
-(or a --c that is not positive), and an estimate --eps-values given with
---d or --log2d (the sweep picks both itself).  One usage error is found
-only after the run: an --out path that cannot be written.  Range errors
-found once a run has started (such as --d 0, --m below d+4, or a radius,
-sweep or estimate that overflows a float) exit 2 with the guard violations.  Without --json,
-every non-zero exit writes an error: line to stderr.  Identical flags and
-seed produce byte-identical JSON up to the timings block.
+explicit flags win and every value goes through its flag's type.  Handlers
+raise; one map in `main` turns an exception into its exit code and one
+error: line.  A UsageError or an OSError exits 64: flags or a config file
+that do not parse (including a config file that is not UTF-8 text, a config
+key that is not a flag of the subcommand, or a value its flag rejects), a
+negative seed, factor settings that PipelineConfig rejects (such as a
+negative attempt count or radius), a check or simulate run with fewer than
+one trial, a simulate sweep that does not parse, estimate lists that are
+not numbers or are out of range, an estimate --c or --log2d that is not
+finite (or a --c that is not positive), an estimate --eps-values given with
+--d or --log2d (the sweep picks both itself), and, found only after the
+run, an --out path that cannot be written.  A ParameterError,
+ResourceLimitError or FactorFound raised once a run has started (such as
+--d 0, --m below d+4, or a radius, sweep or estimate that overflows a
+float) exits 2.  Without --json, every non-zero exit writes an error: line
+to stderr.  Identical flags and seed produce byte-identical JSON up to the
+timings block.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
+from dataclasses import asdict
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -61,6 +62,10 @@ EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
 
 
+class UsageError(Exception):
+    """A command line the CLI refuses: exit 64."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -68,43 +73,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_LEAVES = frozenset((int, str, float, bool, type(None)))
-
-
-def _plain(obj):
-    """Recursively convert to JSON-serializable plain types.  The exact types
-    a report is mostly made of are tested first."""
-    kind = type(obj)
-    if kind is dict:
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_plain(x) for x in obj]
-    if kind in _LEAVES:
-        return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    return obj
-
-
 def make_report(command: str, seed, config: dict, results: dict, started: float) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
-        "config": _plain(config),
-        "results": _plain(results),
+        "config": config,
+        "results": results,
         "timings": {"total_s": time.perf_counter() - started},
     }
 
@@ -214,17 +189,17 @@ def _config_flags(path: str, options) -> list[str]:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError:
-            raise ParameterError(f"config file {path} is not UTF-8 text") from None
+            raise UsageError(f"config file {path} is not UTF-8 text") from None
         for raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ParameterError(f"bad config line: {raw.rstrip()}")
+                raise UsageError(f"bad config line: {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
             if flag not in options:
-                raise ParameterError(f"config key {key!r} is not a flag of this subcommand")
+                raise UsageError(f"config key {key!r} is not a flag of this subcommand")
             flags.append(f"{flag}={val}")
     return flags
 
@@ -295,13 +270,8 @@ def cmd_factor(args) -> int:
             radius_override=args.radius,
         )
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        outcome = run_factoring(config)
-    except (ResourceLimitError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise UsageError(exc) from None
+    outcome = run_factoring(config)
     results = {
         "outcome": outcome.status,
         "factor": outcome.factor,
@@ -346,62 +316,53 @@ def _parse_sweep(spec: str) -> list[tuple[int, int, float]]:
             d, D, R = chunk.split(":")
             entries.append((int(d), int(D), float(R)))
         except ValueError:
-            raise ParameterError(f"bad sweep entry {chunk!r}, want d:D:R") from None
+            raise UsageError(f"bad sweep entry {chunk!r}, want d:D:R") from None
     return entries
 
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     seed = args.seed
-    try:
-        sweep = _parse_sweep(args.sweep)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sweep = _parse_sweep(args.sweep)
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        results = {"configs": []}
-        for d, D, R in sweep:
-            inst = FactoringInstance.build(args.n, d)
-            rel = build_relation_lattice(inst)
-            params = gauss.GaussParams(R=R, D=D, d=d)
-            entry: dict = {"d": d, "D": D, "R": R, "det": rel.det,
-                           "tail_regime": params.in_tail_regime}
-            state = qsim.build_gaussian_state(params)
-            z1_sq = state.z1_squared
-            try:
-                ref = (R / math.sqrt(2)) ** d
-            except OverflowError:
-                raise ResourceLimitError(f"(R / sqrt 2)^{d} overflows a float at R = {R:g}") from None
-            slack = 2.0 * 2.0 ** -d
-            entry["z1_squared"] = z1_sq
-            entry["z1_bounds_pass"] = (
-                (1 - slack) * ref <= z1_sq <= (1 + slack) * ref
-                if params.in_tail_regime
-                else None
-            )
-            gap = qsim.phi1_phi2_gap(rel, params)
-            entry["state_gap"] = gap.gap
-            entry["z_ratio"] = gap.ratio
-            entry["gap_pass"] = (
-                gap.gap <= slack and abs(gap.ratio - 1) <= 2.0 ** -d
-                if params.in_tail_regime
-                else None
-            )
-            joint = qsim.apply_exponentiation(state, rel)
-            P = qsim.qft_measure_distribution(joint)
-            Q = gauss.q_table(dual_cosets(rel), params)
-            entry["l1_distance"] = float(np.abs(P - Q).sum())
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d, D)))
-            conc = gauss.concentration_check(params, args.trials, rng)
-            entry["concentration_failure_rate"] = conc.failure_rate
-            entry["concentration_reference"] = conc.reference_rate
-            results["configs"].append(entry)
-    except (ResourceLimitError, FactorFound, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    results = {"configs": []}
+    for d, D, R in sweep:
+        inst = FactoringInstance.build(args.n, d)
+        rel = build_relation_lattice(inst)
+        params = gauss.GaussParams(R=R, D=D, d=d)
+        entry: dict = {"d": d, "D": D, "R": R, "det": rel.det,
+                       "tail_regime": params.in_tail_regime}
+        state = qsim.build_gaussian_state(params)
+        z1_sq = state.z1_squared
+        try:
+            ref = (R / math.sqrt(2)) ** d
+        except OverflowError:
+            raise ResourceLimitError(f"(R / sqrt 2)^{d} overflows a float at R = {R:g}") from None
+        slack = 2.0 * 2.0 ** -d
+        entry["z1_squared"] = z1_sq
+        entry["z1_bounds_pass"] = (
+            (1 - slack) * ref <= z1_sq <= (1 + slack) * ref
+            if params.in_tail_regime
+            else None
+        )
+        gap = qsim.phi1_phi2_gap(rel, params)
+        entry["state_gap"] = gap.gap
+        entry["z_ratio"] = gap.ratio
+        entry["gap_pass"] = (
+            gap.gap <= slack and abs(gap.ratio - 1) <= 2.0 ** -d
+            if params.in_tail_regime
+            else None
+        )
+        joint = qsim.apply_exponentiation(state, rel)
+        P = qsim.qft_measure_distribution(joint)
+        Q = gauss.q_table(dual_cosets(rel), params)
+        entry["l1_distance"] = float(np.abs(P - Q).sum())
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d, D)))
+        conc = gauss.concentration_check(params, args.trials, rng)
+        entry["concentration_failure_rate"] = conc.failure_rate
+        entry["concentration_reference"] = conc.reference_rate
+        results["configs"].append(entry)
     report = make_report("simulate", seed, {"n": args.n, "sweep": args.sweep, "trials": args.trials}, results, started)
     emit(report, args)
     if not args.json:
@@ -416,15 +377,11 @@ def cmd_simulate(args) -> int:
 def cmd_sample(args) -> int:
     started = time.perf_counter()
     seed = args.seed
-    try:
-        prep = prepare(PipelineConfig(N=args.n, d=args.d, m=args.m, seed=seed, safety=args.safety))
-        if isinstance(prep, FactoringOutcome):
-            print(f"error: {_unfactored_reason(prep)}", file=sys.stderr)
-            return EXIT_VIOLATION
-        samples = draw_samples(seed, 0, prep.m, prep.params, prep.dual)
-    except (ResourceLimitError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    prep = prepare(PipelineConfig(N=args.n, d=args.d, m=args.m, seed=seed, safety=args.safety))
+    if isinstance(prep, FactoringOutcome):
+        print(f"error: {_unfactored_reason(prep)}", file=sys.stderr)
         return EXIT_VIOLATION
+    samples = draw_samples(seed, 0, prep.m, prep.params, prep.dual)
     results = {"R": prep.R, "D": prep.params.D, "m": prep.m, "det": prep.rel.det, "samples": samples}
     report = make_report("sample", seed, {"n": args.n, "d": prep.rel.d, "m": prep.m}, results, started)
     emit(report, args)
@@ -464,28 +421,17 @@ def cmd_estimate(args) -> int:
         if not all(math.isfinite(row.total) for row in rows):
             raise OverflowError
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     except OverflowError:
-        print("error: the cost model overflows a float; use smaller --n-values, --log2d or --c", file=sys.stderr)
-        return EXIT_VIOLATION
+        raise ResourceLimitError(
+            "the cost model overflows a float; use smaller --n-values, --log2d or --c"
+        ) from None
     prev_total = None
     table = []
     for row in rows:
         ratio = row.total / prev_total if prev_total else None
         prev_total = row.total
-        table.append(
-            {
-                "n": row.n,
-                "d": row.d,
-                "log2_D": row.log2_D,
-                "epsilon": row.epsilon,
-                "terms": row.terms,
-                "total": row.total,
-                "ratio_to_previous": ratio,
-                "shor_reference": row.shor_reference,
-            }
-        )
+        table.append({**asdict(row), "ratio_to_previous": ratio})
     results = {"rows": table}
     report = make_report(
         "estimate",
@@ -506,17 +452,12 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     seed = args.seed
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.suite == "none":
-        results = {"suites": [], "passed": True}
-    else:
-        names = sorted(checks.SUITES) if args.suite == "all" else [args.suite]
-        try:
-            results = checks.run_suites(names, trials=args.trials, seed=seed)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_USAGE
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    names = {"all": sorted(checks.SUITES), "none": []}.get(args.suite, [args.suite])
+    try:
+        results = checks.run_suites(names, trials=args.trials, seed=seed)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
     report = make_report("check", seed, {"suite": args.suite, "trials": args.trials}, results, started)
     emit(report, args)
     if not args.json:
@@ -547,19 +488,15 @@ def main(argv=None) -> int:
             at = argv.index(args.cmd) + 1
             argv[at:at] = _config_flags(args.config, parser.subcommands[args.cmd]._option_string_actions)
             args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"the seed must be a nonnegative integer, got {args.seed}")
+        return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ParameterError) as exc:
+    except (UsageError, OSError, ParameterError, ResourceLimitError, FactorFound) as exc:
+        # a run touches files only in emit, writing --out, so an OSError is usage
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.seed < 0:
-        print(f"error: the seed must be a nonnegative integer, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[args.cmd](args)
-    except OSError as exc:  # a run touches files only in emit, writing --out
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_VIOLATION if isinstance(exc, (ParameterError, ResourceLimitError, FactorFound)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -220,13 +220,6 @@ def _window_draws(x: np.ndarray, u: np.ndarray, params: GaussParams) -> np.ndarr
     return cells[np.arange(len(cells)), picks].reshape(x.shape)
 
 
-def qv_coordinate_tables(v, params: GaussParams) -> list[np.ndarray]:
-    vv = tuple(v)
-    if len(vv) != params.d:
-        raise ParameterError("coset representative has wrong dimension")
-    return [coordinate_masses(float(x), params) for x in vv]
-
-
 def qv_table(v, params: GaussParams) -> np.ndarray:
     """Full d-dimensional mass table of the single-coset distribution.
 
@@ -235,7 +228,10 @@ def qv_table(v, params: GaussParams) -> np.ndarray:
     """
     if params.D ** params.d > TABLE_CAP:
         raise ResourceLimitError("full mass table would exceed the cap")
-    tables = qv_coordinate_tables(v, params)
+    vv = tuple(v)
+    if len(vv) != params.d:
+        raise ParameterError("coset representative has wrong dimension")
+    tables = [coordinate_masses(float(x), params) for x in vv]
     out = tables[0]
     for t in tables[1:]:
         out = np.multiply.outer(out, t)

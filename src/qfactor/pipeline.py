@@ -128,7 +128,9 @@ def default_dimension(N: int) -> int:
 
 
 def default_witness_bound(inst: FactoringInstance) -> int:
-    """Pigeonhole-scale radius sqrt(d) 2^{n/d}, clamped to the enumeration cap."""
+    """Pigeonhole-scale radius sqrt(d) 2^{n/d}, clamped so that the box
+    (2r+1)^d holds about ENUM_CAP points.  The clamp reads ENUM_CAP as a box
+    volume; the cap itself counts the enumeration nodes of ball_census."""
     d = inst.d
     want = int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
     r_cap = (int(round(relattice.ENUM_CAP ** (1.0 / d))) - 1) // 2
@@ -225,11 +227,7 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
     dual quotient, each written to the transcript.  A run that ends here (a
     prime, a factor found on the way, no witness) comes back as its outcome."""
     N = config.N
-    transcript: dict = {"config": {
-        "N": N, "d": config.d, "m": config.m, "mode": config.mode,
-        "seed": config.seed, "max_attempts": config.max_attempts,
-        "safety": config.safety, "radius_override": config.radius_override,
-    }}
+    transcript: dict = {"config": asdict(config)}
 
     pre = precheck(N)
     transcript["precheck"] = {"status": pre.status, "factor": pre.factor, "reason": pre.reason}
