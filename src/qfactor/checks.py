@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import intmat
+from .arith import ParameterError
 from .latred import (
     LatticeBasis,
     enumerate_lattice_vectors,
@@ -82,10 +83,14 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
     For each tiny lattice, draw m = d+4 uniform cosets of L*/Z^d and check
     exhaustively that every nonzero element of Z^d/L has some inner product
     at least eps = (4 det)^{-1/m}/3 away from the integers.  Guaranteed
-    frequency of the event: 1/4.  The trials of a lattice are drawn and
-    decided in blocks of about BLOCK_CELLS residues, one call per block,
-    which yields the same stream as drawing them trial by trial and bounds
-    the memory.
+    frequency of the event: 1/4.  Whether the coset of quotient element q
+    is far from the integers against primal coset rho is tabulated once
+    per lattice, for every q (in C order over the Smith diagonal) and
+    every nonzero rho; a drawn coset then looks its row up by its
+    mixed-radix index.  The trials of a lattice are drawn and decided in
+    blocks of about BLOCK_CELLS table entries, one call per block, which
+    yields the same stream as drawing them trial by trial and bounds the
+    memory.
     """
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
@@ -99,18 +104,16 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
         dual = dual_structure_from_basis(basis)
         det = dual.det
         eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
-        reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64)
+        reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64).reshape(-1, d)
+        r = dual.scaled_coset(np.indices(dual.snf_diag).reshape(d, -1).T) @ reps.T % det
+        far = np.minimum(r, det - r) > eps_scaled  # det x (det - 1)
         block = max(1, BLOCK_CELLS // (m * det))
         successes = 0
         for start in range(0, trials, block):
-            rows = min(block, trials - start)
-            cosets = dual.scaled_coset(rng.integers(0, dual.snf_diag, size=(rows, m, d)))
-            if det > 1:
-                r = cosets @ reps.T % det  # rows x m x (det - 1)
-                dist = np.minimum(r, det - r)
-                successes += int(np.all(np.any(dist > eps_scaled, axis=1), axis=1).sum())
-            else:
-                successes += rows  # no nonzero cosets to separate
+            x = rng.integers(0, dual.snf_diag, size=(min(block, trials - start), m, d))
+            hits = far[np.ravel_multi_index(np.moveaxis(x, -1, 0), dual.snf_diag)]  # rows x m x (det - 1)
+            # at det = 1 there is no nonzero coset to separate, and all() of nothing holds
+            successes += int(np.all(np.any(hits, axis=1), axis=1).sum())
         verdict = frequency_verdict(successes, trials, 0.25)
         verdict["basis"] = basis
         verdict["det"] = det
@@ -202,9 +205,11 @@ def short_cover_suite(n_lattices: int = 100, seed: int = 0, k_max: int = 5, entr
             m = [[int(rng.integers(-entry_bound, entry_bound + 1)) for _ in range(k)] for _ in range(k)]
             if intmat.determinant(m):
                 break
-        basis = LatticeBasis(vectors=tuple(tuple(r) for r in m))
-        first = lll_reduce(basis).basis.vectors[0]
-        T = math.isqrt(sum(x * x for x in first)) + 1
+        # extraction reduces again, which leaves a reduced basis as it is;
+        # enumeration lists the same vectors on any basis, in fewer nodes
+        # on a reduced one
+        basis = lll_reduce(LatticeBasis(vectors=tuple(tuple(r) for r in m))).basis
+        T = math.isqrt(sum(x * x for x in basis.vectors[0])) + 1
         gens = extract_short_generators(basis, T * T)
         short = enumerate_lattice_vectors(basis, T * T)
         checked_vectors += len(short)
@@ -302,10 +307,16 @@ SUITES = {
 }
 
 
+def unknown_suite(names) -> str | None:
+    """Why `names` cannot be run, if one of them is not a suite."""
+    unknown = [name for name in names if name not in SUITES]
+    return f"unknown suite {unknown[0]!r}; options: {sorted(SUITES)}" if unknown else None
+
+
 def run_suites(names, trials: int = 2000, seed: int = 0) -> dict:
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; options: {sorted(SUITES)}")
-        results.append(SUITES[name](trials, seed))
+    """Run the named suites in order; an unknown name is refused before any runs."""
+    problem = unknown_suite(names)
+    if problem:
+        raise ParameterError(problem)
+    results = [SUITES[name](trials, seed) for name in names]
     return {"suites": results, "passed": all(r["passed"] for r in results)}

@@ -454,10 +454,10 @@ def cmd_check(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     names = {"all": sorted(checks.SUITES), "none": []}.get(args.suite, [args.suite])
-    try:
-        results = checks.run_suites(names, trials=args.trials, seed=seed)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
+    problem = checks.unknown_suite(names)
+    if problem:
+        raise UsageError(problem)
+    results = checks.run_suites(names, trials=args.trials, seed=seed)
     report = make_report("check", seed, {"suite": args.suite, "trials": args.trials}, results, started)
     emit(report, args)
     if not args.json:

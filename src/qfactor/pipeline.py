@@ -29,12 +29,14 @@ from .gauss import GaussParams, sample_Q_many
 from .gauss import sample_Q  # not called here; kept bound for perfbench's tracer
 from .latred import build_extended_lattice, recover_relation_vectors
 from .qsim import (
+    JointState,
     apply_exponentiation,
+    branch_distribution,
     build_gaussian_state,
     outcome_cdf,
-    qft_measure_distribution,
     sample_measurement,
 )
+from .qsim import qft_measure_distribution  # not called here; kept bound for perfbench's tracer
 from .relattice import (
     DualStructure,
     RelationLattice,
@@ -190,23 +192,36 @@ class FactoringOutcome:
 
 def draw_samples(
     seed: int, attempt: int, m: int, params: GaussParams, dual: DualStructure,
-    P: np.ndarray | None = None, cdf: np.ndarray | None = None,
+    joint: JointState | None = None,
 ) -> list[dict]:
     """The m samples of one attempt, as transcript entries {"v", "w_indices"}.
 
     Sample i draws from its own stream SeedSequence(seed, spawn_key=(attempt, i)),
-    so every sample reproduces on its own.  Without P the classical oracle
-    draws a dual coset v and a grid point around it, all m in one batch;
-    with P, the statevector outcome distribution, the grid point is measured
-    and v is None.  cdf, the cumulative sums of P.ravel(), spares a caller
-    that draws from P again its recomputation.
+    so every sample reproduces on its own.  Without joint the classical
+    oracle draws a dual coset v and a grid point around it, all m in one
+    batch.  With joint, the statevector after exponentiation, the register
+    is measured first (its value is never read after the transform, so
+    this leaves the distribution of w as it is): the sample's first uniform
+    picks a branch by its mass, its second a grid point from that branch's
+    outcome row, and v is None.  Each distinct drawn branch is transformed
+    once, in ascending order, and dropped before the next.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
             for i in range(m)]
-    if P is None:
+    if joint is None:
         return [{"v": [str(x) for x in v], "w_indices": list(samp.indices)}
                 for v, samp in sample_Q_many(dual, params, rngs)]
-    return [{"v": None, "w_indices": list(sample_measurement(P, rng, cdf))} for rng in rngs]
+    masses = joint.branch_masses()
+    branches = [sample_measurement(masses, rng)[0] for rng in rngs]
+    w = [None] * m
+    for k in sorted(set(branches)):
+        row = branch_distribution(joint, k)
+        cdf = outcome_cdf(row)
+        for i in range(m):
+            if branches[i] == k:
+                w[i] = sample_measurement(row, rngs[i], cdf)
+        del row, cdf
+    return [{"v": None, "w_indices": list(indices)} for indices in w]
 
 
 @dataclass(frozen=True)
@@ -286,16 +301,14 @@ def run_factoring(config: PipelineConfig) -> FactoringOutcome:
     rel, params, transcript = prep.rel, prep.params, prep.transcript
     d, D = rel.d, params.D
     delta_sq = Fraction(d, 2 * prep.R * prep.R)
-    P = cdf = None
+    joint = None
     if config.mode == "statevector":
         joint = apply_exponentiation(build_gaussian_state(params), rel)
-        P = qft_measure_distribution(joint)
-        cdf = outcome_cdf(P)
 
     attempts = []
     transcript["attempts"] = attempts
     for attempt in range(config.max_attempts):
-        record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, P, cdf),
+        record: dict = {"samples": draw_samples(config.seed, attempt, prep.m, params, prep.dual, joint),
                         "candidates": [], "factor": None}
         attempts.append(record)
         ext = build_extended_lattice(d, [s["w_indices"] for s in record["samples"]], D)

@@ -4,11 +4,14 @@ The register holds amplitudes over {0..D-1}^d in offset encoding (index i
 stands for the integer i - D/2).  The pipeline is: Gaussian state over the
 box, group-element register attached in superposition, per-axis Fourier
 transform over Z_D, exact outcome distribution.  The joint state is kept
-compact (the amplitudes plus one group-element label per grid cell), and
-the transform expands the branches a block at a time into one reused
-buffer, so no dense array per group element is ever built.  A wrapped
-variant of the state (Gaussian mass folded modulo D) backs the
-truncation-error checks.
+compact: the amplitudes, one group-element label per grid cell, and each
+branch's cells as one slice of a single index array.  The transform takes
+one branch at a time (branch_distribution), so no more than one dense
+branch is ever held; the full outcome table is the sum of the branch rows.
+A reader that only draws from the table can measure the register first
+and transform just the branches its draws land on.  A wrapped variant of
+the state (Gaussian mass folded modulo D) backs the truncation-error
+checks.
 """
 
 from __future__ import annotations
@@ -32,12 +35,6 @@ BOX_GUARD = 1 << 24
 # Gaussian weights beyond this many radii are below 2^-80 even after summing
 # a desk-scale box, so enumeration can stop there.
 _BOX_RADII = 4.5
-
-# Complex cells (16 bytes each) in the Fourier buffer: 8 MB, several
-# branches per transform call at desk-scale grids.  numpy plans every
-# transform call afresh, so fewer calls save time; a bounded buffer keeps
-# peak memory well below one dense array per branch.
-_BLOCK_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,9 @@ class JointState:
     and labels[idx] is the position in elements of the element the register
     holds at grid cell idx.  Branch k, the grid state entangled with
     register value elements[k], is the amplitudes where labels == k and 0
-    elsewhere.
+    elsewhere.  Its cells, as flat indices in computational order (each
+    axis rolled by D/2, as the transform reads them), are
+    cells[spans[k, 0]:spans[k, 1]], in ascending order.
     """
 
     d: int
@@ -72,9 +71,17 @@ class JointState:
     amplitudes: np.ndarray
     elements: tuple[int, ...]
     labels: np.ndarray
+    cells: np.ndarray
+    spans: np.ndarray
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def branch_masses(self) -> np.ndarray:
+        """The squared norm of each branch, sum |amp|^2 over its cells: the
+        probability of each register value, were the register measured."""
+        return np.bincount(self.labels.ravel(), weights=np.abs(self.amplitudes.ravel()) ** 2,
+                           minlength=len(self.elements))
 
 
 def _axis_weights(D: int, R: float) -> np.ndarray:
@@ -104,8 +111,11 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
     untouched.  The whole grid of group elements comes from per-axis power
     tables (see _grid_group_elements), and each cell gets the label of its
-    element in first-appearance order.  Guarded by |image| * D^d against
-    memory blowup.
+    element in first-appearance order.  One stable sort of the grid, read
+    in computational order, groups the cells of each element into one run:
+    the runs are the branches' cell slices, and the least offset index in
+    a run orders the elements.  Guarded by |image| * D^d against memory
+    blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -113,59 +123,68 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
         raise ParameterError("instance dimension does not match the state")
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
-    e = _grid_group_elements(inst.a, inst.N, D, 0).ravel()
-    elements, first, which = np.unique(e, return_index=True, return_inverse=True)
-    order = np.argsort(first)
+    e = _grid_group_elements(inst.a, inst.N, D, 0)
+    offset = np.arange(D ** d).reshape(e.shape)  # the offset index of each cell
+    for axis in range(d):
+        e = np.roll(e, D // 2, axis=axis)
+        offset = np.roll(offset, D // 2, axis=axis)
+    e, offset = e.ravel(), offset.ravel()
+    # numpy's stable sort takes integers of at most 16 bits by radix
+    cells = np.argsort(e.astype(np.uint16) if inst.N <= 1 << 16 else e, kind="stable")
+    grouped = e[cells]
+    starts = np.flatnonzero(_run_starts(grouped))
+    stops = np.append(starts[1:], e.size)
+    offset = offset[cells]
+    order = np.argsort(np.minimum.reduceat(offset, starts))  # runs by first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
+    labels = np.empty(e.size, dtype=np.intp)
+    labels[offset] = np.repeat(rank, stops - starts)
     return JointState(
         d=d,
         D=D,
         amplitudes=state.amplitudes,
-        elements=tuple(int(x) for x in elements[order]),
-        labels=rank[which].reshape((D,) * d),
+        elements=tuple(int(x) for x in grouped[starts[order]]),
+        labels=labels.reshape((D,) * d),
+        cells=cells,
+        spans=np.stack([starts[order], stops[order]], axis=1),
     )
+
+
+def branch_distribution(joint: JointState, k: int) -> np.ndarray:
+    """Branch k's squared-magnitude outcome row |F(branch_k)|^2.
+
+    The branch is scattered in computational (mod D) order into an
+    otherwise zero grid, transformed by ifftn and scaled by D^(d/2); entry
+    [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D)
+    jointly with register value elements[k].  The transform over Z_D^d has
+    kernel exp(+2 pi i <w, z> / D).
+    """
+    d, D = joint.d, joint.D
+    amps = joint.amplitudes
+    for axis in range(d):
+        amps = np.roll(amps, D // 2, axis=axis)
+    take = joint.cells[joint.spans[k, 0]:joint.spans[k, 1]]
+    row = np.zeros(D ** d, dtype=complex)
+    row[take] = amps.ravel()[take]
+    grid = row.reshape((D,) * d)
+    np.fft.ifftn(grid, out=grid)
+    row *= D ** (d / 2)
+    mag = np.abs(row)
+    return np.square(mag, out=mag).reshape((D,) * d)
 
 
 def qft_measure_distribution(joint: JointState) -> np.ndarray:
     """Exact outcome distribution of the measurement after the transform.
 
-    Each group-element branch is transformed separately and the squared
-    magnitudes are summed in branch order (the register is discarded);
-    entry [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D).
-    The transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).
-
-    Branches go through in blocks of rows of one reused buffer: each block
-    is scattered in computational (mod D) order, transformed by one ifftn
-    over its grid axes and scaled in place.
+    The register is discarded, so the table is the sum of the branch rows
+    of branch_distribution, added in branch order; entry [k_1..k_d] is the
+    probability of outcome w = (k_1/D, ..., k_d/D).
     """
-    d, D = joint.d, joint.D
-    cells = D ** d
-    amps, labels = joint.amplitudes, joint.labels
-    for axis in range(d):
-        amps = np.roll(amps, D // 2, axis=axis)
-        labels = np.roll(labels, D // 2, axis=axis)
-    amps, labels = amps.ravel(), labels.ravel()
-    n = len(joint.elements)
-    rows = max(1, min(n, _BLOCK_CELLS // cells))
-    buf = np.empty((rows, cells), dtype=complex)
-    mag = np.empty(cells)
-    P = np.zeros(cells)
-    scale = D ** (d / 2)
-    for k0 in range(0, n, rows):
-        k1 = min(k0 + rows, n)
-        block = buf[: k1 - k0]
-        block.fill(0)
-        sel = np.flatnonzero((labels >= k0) & (labels < k1))
-        block.reshape(-1)[(labels[sel] - k0) * cells + sel] = amps[sel]
-        grid = block.reshape((k1 - k0,) + (D,) * d)
-        np.fft.ifftn(grid, axes=range(1, d + 1), out=grid)
-        block *= scale
-        for row in block:
-            np.abs(row, out=mag)
-            np.square(mag, out=mag)
-            P += mag
-    return P.reshape((D,) * d)
+    P = np.zeros((joint.D,) * joint.d)
+    for k in range(len(joint.elements)):
+        P += branch_distribution(joint, k)
+    return P
 
 
 def outcome_cdf(P: np.ndarray) -> np.ndarray:
@@ -189,6 +208,14 @@ class GapResult:
     z1: float
     z2: float
     ratio: float  # Z1 / Z2
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the positions of a sorted array where a new value begins."""
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
 
 def _grid_group_elements(a, N: int, size: int, lo: int) -> np.ndarray:
@@ -245,13 +272,16 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     for i in range(d):
         cell = cell * D + ((flat[i] + D // 2) % D)
         in_box &= (flat[i] >= -D // 2) & (flat[i] < D // 2)
-    uniq, branch_idx = np.unique(e_vals, return_inverse=True)
-    n_branch = uniq.size
-    size = n_branch * D ** d
+    ordered = np.sort(e_vals)
+    uniq = ordered[_run_starts(ordered)]
+    branch_idx = np.searchsorted(uniq, e_vals)
+    size = uniq.size * D ** d
     # bincount adds the weights in input order, as a per-point loop would
     a2 = np.bincount(branch_idx * D ** d + cell, weights=rho_vals, minlength=size)
     a1 = np.bincount(branch_idx[in_box] * D ** d + cell[in_box], weights=rho_vals[in_box], minlength=size)
-    z1 = math.sqrt(float((a1 ** 2).sum()))
-    z2 = math.sqrt(float((a2 ** 2).sum()))
-    gap = math.sqrt(float(((a1 / z1 - a2 / z2) ** 2).sum()))
+    sq = np.square(a1)
+    z1 = math.sqrt(float(sq.sum()))
+    z2 = math.sqrt(float(np.square(a2, out=sq).sum()))
+    diff = np.subtract(np.divide(a1, z1, out=a1), np.divide(a2, z2, out=a2), out=a1)
+    gap = math.sqrt(float(np.square(diff, out=diff).sum()))
     return GapResult(gap=gap, z1=z1, z2=z2, ratio=z1 / z2)

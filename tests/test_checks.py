@@ -3,8 +3,10 @@
 The references below draw and decide one trial at a time, as the suites
 did before their trials were batched; a batched suite must return the same
 dict for every seed and trial count, whether its trials fit in one block
-or are split into several.  The exact binomial p-value is held to its
-scalar loop the same way.
+or are split into several.  The short-cover suite, which reduces each
+lattice once, is held to the form that extracts and enumerates on the
+unreduced basis.  The exact binomial p-value is held to its scalar loop
+the same way.
 """
 
 import itertools
@@ -14,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfactor import checks
+from qfactor import checks, intmat
+from qfactor.arith import ParameterError
 from qfactor.checks import (
     BLOCK_CELLS,
     _full_rank_mod_p,
@@ -23,8 +26,11 @@ from qfactor.checks import (
     binomial_lower_pvalue,
     frequency_verdict,
     generation_suite,
+    run_suites,
     separation_suite,
+    short_cover_suite,
 )
+from qfactor.latred import LatticeBasis, enumerate_lattice_vectors, extract_short_generators, lll_reduce
 from qfactor.relattice import dual_structure_from_basis
 
 
@@ -130,6 +136,58 @@ def test_separation_reference_seeds_reach_a_unimodular_lattice():
     # compared above
     dets = {case["det"] for seed in range(5) for case in separation_suite(trials=1, seed=seed)["cases"]}
     assert 1 in dets
+
+
+def short_cover_suite_reference(n_lattices=100, seed=0, k_max=5, entry_bound=20):
+    """Reduce once for T, then extract (reducing again) and enumerate on the
+    basis as drawn."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    checked_vectors = 0
+    for case in range(n_lattices):
+        k = int(rng.integers(2, k_max + 1))
+        while True:
+            m = [[int(rng.integers(-entry_bound, entry_bound + 1)) for _ in range(k)] for _ in range(k)]
+            if intmat.determinant(m):
+                break
+        basis = LatticeBasis(vectors=tuple(tuple(r) for r in m))
+        first = lll_reduce(basis).basis.vectors[0]
+        T = math.isqrt(sum(x * x for x in first)) + 1
+        gens = extract_short_generators(basis, T * T)
+        short = enumerate_lattice_vectors(basis, T * T)
+        checked_vectors += len(short)
+        norm_cap = k * (1 << k) * T * T
+        for g in gens:
+            if sum(x * x for x in g) > norm_cap:
+                failures.append({"case": case, "kind": "norm", "vector": list(g)})
+        if gens:
+            rows = intmat.hermite_basis([list(g) for g in gens], k)
+            for v in short:
+                if not intmat.lattice_contains(rows, list(v)):
+                    failures.append({"case": case, "kind": "cover", "vector": list(v)})
+        elif short:
+            failures.append({"case": case, "kind": "cover-empty", "count": len(short)})
+    return {
+        "name": "short-cover",
+        "passed": not failures,
+        "lattices": n_lattices,
+        "vectors_checked": checked_vectors,
+        "failures": failures[:10],
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_short_cover_suite_matches_two_reduction_reference(seed):
+    assert short_cover_suite(seed=seed) == short_cover_suite_reference(seed=seed)
+
+
+def test_run_suites_refuses_an_unknown_name_before_any_suite_runs(monkeypatch):
+    def refuse(trials, seed):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(checks.SUITES, "tail", refuse)
+    with pytest.raises(ParameterError, match="unknown suite 'nonsense'"):
+        run_suites(["tail", "nonsense"])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfactor import checks
 from qfactor.arith import FactorFound, ParameterError, ResourceLimitError
 from qfactor.cli import build_parser, json_text, main, validate_report, load_schema
 from qfactor.gauss import GaussParams
@@ -443,6 +444,14 @@ def test_check_unknown_suite_usage_error(capsys):
         "error: unknown suite 'nonsense'; options: "
         "['generation', 'poisson', 'separation', 'short-cover', 'tail']\n"
     )
+
+
+def test_check_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
+    # a suite that reads a missing key is a bug: it propagates, and is not
+    # reported as an unknown suite with exit 64
+    monkeypatch.setitem(checks.SUITES, "poisson", lambda trials, seed: {}["missing"])
+    with pytest.raises(KeyError, match="missing"):
+        main(["check", "--suite", "poisson", "--trials", "3"])
 
 
 @pytest.mark.parametrize("argv", [["check", "--suite", "none"], ["factor", "--n", "15", "--d", "1", "--json"]])

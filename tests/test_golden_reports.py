@@ -33,9 +33,9 @@ GOLDEN = [
     (["sample", "--n", "437", "--d", "3", "--seed", "1"],
      "d6f468f7529407d05bebd7a01289ec3c708cec4acd4963b6f7a1d29024e0886a"),
     (["factor", "--n", "77", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "d566d214b33267cb13487ac937f6d3582c95747b32f72963d4386238420fcb89"),
+     "e13eb9b98f99740d8a4a606efd8acaef03c058f80c3f97c1a9c78bd40aed92ac"),
     (["factor", "--n", "91", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "36156b371adfac75f8cbb304277dce6cc9c9a52b9d6e3a1429734ca93cb053f8"),
+     "223448c1bb974cb8160564ec6b72403eb154cb7ce363901908da9fbaa83bbeca"),
 ]
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
-from qfactor.gauss import sample_Qv
+from qfactor.checks import binomial_lower_pvalue
+from qfactor.gauss import GaussParams, sample_Qv
 from qfactor.pipeline import (
     ASSUMPTION_VIOLATED,
     ATTEMPTS_EXHAUSTED,
@@ -20,7 +22,14 @@ from qfactor.pipeline import (
     select_radius,
     tradeoff_rows,
 )
-from qfactor.relattice import build_relation_lattice
+from qfactor.qsim import (
+    apply_exponentiation,
+    branch_distribution,
+    build_gaussian_state,
+    qft_measure_distribution,
+    sample_measurement,
+)
+from qfactor.relattice import build_relation_lattice, dual_cosets
 
 
 def draw_samples_reference(seed, attempt, m, params, dual):
@@ -73,6 +82,62 @@ def test_factor_statevector_mode():
     assert out.status == FACTORED and out.factor in (3, 5)
     # samples carry no coset label in this mode
     assert out.transcript["attempts"][0]["samples"][0]["v"] is None
+
+
+def statevector_for(N, d, D, R):
+    rel = build_relation_lattice(FactoringInstance.build(N, d))
+    params = GaussParams(R=R, D=D, d=d)
+    return params, dual_cosets(rel), apply_exponentiation(build_gaussian_state(params), rel)
+
+
+@pytest.mark.parametrize("N,d,D,R", [
+    (77, 1, 64, 8.0), (77, 2, 16, 4.0),
+    (15, 1, 8192, 4096.0),  # the grid statevector `factor` builds for 15 at d = 1
+])
+def test_statevector_sample_reproduces_on_its_own_stream(N, d, D, R):
+    # sample i, drawn alone on its stream (branch by mass, then a cell of
+    # that branch's row), lands where it lands within an attempt of m
+    params, dual, joint = statevector_for(N, d, D, R)
+    masses = joint.branch_masses()
+    branches = set()
+    for seed, attempt in [(0, 0), (5, 3)]:
+        got = draw_samples(seed, attempt, 8, params, dual, joint)
+        for i, sample in enumerate(got):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
+            k = sample_measurement(masses, rng)[0]
+            branches.add(k)
+            want = sample_measurement(branch_distribution(joint, k), rng)
+            assert sample == {"v": None, "w_indices": list(want)}
+    assert len(branches) > 1
+
+
+@pytest.mark.parametrize("N,D,R", [(15, 64, 2.0), (77, 64, 8.0)])
+def test_branch_first_draws_follow_the_outcome_table(N, D, R):
+    # every cell's count among n draws lies within both exact binomial
+    # tails of its probability in the full table, at 1e-3 over all cells
+    params, dual, joint = statevector_for(N, 1, D, R)
+    P = qft_measure_distribution(joint).ravel()
+    p = P / P.sum()
+    n = 10_000
+    counts = np.bincount([s["w_indices"][0] for s in draw_samples(11, 0, n, params, dual, joint)], minlength=D)
+    alpha = 1e-3 / D
+    for c, q in zip(counts.tolist(), p.tolist()):
+        assert binomial_lower_pvalue(c, n, q) >= alpha
+        assert binomial_lower_pvalue(n - c, n, 1 - q) >= alpha
+
+
+def test_statevector_draws_hold_one_branch_row_at_a_time():
+    # the 77/d=1 statevector job: 15 branches of 2^17 cells; the full
+    # outcome table and its transform took 15 MB
+    prep = prepare(PipelineConfig(N=77, d=1, mode="statevector"))
+    joint = apply_exponentiation(build_gaussian_state(prep.params), prep.rel)
+    tracemalloc.start()
+    try:
+        draw_samples(1, 0, prep.m, prep.params, prep.dual, joint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_even_input_resolved_at_precheck():

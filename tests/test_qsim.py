@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -5,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfactor import qsim
 from qfactor.arith import FactoringInstance, ResourceLimitError, product_tree_exponentiation
 from qfactor.gauss import GaussParams, q_table
+from qfactor.pipeline import draw_samples
 from qfactor.qsim import (
     JointState,
     _axis_weights,
     _grid_group_elements,
     apply_exponentiation,
+    branch_distribution,
     build_gaussian_state,
     outcome_cdf,
     phi1_phi2_gap,
@@ -41,15 +43,20 @@ def dense_branches(joint):
     return branches
 
 
+def branch_distribution_reference(branch, D, d):
+    """The per-branch transform of a dense branch: roll to computational
+    order, ifftn, scale, squared magnitudes."""
+    phys = branch
+    for axis in range(d):
+        phys = np.roll(phys, D // 2, axis=axis)
+    return np.abs(np.fft.ifftn(phys) * D ** (d / 2)) ** 2
+
+
 def qft_measure_distribution_reference(branches, D, d):
-    """The per-branch transform: roll to computational order, ifftn, scale,
-    and add the squared magnitudes to P one branch at a time."""
+    """The branch rows added to P one branch at a time."""
     P = np.zeros((D,) * d)
     for branch in branches.values():
-        phys = branch
-        for axis in range(d):
-            phys = np.roll(phys, D // 2, axis=axis)
-        P += np.abs(np.fft.ifftn(phys) * D ** (d / 2)) ** 2
+        P += branch_distribution_reference(branch, D, d)
     return P
 
 
@@ -278,14 +285,27 @@ def test_wrapped_mass_oracle_tiny_case():
 
 def apply_exponentiation_reference(state, rel):
     """The per-point register attachment: one exponentiation per grid point,
-    each new group element labelled in the order the grid first reaches it."""
+    each new group element labelled in the order the grid first reaches it;
+    branch k's cells are found by a mask over the rolled labels and laid
+    out in branch order."""
     d, D = state.d, state.D
     elements = {}
     labels = np.empty((D,) * d, dtype=np.intp)
     for idx in itertools.product(range(D), repeat=d):
         e = product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
         labels[idx] = elements.setdefault(e, len(elements))
-    return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels)
+    rolled = labels
+    for axis in range(d):
+        rolled = np.roll(rolled, D // 2, axis=axis)
+    per_branch = [np.flatnonzero(rolled.ravel() == k) for k in range(len(elements))]
+    sizes = np.array([len(c) for c in per_branch])
+    stops = np.cumsum(sizes)
+    return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels,
+                      cells=np.concatenate(per_branch), spans=np.stack([stops - sizes, stops], axis=1))
+
+
+def branch_cells(joint, k):
+    return joint.cells[joint.spans[k, 0]:joint.spans[k, 1]]
 
 
 def assert_same_joint_state(rel, params):
@@ -296,6 +316,8 @@ def assert_same_joint_state(rel, params):
     assert all(type(e) is int for e in got.elements)
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.amplitudes, want.amplitudes)
+    for k in range(len(want.elements)):
+        assert np.array_equal(branch_cells(got, k), branch_cells(want, k))
     got_branches, want_branches = dense_branches(got), dense_branches(want)
     assert list(got_branches) == list(want_branches)
     for e, branch in want_branches.items():
@@ -349,19 +371,74 @@ def test_wrapped_mass_above_int64_tables():
     assert res.gap <= 2.0 * 2.0**-1
 
 
-@pytest.mark.parametrize("N,d,D,rows", [
-    (77, 1, 64, 4),  # 15 branches: three full blocks and one of three rows
-    (77, 1, 64, 1),  # one row per transform call
-    (221, 2, 16, 5),  # 48 branches over d = 2
-    (77, 3, 8, 2),  # 15 branches over d = 3
-])
-def test_blocked_transform_matches_per_branch_reference(monkeypatch, N, d, D, rows):
-    monkeypatch.setattr(qsim, "_BLOCK_CELLS", rows * D**d)
+@pytest.mark.parametrize("N,d,D", [(77, 1, 64), (221, 2, 16), (77, 3, 8)])
+def test_branch_rows_match_per_branch_reference(N, d, D):
     joint = apply_exponentiation(build_gaussian_state(GaussParams(R=D / 4, D=D, d=d)), rel_for(N, d))
-    n = len(joint.elements)
-    assert rows == 1 or n % rows != 0
+    for k, branch in enumerate(dense_branches(joint).values()):
+        assert np.array_equal(branch_distribution(joint, k), branch_distribution_reference(branch, D, d))
     want = qft_measure_distribution_reference(dense_branches(joint), D, d)
     assert np.array_equal(qft_measure_distribution(joint), want)
+
+
+@pytest.mark.parametrize("N,d,D,m", [
+    (77, 1, 64, 4),  # four samples an attempt: several drawn branches, each transformed once
+    (77, 1, 64, 1),  # one sample an attempt: one branch transformed per call
+])
+def test_blocked_transform_matches_per_branch_reference(N, d, D, m):
+    # an attempt's draws, transformed branch by branch for the branches
+    # they land on, match draws from the dense per-branch reference rows
+    # with the reference masses, on the same streams; at R = 10 neither the
+    # masses nor the rows are all alike, so a wrong mass or a wrong row
+    # moves some draw
+    rel = rel_for(N, d)
+    params = GaussParams(R=10.0, D=D, d=d)
+    joint = apply_exponentiation(build_gaussian_state(params), rel)
+    branches = list(dense_branches(joint).values())
+    masses = np.array([np.vdot(b, b).real for b in branches])
+    most = 0
+    for seed, attempt in itertools.product(range(8), range(4)):
+        drawn = set()
+        for i, sample in enumerate(draw_samples(seed, attempt, m, params, dual_cosets(rel), joint)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
+            k = sample_measurement(masses, rng)[0]
+            drawn.add(k)
+            want = sample_measurement(branch_distribution_reference(branches[k], D, d), rng)
+            assert sample == {"v": None, "w_indices": list(want)}
+        most = max(most, len(drawn))
+    if m > 1:
+        assert most > 1  # some attempt transformed more than one branch
+
+
+# sha256 of qft_measure_distribution(...).tobytes() on the exact-lab grids:
+# the outcome table stays bit-identical
+OUTCOME_TABLE_DIGESTS = [
+    # the grids statevector `factor` builds for these N at d = 1
+    (15, 1, 8192, 4096.0, "2c6b33e7db94ec7f0f552212b4b8435f4c91724b7458eb502f9ed6d3547dc4bb"),
+    (35, 1, 32768, 16384.0, "c53cb9cd7d86c1fa226de8f951ed9f228271181d0cb03acbe4909505a4b81250"),
+    (91, 1, 65536, 32768.0, "52d0bf78f45a7d59af1d93bcbb9925138640c1d8c0d0b0452794d0251f606f3a"),
+    (77, 1, 131072, 65536.0, "d0838ae3bab476cd091ec9999a99e33fd509bfed7cc7a22052dc3c81021cf8b4"),
+    # the grids of `simulate --n 77 --sweep "1:16:4;2:32:8;3:32:4.62"`
+    (77, 1, 16, 4.0, "fad3fc8658d0ab601cc745219d092261e104beb0a8eafb70dd8f7f5123ec2be8"),
+    (77, 2, 32, 8.0, "181a71afaf2a8ea4d2baf9cb661208244f1f7f7eae7f65618f29bad0e3d9125e"),
+    (77, 3, 32, 4.62, "cfc0e5c84f8c5d3162311331d11b0a6c568ed671c587e3b019ee773b15befcd8"),
+]
+
+
+@pytest.mark.parametrize("N,d,D,R,digest", OUTCOME_TABLE_DIGESTS,
+                         ids=[f"{N}-{d}-{D}" for N, d, D, *_ in OUTCOME_TABLE_DIGESTS])
+def test_outcome_table_is_pinned_and_sums_the_branch_rows(N, d, D, R, digest):
+    joint = apply_exponentiation(build_gaussian_state(GaussParams(R=R, D=D, d=d)), rel_for(N, d))
+    P = qft_measure_distribution(joint)
+    assert hashlib.sha256(P.tobytes()).hexdigest() == digest
+    total = np.zeros((D,) * d)
+    masses = joint.branch_masses()
+    assert masses.shape == (len(joint.elements),)
+    for k in range(len(joint.elements)):
+        row = branch_distribution(joint, k)
+        assert abs(float(row.sum()) - masses[k]) <= 2.0**-40
+        total += row
+    assert np.array_equal(total, P)
+    assert abs(float(masses.sum()) - joint.norm_sq()) <= 2.0**-40
 
 
 @pytest.mark.parametrize("a,N", [((4,), 77), ((2, 3), 77), ((4, 9, 25), 221), ((2, 256), (1 << 32) + 1)])
