@@ -69,33 +69,36 @@ def frequency_verdict(successes: int, trials: int, guaranteed: float) -> dict:
     }
 
 
-def _random_tiny_lattice(rng, d: int, det_cap: int) -> list[list[int]]:
+def _random_tiny_lattice(rng, d: int) -> list[list[int]]:
     while True:
         m = [[int(rng.integers(-4, 5)) for _ in range(d)] for _ in range(d)]
         det = abs(intmat.determinant(m))
-        if 0 < det <= det_cap:
+        if 0 < det <= 64:
             return m
 
 
-def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> dict:
+def separation_suite(trials: int = 2000, seed: int = 0) -> dict:
     """Uniform dual cosets separate every nonzero primal coset.
 
-    For each tiny lattice, draw m = d+4 uniform cosets of L*/Z^d and check
-    exhaustively that every nonzero element of Z^d/L has some inner product
-    at least eps = (4 det)^{-1/m}/3 away from the integers.  Guaranteed
-    frequency of the event: 1/4.  Whether the coset of quotient element q
-    is far from the integers against primal coset rho is tabulated once
-    per lattice, for every q (in C order over the Smith diagonal) and
-    every nonzero rho; a drawn coset then looks its row up by its
-    mixed-radix index.  The trials of a lattice are drawn and decided in
-    blocks of about BLOCK_CELLS table entries, one call per block, which
-    yields the same stream as drawing them trial by trial and bounds the
-    memory.
+    For each tiny lattice (det <= 64), draw m = d+4 uniform cosets of
+    L*/Z^d and check exhaustively that every nonzero element of Z^d/L has
+    some inner product at least eps = (4 det)^{-1/m}/3 away from the
+    integers.  Guaranteed frequency of the event: 1/4.  Whether the coset
+    of quotient element x is far from the integers against primal coset y
+    is tabulated once per lattice, for every x and every nonzero y, both
+    in C order over the Smith diagonal s: on that diagonal the pairing is
+    sum_j x_j y_j / s_j mod 1 (see DualStructure), so det times it is the
+    integer sum_j x_j y_j (det / s_j) mod det, below d det^2 before the
+    reduction and so exact in int64.  A drawn coset then looks its row up
+    by its mixed-radix index.  The trials of a lattice are drawn and
+    decided in blocks of about BLOCK_CELLS table entries, one call per
+    block, which yields the same stream as drawing them trial by trial and
+    bounds the memory.
     """
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
-    lattices += [_random_tiny_lattice(rng, 2, det_cap) for _ in range(2)]
-    lattices += [_random_tiny_lattice(rng, 3, det_cap) for _ in range(2)]
+    lattices += [_random_tiny_lattice(rng, 2) for _ in range(2)]
+    lattices += [_random_tiny_lattice(rng, 3) for _ in range(2)]
     per_lattice = []
     all_passed = True
     for basis in lattices:
@@ -104,8 +107,8 @@ def separation_suite(trials: int = 2000, seed: int = 0, det_cap: int = 64) -> di
         dual = dual_structure_from_basis(basis)
         det = dual.det
         eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
-        reps = np.array([r for r in dual.quotient_reps() if any(r)], dtype=np.int64).reshape(-1, d)
-        r = dual.scaled_coset(np.indices(dual.snf_diag).reshape(d, -1).T) @ reps.T % det
+        coords = np.indices(dual.snf_diag).reshape(d, -1).T  # every quotient element; 0 first
+        r = coords * [det // s for s in dual.snf_diag] @ coords[1:].T % det
         far = np.minimum(r, det - r) > eps_scaled  # det x (det - 1)
         block = max(1, BLOCK_CELLS // (m * det))
         successes = 0
@@ -159,8 +162,9 @@ def _prime_factors(t: int) -> list[int]:
     return out
 
 
-def generation_suite(trials: int = 2000, seed: int = 0, ranks=(1, 2, 3, 4), moduli=(2, 3, 4)) -> dict:
-    """r+4 uniform elements generate (Z_t)^r with guaranteed frequency 1/2.
+def generation_suite(trials: int = 2000, seed: int = 0) -> dict:
+    """r+4 uniform elements generate (Z_t)^r with guaranteed frequency 1/2,
+    for r = 1..4 and t = 2, 3, 4.
 
     Generation is decided exactly: for each prime p | t the elements must
     have full rank r modulo p.  The trials of an (r, t) case are drawn in
@@ -171,8 +175,8 @@ def generation_suite(trials: int = 2000, seed: int = 0, ranks=(1, 2, 3, 4), modu
     rng = np.random.default_rng(seed)
     cases = []
     all_passed = True
-    for r in ranks:
-        for t in moduli:
+    for r in (1, 2, 3, 4):
+        for t in (2, 3, 4):
             block = max(1, BLOCK_CELLS // ((r + 4) * r))
             successes = 0
             for start in range(0, trials, block):
@@ -189,29 +193,28 @@ def generation_suite(trials: int = 2000, seed: int = 0, ranks=(1, 2, 3, 4), modu
     return {"name": "generation", "passed": all_passed, "cases": cases}
 
 
-def short_cover_suite(n_lattices: int = 100, seed: int = 0, k_max: int = 5, entry_bound: int = 20) -> dict:
+def short_cover_suite(n_lattices: int = 100, seed: int = 0) -> dict:
     """Short-generator extraction covers every short lattice vector.
 
-    Random integer lattices; for each, every enumerated vector of norm <= T
-    must lie in the integer span of the extracted generators, and each
-    generator must respect the sqrt(k) 2^{k/2} T norm bound.  Hard pass/fail.
+    Random integer lattices of rank 2..5 with entries in [-20, 20], each
+    LLL-reduced once; T is just above the first reduced vector's norm.
+    Every enumerated vector of norm <= T must lie in the integer span of
+    the extracted generators, and each generator must respect the
+    sqrt(k) 2^{k/2} T norm bound.  Hard pass/fail.
     """
     rng = np.random.default_rng(seed)
     failures = []
     checked_vectors = 0
     for case in range(n_lattices):
-        k = int(rng.integers(2, k_max + 1))
+        k = int(rng.integers(2, 6))
         while True:
-            m = [[int(rng.integers(-entry_bound, entry_bound + 1)) for _ in range(k)] for _ in range(k)]
+            m = [[int(rng.integers(-20, 21)) for _ in range(k)] for _ in range(k)]
             if intmat.determinant(m):
                 break
-        # extraction reduces again, which leaves a reduced basis as it is;
-        # enumeration lists the same vectors on any basis, in fewer nodes
-        # on a reduced one
-        basis = lll_reduce(LatticeBasis(vectors=tuple(tuple(r) for r in m))).basis
-        T = math.isqrt(sum(x * x for x in basis.vectors[0])) + 1
-        gens = extract_short_generators(basis, T * T)
-        short = enumerate_lattice_vectors(basis, T * T)
+        reduced = lll_reduce(LatticeBasis(vectors=tuple(tuple(r) for r in m)))
+        T = math.isqrt(sum(x * x for x in reduced.basis.vectors[0])) + 1
+        gens = extract_short_generators(reduced, T * T)
+        short = enumerate_lattice_vectors(reduced, T * T)
         checked_vectors += len(short)
         norm_cap = k * (1 << k) * T * T
         for g in gens:
@@ -248,16 +251,17 @@ def _theta_counts(d: int, max_sq: int) -> np.ndarray:
     return out
 
 
-def tail_suite(d_max: int = 6, s_values=(0.75, 1.0, 1.5, 2.0)) -> dict:
-    """Gaussian mass of Z^d beyond radius sqrt(d) s is below 2^-d of the total.
+def tail_suite() -> dict:
+    """Gaussian mass of Z^d beyond radius sqrt(d) s is below 2^-d of the
+    total, for d = 1..6 and s = 0.75, 1, 1.5, 2.
 
     Also: when the shortest nonzero vector exceeds sqrt(d) s, the mass away
     from the origin is at most 2 * 2^-d.
     """
     cases = []
     all_passed = True
-    for d in range(1, d_max + 1):
-        for s in s_values:
+    for d in range(1, 7):
+        for s in (0.75, 1.0, 1.5, 2.0):
             max_sq = int(math.ceil(s * s * (d + 60)))
             counts = _theta_counts(d, max_sq)
             weights = counts * np.exp(-math.pi * np.arange(max_sq + 1) / (s * s))
@@ -277,14 +281,15 @@ def tail_suite(d_max: int = 6, s_values=(0.75, 1.0, 1.5, 2.0)) -> dict:
     return {"name": "tail", "passed": all_passed, "cases": cases}
 
 
-def poisson_suite(scales=(0.5, 1.0, 2.0, 3.0), widths=(0.5, 1.0, math.sqrt(2), 3.0)) -> dict:
+def poisson_suite() -> dict:
     """Summation identity for one-dimensional lattices cZ and Gaussians:
-    sum rho_s(c k) = (s/c) sum exp(-pi s^2 k^2 / c^2), within 2^-40."""
+    sum rho_s(c k) = (s/c) sum exp(-pi s^2 k^2 / c^2), within 2^-40, for
+    c = 0.5, 1, 2, 3 and s = 0.5, 1, sqrt(2), 3."""
     tol = 2.0 ** -40
     cases = []
     all_passed = True
-    for c in scales:
-        for s in widths:
+    for c in (0.5, 1.0, 2.0, 3.0):
+        for s in (0.5, 1.0, math.sqrt(2), 3.0):
             k1 = int(math.ceil(6 * s / c)) + 2
             lhs = sum(math.exp(-math.pi * (c * k) ** 2 / (s * s)) for k in range(-k1, k1 + 1))
             k2 = int(math.ceil(6 * c / s)) + 2

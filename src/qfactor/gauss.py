@@ -61,7 +61,6 @@ class GaussParams:
     R: float
     D: int
     d: int
-    theta_cutoff: int = 0
 
     def __post_init__(self):
         if not 0 < self.R < math.inf:
@@ -74,13 +73,16 @@ class GaussParams:
             raise ResourceLimitError(
                 f"noise width {self.s:.3g} exceeds {WIDTH_CAP:g}; raise the radius R = {self.R:g}"
             )
-        if self.theta_cutoff == 0:
-            object.__setattr__(self, "theta_cutoff", theta_cutoff_for(self.s))
 
     @property
     def s(self) -> float:
         """Noise width of the output distribution."""
         return 1.0 / (math.sqrt(2.0) * self.R)
+
+    @property
+    def theta_cutoff(self) -> int:
+        """Shift radius K of the theta sums at the width s."""
+        return theta_cutoff_for(self.s)
 
     @property
     def window(self) -> int:

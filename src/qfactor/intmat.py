@@ -1,13 +1,13 @@
 """Exact integer-matrix utilities: echelon bases, normal forms, determinants.
 
-Everything works on plain Python ints (arbitrary precision) or Fraction,
-with matrices as lists of rows.  Dimensions stay in the low tens, so
-clarity and exactness win over asymptotics throughout.
+Everything works on plain Python ints (arbitrary precision), with
+matrices as lists of rows.  No Fraction is needed: each elimination step
+divides only for an integer quotient (Euclid's, or Bareiss's exact one).
+Dimensions stay in the low tens, so clarity and exactness win
+over asymptotics throughout.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -33,10 +33,6 @@ def identity(n: int) -> list[list[int]]:
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
-
-
-def mat_vec(m, x):
-    return [dot(row, x) for row in m]
 
 
 def mat_mul(a, b):
@@ -233,31 +229,3 @@ def smith_normal_form(m) -> tuple[list[list[int]], list[int], list[list[int]]]:
                 raise AssertionError("Smith decomposition self-check failed")
     return u, diag, v
 
-
-def inverse_fractions(m) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix, as Fractions."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def unimodular_inverse(m) -> list[list[int]]:
-    """Integer inverse of a unimodular matrix."""
-    inv = inverse_fractions(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out

@@ -2,12 +2,14 @@
 lattice-ball enumeration, and the extended lattice that embeds noisy dual
 samples.
 
-All arithmetic is exact: LLL and enumeration both run on the integer
-Gram-Schmidt data of de Weger and Cohen (Alg. 2.6.7), and enumeration
-scales every squared norm it compares to one common integer denominator.
-Floats only bracket coefficient ranges.  At desk-scale dimensions
-exactness is affordable and removes every floating-point soundness
-question from the downstream guarantees.
+All arithmetic is exact: LLL runs on the integer Gram-Schmidt data of de
+Weger and Cohen (Alg. 2.6.7) and hands its final data to its readers in
+an LLLResult, so short-generator extraction and enumeration read it
+instead of computing it again; each reduced basis has one Gram-Schmidt
+computation.  Enumeration scales every squared norm it compares to one
+common integer denominator.  Floats only bracket coefficient ranges.  At
+desk-scale dimensions exactness is affordable and removes every
+floating-point soundness question from the downstream guarantees.
 """
 
 from __future__ import annotations
@@ -82,12 +84,15 @@ LLL_DELTA = Fraction(3, 4)  # the Lovasz constant
 
 @dataclass(frozen=True)
 class LLLResult:
-    """A reduced basis and its Gram determinants: dets[0] = 1 and
+    """A reduced basis and its integer Gram-Schmidt data, as
+    `_integral_gram_schmidt` defines it: dets[0] = 1 and
     dets[i + 1] = B_0 ... B_i, so B_i = dets[i + 1] / dets[i] is the squared
-    Gram-Schmidt norm of vector i."""
+    Gram-Schmidt norm of vector i, and lam[i][j] = dets[j + 1] mu_ij for
+    j < i."""
 
     basis: LatticeBasis
     dets: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
 
 
 def _integral_gram_schmidt(vecs):
@@ -124,8 +129,9 @@ def lll_reduce(basis) -> LLLResult:
 
     The loop is fraction-free (de Weger 1989; Cohen, Alg. 2.6.7): it keeps
     the integer data (dets, lam) of `_integral_gram_schmidt` and updates
-    it in place on each reduction and swap, with exact divisions only.
-    Row k is size-reduced against k-1 down to 0 before each Lovasz test.
+    it in place on each reduction and swap, with exact divisions only, so
+    the data it returns is that of the reduced basis.  Row k is
+    size-reduced against k-1 down to 0 before each Lovasz test.
     """
     p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     b = _as_basis(basis)
@@ -162,22 +168,26 @@ def lll_reduce(basis) -> LLLResult:
             k = max(k - 1, 1)
         else:
             k += 1
-    return LLLResult(basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)), dets=tuple(dets))
+    return LLLResult(
+        basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
+        dets=tuple(dets),
+        lam=tuple(tuple(row) for row in lam),
+    )
 
 
-def extract_short_generators(basis, norm_bound_sq) -> list[tuple[int, ...]]:
-    """Generators covering every lattice vector of norm <= T, where
-    norm_bound_sq = T^2 (an int or a Fraction, compared exactly).
+def extract_short_generators(reduced: LLLResult, norm_bound_sq) -> list[tuple[int, ...]]:
+    """Generators covering every vector of norm <= T of the lattice that
+    `reduced`, an lll_reduce result, spans, where norm_bound_sq = T^2 (an
+    int or a Fraction, compared exactly).
 
-    LLL-reduce, then keep the prefix z_1..z_l where l is the first index
-    whose Gram-Schmidt norm reaches 2^{k/2} T (all k vectors if none does).
-    Every returned vector has norm at most sqrt(k) 2^{k/2} T, and any
-    lattice vector of norm <= T is an integer combination of the output.
+    Keep the prefix z_1..z_l of the reduced basis, where l is the first
+    index whose Gram-Schmidt norm reaches 2^{k/2} T (all k vectors if none
+    does).  Every returned vector has norm at most sqrt(k) 2^{k/2} T, and
+    any lattice vector of norm <= T is an integer combination of the output.
     """
     t_sq = Fraction(norm_bound_sq)
     if t_sq <= 0:
         raise ParameterError("norm bound must be positive")
-    reduced = lll_reduce(basis)
     k, dets = reduced.basis.rank, reduced.dets
     # B_i >= (2^{k/2} T)^2 = 2^k T^2, cross-multiplied by dets[i] and T^2's denominator
     num, den = (1 << k) * t_sq.numerator, t_sq.denominator
@@ -186,14 +196,15 @@ def extract_short_generators(basis, norm_bound_sq) -> list[tuple[int, ...]]:
 
 
 def enumerate_coefficients(
-    basis, norm_bound_sq, node_cap=None
+    reduced: LLLResult, norm_bound_sq, node_cap=None
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The coefficient rows x of all nonzero lattice vectors sum_i x_i b_i
     of squared norm <= norm_bound_sq (an int or a Fraction), exactly, and
-    the squared norm of each.
+    the squared norm of each, on the basis b of `reduced`, an lll_reduce
+    result.  A negative squared bound raises ParameterError.
 
     Fincke-Pohst enumeration over the integer Gram-Schmidt data (dets, lam)
-    of `_integral_gram_schmidt`.  With B_i = dets[i+1] / dets[i] and
+    that LLL leaves in `reduced`.  With B_i = dets[i+1] / dets[i] and
     mu_ti = lam[t][i] / dets[i+1], coefficient x at level i uses
     (x + sum_{t>i} c_t mu_ti)^2 B_i = (x dets[i+1] + S_i)^2 / (dets[i] dets[i+1])
     of the squared bound, where S_i = sum_{t>i} c_t lam[t][i].  The bound
@@ -208,9 +219,9 @@ def enumerate_coefficients(
     parts sum to M times the squared norm.
     """
     t_sq = Fraction(norm_bound_sq)
-    b = _as_basis(basis)
-    n = b.rank
-    dets, lam = _integral_gram_schmidt(b.vectors)
+    if t_sq < 0:
+        raise ParameterError("squared norm bound must be nonnegative")
+    n, dets, lam = reduced.basis.rank, reduced.dets, reduced.lam
     pairs = [dets[i] * dets[i + 1] for i in range(n)]
     M = math.lcm(t_sq.denominator, *pairs)
     scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
@@ -263,10 +274,11 @@ def combine_rows(basis, rows) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
-    """All nonzero lattice vectors of squared norm <= norm_bound_sq, in the
-    order and under the node cap of enumerate_coefficients."""
-    return combine_rows(basis, enumerate_coefficients(basis, norm_bound_sq, node_cap)[0])
+def enumerate_lattice_vectors(reduced: LLLResult, norm_bound_sq, node_cap=None) -> list[tuple[int, ...]]:
+    """All nonzero vectors of squared norm <= norm_bound_sq of the lattice
+    that `reduced`, an lll_reduce result, spans, in the order and under the
+    node cap of enumerate_coefficients."""
+    return combine_rows(reduced.basis, enumerate_coefficients(reduced, norm_bound_sq, node_cap)[0])
 
 
 @dataclass(frozen=True)
@@ -325,12 +337,13 @@ def recover_relation_vectors(ext: ExtendedLattice, T, delta_sq) -> list[tuple[in
     A relation vector u of norm <= T lifts into the extended lattice with
     norm at most T (1 + m D^2 delta^2)^{1/2} when every sample is within
     delta of its coset, so the short-generator extraction runs at that
-    bound; candidates are the nonzero first-d-coordinate projections.
-    Membership of candidates in the relation lattice is the caller's check.
+    bound on the LLL-reduced embedding; candidates are the nonzero
+    first-d-coordinate projections.  Membership of candidates in the
+    relation lattice is the caller's check.
     """
     t_sq = Fraction(T) ** 2
     lift_sq = t_sq * (1 + ext.m * ext.D ** 2 * Fraction(delta_sq))
-    gens = extract_short_generators(ext.basis, lift_sq)
+    gens = extract_short_generators(lll_reduce(ext.basis), lift_sq)
     seen = set()
     candidates = []
     for g in gens:

@@ -6,10 +6,11 @@ prod b_i^{z_i} into {+-1}.  A vector of L outside L0 exhibits a nontrivial
 square root of unity, and gcd then yields a factor.  L is built exactly by
 coset expansion of the subgroup generated by the a_i, one generator at a
 time, and the quotient L*/Z^d is made samplable through a Smith
-decomposition.
+decomposition, whose diagonal alone pairs dual cosets with primal ones.
 
 The short vectors of L are listed by exact Fincke-Pohst enumeration over an
-LLL-reduced basis (ball_census), as coefficient rows on that basis.  The
+LLL-reduced basis (ball_census), as coefficient rows on that basis; the
+enumeration reads the Gram-Schmidt data the reduction leaves behind.  The
 list is complete because the basis generates all of L: its determinant is
 checked against the subgroup order.  The reduced rows are confirmed in L by
 the homomorphism, so every listed vector is in L by construction, and the
@@ -23,8 +24,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-
-import numpy as np
 
 from . import intmat, latred
 from .arith import (
@@ -150,7 +149,10 @@ class DualStructure:
 
     Built from a Smith decomposition U B V = diag(s) of a basis matrix B of
     L: mapping x in Z_{s_1} x ... x Z_{s_d} through U^T diag(1/s_i) hits
-    every dual coset exactly once, so uniform x gives uniform cosets.
+    every dual coset exactly once, so uniform x gives uniform cosets.  The
+    primal cosets Z^d / L are U^{-1} y for y in the same box, and the two
+    pair through the diagonal alone:
+    <U^T diag(1/s) x, U^{-1} y> = sum_j x_j y_j / s_j.
     """
 
     snf_diag: tuple[int, ...]
@@ -178,27 +180,6 @@ class DualStructure:
     def all_cosets(self):
         for x in itertools.product(*(range(s) for s in self.snf_diag)):
             yield self.coset(x)
-
-    def scaled_coset(self, x) -> np.ndarray:
-        """The cosets for quotient coordinates x, scaled by det into integer
-        vectors mod det: an array of shape (..., d) maps to one of the same
-        shape, one matrix product mod det for all of them."""
-        scale = [
-            [row[j] * (self.det // s) % self.det for j, s in enumerate(self.snf_diag)]
-            for row in self.u_transpose
-        ]
-        # each entry sums d products of two numbers below det
-        dtype = np.int64 if self.d * self.det ** 2 < 1 << 63 else object
-        return np.asarray(x, dtype=dtype) @ np.array(scale, dtype=dtype).T % self.det
-
-    def quotient_reps(self) -> list[tuple[int, ...]]:
-        """Coset representatives of the primal quotient Z^d / L: U^{-1} y
-        for y in Z_{s_1} x ... x Z_{s_d}."""
-        u_inverse = intmat.unimodular_inverse(intmat.transpose(self.u_transpose))
-        return [
-            tuple(intmat.mat_vec(u_inverse, list(y)))
-            for y in itertools.product(*(range(s) for s in self.snf_diag))
-        ]
 
 
 def dual_structure_from_basis(basis_vectors) -> DualStructure:
@@ -257,11 +238,11 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
-    reduced = latred.lll_reduce(rel.basis).basis
+    reduced = latred.lll_reduce(rel.basis)
     rows, norms_sq = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
-    inst, N = rel.inst, rel.inst.N
+    basis, inst, N = reduced.basis, rel.inst, rel.inst.N
     row_signs = []
-    for row in reduced.vectors:
+    for row in basis.vectors:
         if hom_image(inst, row) != 1:
             raise AssertionError(f"reduced row {row} is not a relation")
         row_signs.append(base_product(inst, row))
@@ -282,10 +263,10 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
     witness = None
     if outside:
         least = min(outside_sq)
-        witness = min(latred.combine_rows(reduced, [x for x, sq in zip(outside, outside_sq) if sq == least]))
+        witness = min(latred.combine_rows(basis, [x for x, sq in zip(outside, outside_sq) if sq == least]))
         if classify(rel, witness)["in_sign"] is not False:
             raise AssertionError(f"witness {witness} is not outside the sign sublattice")
-    return BallCensus(basis=reduced, rows=tuple(rows), outside=tuple(outside), witness=witness)
+    return BallCensus(basis=basis, rows=tuple(rows), outside=tuple(outside), witness=witness)
 
 
 def shortest_nontrivial_witness(rel: RelationLattice, bound):

@@ -189,7 +189,7 @@ def test_exponentiation_schedule():
 
 
 def test_tail_and_summation_identities():
-    tail = tail_suite(d_max=6)
+    tail = tail_suite()
     verdict("gaussian_tail_2_to_minus_d", tail["passed"], f"{len(tail['cases'])} cases")
     poisson = poisson_suite()
     worst = max(c["error"] for c in poisson["cases"])

@@ -39,7 +39,7 @@ def census_reference(rel, bound):
     classified on its own: in_L0 confirms it by the homomorphism and then
     tests the sign sublattice.  The witness is the least outside member by
     (squared norm, vector)."""
-    reduced = latred.lll_reduce(rel.basis).basis
+    reduced = latred.lll_reduce(rel.basis)
     members = latred.enumerate_lattice_vectors(reduced, Fraction(bound) ** 2)
     outside = [z for z in members if not in_L0(rel, z)]
     witness = min(outside, key=lambda z: (sum(x * x for x in z), z), default=None)

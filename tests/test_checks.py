@@ -3,10 +3,11 @@
 The references below draw and decide one trial at a time, as the suites
 did before their trials were batched; a batched suite must return the same
 dict for every seed and trial count, whether its trials fit in one block
-or are split into several.  The short-cover suite, which reduces each
-lattice once, is held to the form that extracts and enumerates on the
-unreduced basis.  The exact binomial p-value is held to its scalar loop
-the same way.
+or are split into several.  The separation reference pairs cosets through
+the Smith transform U, where the suite pairs them on the Smith diagonal.
+The short-cover suite, which reduces each lattice once, is held to the
+form that reduces twice and enumerates on the unreduced basis.  The exact
+binomial p-value is held to its scalar loop the same way.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from lattice_reference import quotient_reps, scaled_coset
 
-from qfactor import checks, intmat
+from qfactor import checks, intmat, latred
 from qfactor.arith import ParameterError
 from qfactor.checks import (
     BLOCK_CELLS,
@@ -30,7 +32,7 @@ from qfactor.checks import (
     separation_suite,
     short_cover_suite,
 )
-from qfactor.latred import LatticeBasis, enumerate_lattice_vectors, extract_short_generators, lll_reduce
+from qfactor.latred import LatticeBasis, LLLResult, enumerate_lattice_vectors, extract_short_generators, lll_reduce
 from qfactor.relattice import dual_structure_from_basis
 
 
@@ -74,18 +76,11 @@ def generation_suite_reference(trials=2000, seed=0, ranks=(1, 2, 3, 4), moduli=(
     return {"name": "generation", "passed": all_passed, "cases": cases}
 
 
-def scaled_coset_reference(dual, x):
-    return tuple(
-        sum(row[j] * x[j] * (dual.det // dual.snf_diag[j]) for j in range(dual.d)) % dual.det
-        for row in dual.u_transpose
-    )
-
-
-def separation_suite_reference(trials=2000, seed=0, det_cap=64):
+def separation_suite_reference(trials=2000, seed=0):
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
-    lattices += [_random_tiny_lattice(rng, 2, det_cap) for _ in range(2)]
-    lattices += [_random_tiny_lattice(rng, 3, det_cap) for _ in range(2)]
+    lattices += [_random_tiny_lattice(rng, 2) for _ in range(2)]
+    lattices += [_random_tiny_lattice(rng, 3) for _ in range(2)]
     per_lattice = []
     all_passed = True
     for basis in lattices:
@@ -95,12 +90,12 @@ def separation_suite_reference(trials=2000, seed=0, det_cap=64):
         det = dual.det
         eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det
         reps = np.array(
-            [r for r in dual.quotient_reps() if any(r)], dtype=np.int64
+            [r for r in quotient_reps(dual) if any(r)], dtype=np.int64
         ).reshape(det - 1, d) if det > 1 else None
         successes = 0
         for _ in range(trials):
             cosets = np.array(
-                [scaled_coset_reference(dual, [int(rng.integers(s)) for s in dual.snf_diag])
+                [scaled_coset(dual, [int(rng.integers(s)) for s in dual.snf_diag])
                  for _ in range(m)],
                 dtype=np.int64,
             ).T
@@ -139,8 +134,8 @@ def test_separation_reference_seeds_reach_a_unimodular_lattice():
 
 
 def short_cover_suite_reference(n_lattices=100, seed=0, k_max=5, entry_bound=20):
-    """Reduce once for T, then extract (reducing again) and enumerate on the
-    basis as drawn."""
+    """Reduce once for T, reduce that basis again to extract, and enumerate
+    on the basis as drawn, with its own Gram-Schmidt data."""
     rng = np.random.default_rng(seed)
     failures = []
     checked_vectors = 0
@@ -151,10 +146,12 @@ def short_cover_suite_reference(n_lattices=100, seed=0, k_max=5, entry_bound=20)
             if intmat.determinant(m):
                 break
         basis = LatticeBasis(vectors=tuple(tuple(r) for r in m))
-        first = lll_reduce(basis).basis.vectors[0]
-        T = math.isqrt(sum(x * x for x in first)) + 1
-        gens = extract_short_generators(basis, T * T)
-        short = enumerate_lattice_vectors(basis, T * T)
+        reduced = lll_reduce(basis)
+        T = math.isqrt(sum(x * x for x in reduced.basis.vectors[0])) + 1
+        gens = extract_short_generators(lll_reduce(reduced.basis), T * T)
+        dets, lam = latred._integral_gram_schmidt(basis.vectors)
+        drawn = LLLResult(basis=basis, dets=tuple(dets), lam=tuple(map(tuple, lam)))
+        short = enumerate_lattice_vectors(drawn, T * T)
         checked_vectors += len(short)
         norm_cap = k * (1 << k) * T * T
         for g in gens:

