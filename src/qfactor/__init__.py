@@ -17,7 +17,7 @@ from .arith import (
     precheck,
     product_tree_exponentiation,
 )
-from .gauss import ConcentrationReport, DualSample, GaussParams, concentration_check, rho, sample_Q, sample_Qv
+from .gauss import ConcentrationReport, GaussParams, concentration_check, rho, sample_Q, sample_Qv
 from .latred import (
     ExtendedLattice,
     LatticeBasis,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConcentrationReport",
-    "DualSample",
     "DualStructure",
     "ExtendedLattice",
     "FactorFound",

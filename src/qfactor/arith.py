@@ -1,5 +1,10 @@
 """Modular arithmetic, prime utilities, and the instrumented exponentiation.
 
+The map z -> prod_i x_i^{z_i} mod N is written once, in two forms:
+power_product at one exponent vector, and power_grid over a box of them
+(per-axis power tables, multiplied out by outer products).  The coset
+expansion, the statevector grid and the sign census all use these.
+
 The exponentiation schedule here is the classical inner loop of the whole
 factoring procedure: one full-width squaring of the accumulator per bit of
 the exponent range, with all other multiplications kept on small operands
@@ -12,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -247,17 +254,40 @@ def product_tree_exponentiation(
     return acc
 
 
+def power_product(bases, z, N: int) -> int:
+    """prod_i x_i^{z_i} mod N for arbitrary-sign integer exponents; a
+    negative exponent goes through the modular inverse."""
+    r = 1
+    for x, zi in zip(bases, z, strict=True):
+        r = r * pow(x, int(zi), N) % N
+    return r
+
+
+def power_grid(bases, N: int, sizes, lo: int = 0) -> np.ndarray:
+    """prod_i x_i^{lo + j_i} mod N for every j in the box prod_i {0..sizes[i]-1}.
+
+    Returns an array of shape tuple(sizes), axis i running over the exponent
+    of bases[i]: one power table per axis, built by repeated doubling, and
+    multiplied mod N over the box by outer products.  The entries are int64
+    when N < 2^31, so every product stays below 2^62, and Python ints
+    (dtype object) otherwise.  A negative lo goes through the modular
+    inverse.
+    """
+    dtype = np.int64 if N < 1 << 31 else object
+    grid = np.ones((), dtype=dtype)
+    for x, size in zip(bases, sizes, strict=True):
+        table = np.empty(size, dtype=dtype)
+        table[0] = pow(x, lo, N)
+        filled = 1
+        while filled < size:  # doubling: x^(lo+f+j) = x^(lo+j) * x^f
+            step = min(filled, size - filled)
+            table[filled : filled + step] = table[:step] * pow(x, filled, N) % N
+            filled += step
+        grid = np.multiply.outer(grid, table) % N
+    return grid
+
+
 def hom_image(inst: FactoringInstance, z) -> int:
-    """prod_i a_i^{z_i} mod N for arbitrary-sign integer exponents."""
-    r = 1
-    for ai, zi in zip(inst.a, z, strict=True):
-        r = r * pow(ai, int(zi), inst.N) % inst.N
-    return r
-
-
-def base_product(inst: FactoringInstance, z) -> int:
-    """prod_i b_i^{z_i} mod N for arbitrary-sign integer exponents."""
-    r = 1
-    for bi, zi in zip(inst.b, z, strict=True):
-        r = r * pow(bi, int(zi), inst.N) % inst.N
-    return r
+    """The homomorphism z -> prod_i a_i^{z_i} mod N, for arbitrary-sign
+    integer exponents."""
+    return power_product(inst.a, z, inst.N)

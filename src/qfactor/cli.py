@@ -46,6 +46,7 @@ from .pipeline import (
     FactoringOutcome,
     PipelineConfig,
     certify_assumption,  # not called here; kept bound for perfbench's tracer
+    default_dimension,
     draw_samples,
     estimate_gate_cost,
     prepare,
@@ -416,7 +417,7 @@ def cmd_estimate(args) -> int:
             if eps_values is not None:
                 rows.extend(tradeoff_rows(n, eps_values, C=args.c))
             else:
-                d = args.d if args.d is not None else max(1, math.isqrt(n - 1) + 1)
+                d = args.d if args.d is not None else default_dimension(n)
                 rows.append(estimate_gate_cost(n, d, log2_D=args.log2d, C=args.c))
         if not all(math.isfinite(row.total) for row in rows):
             raise OverflowError

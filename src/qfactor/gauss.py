@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -122,20 +121,6 @@ class GaussParams:
                 f"grid size 2^{D.bit_length() - 1} exceeds the cap 2^62; lower the radius"
             )
         return cls(R=R, D=D, d=d)
-
-
-@dataclass(frozen=True)
-class DualSample:
-    """One grid point w in {0, 1/D, ..., (D-1)/D}^d, stored by indices."""
-
-    indices: tuple[int, ...]
-    params: GaussParams
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.params.D) for k in self.indices)
-
-    def floats(self) -> tuple[float, ...]:
-        return tuple(k / self.params.D for k in self.indices)
 
 
 def rho(s: float, x) -> float:
@@ -253,8 +238,9 @@ def q_table(dual, params: GaussParams) -> np.ndarray:
     return out / count
 
 
-def sample_Qv(v, params: GaussParams, rng) -> DualSample:
-    """Draw one grid point from the single-coset distribution around v.
+def sample_Qv(v, params: GaussParams, rng) -> tuple[int, ...]:
+    """Draw one grid point w = indices / D from the single-coset
+    distribution around v, and return its index tuple.
 
     Per coordinate: inverse CDF over the coordinate's window (window_cdf,
     one call for all d coordinates) at one uniform, drawn in coordinate
@@ -267,7 +253,7 @@ def sample_Qv(v, params: GaussParams, rng) -> DualSample:
         raise ParameterError("coset representative has wrong dimension")
     x = np.array([float(v_j) % 1.0 for v_j in vv])
     indices = _window_draws(x, rng.random(params.d), params)
-    return DualSample(indices=tuple(indices.tolist()), params=params)
+    return tuple(indices.tolist())
 
 
 def sample_Q_many(dual, params: GaussParams, rngs) -> list[tuple]:
@@ -277,7 +263,7 @@ def sample_Q_many(dual, params: GaussParams, rngs) -> list[tuple]:
     This is the classical oracle standing in for the measurement procedure.
     Each generator draws its coset, then its d uniforms, as sample_Qv would;
     the windows of all the draws come from one window_cdf call.  Returns a
-    list of (v, DualSample) with v as exact Fractions.
+    list of (v, w) with v as exact Fractions and w the grid index tuple.
     """
     if dual.d != params.d:
         raise ParameterError("coset representative has wrong dimension")
@@ -288,11 +274,11 @@ def sample_Q_many(dual, params: GaussParams, rngs) -> list[tuple]:
         row[:] = rng.random(params.d)
     x = np.array([[float(v_j) % 1.0 for v_j in v] for v in cosets]).reshape(u.shape)
     indices = _window_draws(x, u, params).tolist()
-    return [(v, DualSample(indices=tuple(w), params=params)) for v, w in zip(cosets, indices)]
+    return [(v, tuple(w)) for v, w in zip(cosets, indices)]
 
 
 def sample_Q(dual, params: GaussParams, rng):
-    """One output sample, (v, DualSample): the one-generator sample_Q_many."""
+    """One output sample, (v, w): the one-generator sample_Q_many."""
     return sample_Q_many(dual, params, [rng])[0]
 
 

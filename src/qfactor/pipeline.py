@@ -125,17 +125,22 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def default_dimension(N: int) -> int:
-    return max(1, _ceil_sqrt(N.bit_length()))
+def default_dimension(n: int) -> int:
+    """The default dimension d = ceil(sqrt(n)) for an n-bit modulus."""
+    return max(1, _ceil_sqrt(n))
 
 
 def default_witness_bound(inst: FactoringInstance) -> int:
     """Pigeonhole-scale radius sqrt(d) 2^{n/d}, clamped so that the box
     (2r+1)^d holds about ENUM_CAP points.  The clamp reads ENUM_CAP as a box
-    volume; the cap itself counts the enumeration nodes of ball_census."""
+    volume; the cap itself counts the enumeration nodes of ball_census.
+    Where 2^{n/d} alone passes the clamp, the clamp is returned without
+    evaluating the radius, which can overflow a float."""
     d = inst.d
-    want = int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
     r_cap = (int(round(relattice.ENUM_CAP ** (1.0 / d))) - 1) // 2
+    if inst.n >= d * r_cap.bit_length():
+        return max(1, r_cap)
+    want = int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
     return max(1, min(want, r_cap))
 
 
@@ -171,13 +176,17 @@ def select_radius(inst: FactoringInstance, rel: RelationLattice, T: int, m: int,
 
 
 def recovery_recheck(rel: RelationLattice, params: GaussParams, T: int, m: int) -> dict:
-    """Numeric check of the norm inequality actually used this run."""
+    """Numeric check of the norm inequality actually used this run; a float
+    overflow is refused as in select_radius, which a pinned radius skips."""
     d = rel.d
     S = params.D
     delta = math.sqrt(d) * params.s
     lift = math.sqrt(1 + m * (S * delta) ** 2)
     k = d + m
-    lhs = math.sqrt(k) * 2.0 ** (k / 2) * T * lift
+    try:
+        lhs = math.sqrt(k) * 2.0 ** (k / 2) * T * lift
+    except OverflowError:
+        raise ResourceLimitError(f"the recovery bound for k = d + m = {k} overflows a float") from None
     rhs = (1.0 / delta) * (4 * rel.det) ** (-1.0 / m) / 6.0
     return {"lhs": lhs, "rhs": rhs, "holds": lhs < rhs, "delta": delta, "lift": lift}
 
@@ -209,8 +218,8 @@ def draw_samples(
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
             for i in range(m)]
     if joint is None:
-        return [{"v": [str(x) for x in v], "w_indices": list(samp.indices)}
-                for v, samp in sample_Q_many(dual, params, rngs)]
+        return [{"v": [str(x) for x in v], "w_indices": list(w)}
+                for v, w in sample_Q_many(dual, params, rngs)]
     masses = joint.branch_masses()
     branches = [sample_measurement(masses, rng)[0] for rng in rngs]
     w = [None] * m
@@ -251,7 +260,7 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
     if pre.status == "factor":
         return _finish(transcript, FACTORED, pre.factor)
 
-    d = config.d if config.d is not None else default_dimension(N)
+    d = config.d if config.d is not None else default_dimension(N.bit_length())
     try:
         inst = FactoringInstance.build(N, d)
     except FactorFound as hit:

@@ -2,12 +2,13 @@
 
 The register holds amplitudes over {0..D-1}^d in offset encoding (index i
 stands for the integer i - D/2).  The pipeline is: Gaussian state over the
-box, group-element register attached in superposition, per-axis Fourier
-transform over Z_D, exact outcome distribution.  The joint state is kept
-compact: the amplitudes, one group-element label per grid cell, and each
-branch's cells as one slice of a single index array.  The transform takes
-one branch at a time (branch_distribution), so no more than one dense
-branch is ever held; the full outcome table is the sum of the branch rows.
+box, group-element register attached in superposition (the elements of
+the whole grid from one arith.power_grid call), per-axis Fourier transform
+over Z_D, exact outcome distribution.  The joint state is kept compact:
+the amplitudes, one group-element label per grid cell, and each branch's
+cells as one slice of a single index array.  The transform takes one
+branch at a time (branch_distribution), so no more than one dense branch
+is ever held; the full outcome table is the sum of the branch rows.
 A reader that only draws from the table can measure the register first
 and transform just the branches its draws land on.  A wrapped variant of
 the state (Gaussian mass folded modulo D) backs the truncation-error
@@ -24,6 +25,7 @@ import numpy as np
 from .arith import (
     ParameterError,
     ResourceLimitError,
+    power_grid,
     product_tree_exponentiation,  # not called here; kept bound for perfbench's tracer
 )
 from .gauss import GaussParams
@@ -109,8 +111,8 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
 
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
-    untouched.  The whole grid of group elements comes from per-axis power
-    tables (see _grid_group_elements), and each cell gets the label of its
+    untouched.  The whole grid of group elements is one arith.power_grid
+    call over the box {0..D-1}^d, and each cell gets the label of its
     element in first-appearance order.  One stable sort of the grid, read
     in computational order, groups the cells of each element into one run:
     the runs are the branches' cell slices, and the least offset index in
@@ -123,7 +125,7 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
         raise ParameterError("instance dimension does not match the state")
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
-    e = _grid_group_elements(inst.a, inst.N, D, 0)
+    e = power_grid(inst.a, inst.N, (D,) * d)
     offset = np.arange(D ** d).reshape(e.shape)  # the offset index of each cell
     for axis in range(d):
         e = np.roll(e, D // 2, axis=axis)
@@ -218,29 +220,6 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _grid_group_elements(a, N: int, size: int, lo: int) -> np.ndarray:
-    """prod_i a_i^{lo + j_i} mod N for every j in {0..size-1}^d.
-
-    Returns an array of shape (size,)^d: one power table per axis, built by
-    repeated doubling and multiplied mod N over the grid by outer products.
-    The entries are int64 when N < 2^31, so every product stays below 2^62,
-    and Python ints (dtype object) otherwise.  A negative lo goes through the
-    modular inverse.
-    """
-    dtype = np.int64 if N < 1 << 31 else object
-    grid = np.ones((), dtype=dtype)
-    for a_i in a:
-        table = np.empty(size, dtype=dtype)
-        table[0] = pow(a_i, lo, N)
-        filled = 1
-        while filled < size:  # doubling: a^(lo+f+j) = a^(lo+j) * a^f
-            step = min(filled, size - filled)
-            table[filled : filled + step] = table[:step] * pow(a_i, filled, N) % N
-            filled += step
-        grid = np.multiply.outer(grid, table) % N
-    return grid
-
-
 def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     """Exact gap between the box-truncated state and its mod-D wrapped twin.
 
@@ -265,7 +244,7 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     norm_sq = sum(y.astype(float) ** 2 for y in flat)
     rho_vals = np.exp(-math.pi * norm_sq / (R * R))
     # group element per point; meshgrid's "ij" order is the grid's index order
-    e_vals = _grid_group_elements(inst.a, N, 2 * B + 1, D // 2 - B).ravel()
+    e_vals = power_grid(inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
     # cell index per point (offset encoding), and in-box mask
     cell = np.zeros(flat[0].size, dtype=np.int64)
     in_box = np.ones(flat[0].size, dtype=bool)

@@ -30,8 +30,9 @@ from .arith import (
     FactoringInstance,
     ParameterError,
     ResourceLimitError,
-    base_product,
     hom_image,
+    power_grid,
+    power_product,
 )
 
 # subgroup order; the coset expansion holds up to this many residues, each
@@ -72,11 +73,12 @@ def build_relation_lattice(inst: FactoringInstance) -> RelationLattice:
     k_1..k_{j-1} is a discrete logarithm.  k_j is the least k >= 1 with
     a_j^k in G_{j-1}; if a_j^{k_j} = prod a_i^{e_i}, row j is
     (-e_1, ..., -e_{j-1}, k_j, 0, ..., 0), and G_j lists a_j^p g for p < k_j
-    (outer) and g in G_{j-1} (inner).  The rows are triangular and generate
-    every relation (reduce its last coordinate first), and prod k_j is the
-    group order, cross-checked against the Hermite basis determinant; any
-    mismatch is a hard internal error.  A subgroup of more than GROUP_CAP
-    elements is refused before it is listed.
+    (outer) and g in G_{j-1} (inner), as one arith.power_grid over the box
+    k_j x ... x k_1.  The rows are triangular and generate every relation
+    (reduce its last coordinate first), and prod k_j is the group order,
+    cross-checked against the Hermite basis determinant; any mismatch is a
+    hard internal error.  A subgroup of more than GROUP_CAP elements is
+    refused before it is listed.
     """
     N, d = inst.N, inst.d
     cap = GROUP_CAP
@@ -99,10 +101,8 @@ def build_relation_lattice(inst: FactoringInstance) -> RelationLattice:
         rows.append(row + [k] + [0] * (d - j - 1))
         radices.append(k)
         if k > 1 and j + 1 < d:  # the last expansion is never looked up
-            powers = [1]
-            for _ in range(k - 1):
-                powers.append(powers[-1] * a % N)
-            group = [p * g % N for p in powers for g in group]
+            # a_1 is the fastest digit, so the axes run a_j .. a_1
+            group = power_grid(inst.a[j::-1], N, radices[::-1]).ravel().tolist()
             where = dict(zip(group, range(len(group))))
     group_order = prod(radices)
     basis = intmat.hermite_basis(rows, d)
@@ -128,7 +128,7 @@ def classify(rel: RelationLattice, z) -> dict:
     inst = rel.inst
     entry = {"in_lattice": hom_image(inst, z) == 1, "in_sign": None, "gcd": None}
     if entry["in_lattice"]:
-        bp = base_product(inst, z)
+        bp = power_product(inst.b, z, inst.N)
         entry["in_sign"] = bp == 1 or bp == inst.N - 1
         if not entry["in_sign"]:
             entry["gcd"] = gcd(bp - 1, inst.N)
@@ -245,18 +245,14 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
     for row in basis.vectors:
         if hom_image(inst, row) != 1:
             raise AssertionError(f"reduced row {row} is not a relation")
-        row_signs.append(base_product(inst, row))
+        row_signs.append(power_product(inst.b, row, N))
     signs = {}  # parity mask of x -> b of its members
     outside, outside_sq = [], []
     for x, sq in zip(rows, norms_sq):
         mask = tuple(c & 1 for c in x)
         b = signs.get(mask)
         if b is None:
-            b = 1
-            for odd, s in zip(mask, row_signs):
-                if odd:
-                    b = b * s % N
-            signs[mask] = b
+            b = signs[mask] = power_product(row_signs, mask, N)
         if b != 1 and b != N - 1:
             outside.append(x)
             outside_sq.append(sq)

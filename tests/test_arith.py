@@ -216,4 +216,4 @@ def test_homomorphism_property(z1, z2):
 def test_hom_image_handles_negative_exponents():
     inst = FactoringInstance.build(15, 1)
     assert arith.hom_image(inst, (-2,)) == pow(4, -2, 15)
-    assert arith.base_product(inst, (-2,)) == pow(2, -2, 15)
+    assert arith.power_product(inst.b, (-2,), 15) == pow(2, -2, 15)

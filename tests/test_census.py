@@ -21,8 +21,8 @@ from qfactor.arith import (
     FactorFound,
     ParameterError,
     ResourceLimitError,
-    base_product,
     hom_image,
+    power_product,
 )
 from qfactor.pipeline import certify_assumption, default_witness_bound
 from qfactor.relattice import (
@@ -72,7 +72,7 @@ def box_scan_reference(rel, bound):
             continue
         if hom_image(inst, z) != 1:
             continue
-        bp = base_product(inst, z)
+        bp = power_product(inst.b, z, inst.N)
         if bp == 1 or bp == inst.N - 1:
             continue
         best, best_sq = tuple(z), sq
@@ -86,7 +86,7 @@ def box_scan_reference(rel, bound):
         if hom_image(inst, z) != 1:
             continue
         members += 1
-        bp = base_product(inst, z)
+        bp = power_product(inst.b, z, inst.N)
         if bp != 1 and bp != inst.N - 1:
             outside += 1
     return best, members, outside

@@ -23,7 +23,6 @@ from qfactor.arith import ParameterError
 from qfactor.checks import (
     BLOCK_CELLS,
     _full_rank_mod_p,
-    _prime_factors,
     _random_tiny_lattice,
     binomial_lower_pvalue,
     frequency_verdict,
@@ -61,7 +60,7 @@ def generation_suite_reference(trials=2000, seed=0, ranks=(1, 2, 3, 4), moduli=(
     all_passed = True
     for r in ranks:
         for t in moduli:
-            primes = _prime_factors(t)
+            primes = [p for p in range(2, t + 1) if t % p == 0 and all(p % q for q in range(2, p))]
             successes = 0
             for _ in range(trials):
                 vecs = rng.integers(0, t, size=(r + 4, r))

@@ -110,6 +110,11 @@ def _factor_of(report, stdout):
 @example(["sample", "--n", "77", "--d", "2", "--m", "3000"])
 @example(["simulate", "--n", "77", "--sweep", "1:16:1e308"])
 @example(["simulate", "--n", "77", "--sweep", "2:16:1e307"])
+# the witness bound at a 1198-bit N, and the recovery recheck at a pinned radius
+@example(["factor", "--n", str((4**600 - 1) // 3), "--d", "1"])
+@example(["sample", "--n", str((4**600 - 1) // 3), "--d", "1"])
+@example(["factor", "--n", "221", "--d", "1", "--m", "3000", "--radius", "16", "--max-attempts", "0"])
+@example(["factor", "--n", "77", "--d", "2", "--m", "2100", "--radius", "16"])
 def test_cli_contract_holds_for_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

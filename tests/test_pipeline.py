@@ -39,8 +39,8 @@ def draw_samples_reference(seed, attempt, m, params, dual):
     for i in range(m):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
         v = dual.sample(rng)
-        samp = sample_Qv(v, params, rng)
-        samples.append({"v": [str(x) for x in v], "w_indices": list(samp.indices)})
+        w = sample_Qv(v, params, rng)
+        samples.append({"v": [str(x) for x in v], "w_indices": list(w)})
     return samples
 
 
@@ -198,8 +198,8 @@ def test_statevector_guard_enforced():
 
 
 def test_default_dimension_is_ceil_sqrt_bits():
-    assert default_dimension(15) == 2  # n = 4
-    assert default_dimension((1 << 24) - 1) == 5  # n = 24 -> ceil sqrt = 5
+    assert default_dimension(4) == 2
+    assert default_dimension(24) == 5  # ceil sqrt 24 = 5
 
 
 # --- witness certification --------------------------------------------------

@@ -6,13 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qfactor.arith import FactoringInstance, ResourceLimitError, product_tree_exponentiation
+from qfactor.arith import (
+    FactoringInstance,
+    ResourceLimitError,
+    power_grid,
+    power_product,
+    product_tree_exponentiation,
+)
 from qfactor.gauss import GaussParams, q_table
 from qfactor.pipeline import draw_samples
 from qfactor.qsim import (
     JointState,
     _axis_weights,
-    _grid_group_elements,
     apply_exponentiation,
     branch_distribution,
     build_gaussian_state,
@@ -443,16 +448,18 @@ def test_outcome_table_is_pinned_and_sums_the_branch_rows(N, d, D, R, digest):
 
 @pytest.mark.parametrize("a,N", [((4,), 77), ((2, 3), 77), ((4, 9, 25), 221), ((2, 256), (1 << 32) + 1)])
 def test_grid_power_tables_match_pow(a, N):
-    # the doubling tables at sizes around powers of two, from negative
-    # (modular inverse) and nonnegative starting exponents
-    for size, lo in itertools.product([1, 2, 7, 33], [-40, -5, -1, 0, 3]):
-        grid = _grid_group_elements(a, N, size, lo)
-        assert grid.shape == (size,) * len(a)
-        for idx in itertools.product(range(size), repeat=len(a)):
-            want = 1
-            for a_i, j in zip(a, idx):
-                want = want * pow(a_i, lo + j, N) % N
-            assert grid[idx] == want
+    # the doubling tables at sizes around powers of two, one size for every
+    # axis and one per axis (size-1 axes included), from negative (modular
+    # inverse) and nonnegative starting exponents; N = 2^32 + 1 takes the
+    # object path
+    d = len(a)
+    shapes = {(size,) * d for size in (1, 2, 7, 33)} | set(itertools.permutations((1, 2, 7, 33), d))
+    for sizes, lo in itertools.product(sorted(shapes), [-40, -5, -1, 0, 3]):
+        grid = power_grid(a, N, sizes, lo)
+        assert grid.shape == sizes
+        assert grid.dtype == (np.int64 if N < 1 << 31 else object)
+        for idx in itertools.product(*map(range, sizes)):
+            assert grid[idx] == power_product(a, [lo + j for j in idx], N)
 
 
 def test_joint_state_and_transform_memory_stay_below_dense_branches():

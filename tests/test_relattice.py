@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from qfactor.arith import (
     FactorFound,
     ParameterError,
     ResourceLimitError,
-    base_product,
     hom_image,
     is_probable_prime,
+    perfect_power_root,
+    power_product,
 )
 from qfactor.relattice import (
     DomainError,
@@ -62,6 +64,39 @@ def bfs_relation_lattice_reference(inst, group_cap=1 << 22):
     det = abs(intmat.determinant(rows))
     assert det == len(exps)
     return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
+
+
+def coset_relation_lattice_reference(inst):
+    """The coset expansion as first written, kept as the reference: G_j is
+    listed from G_{j-1} by a list of the powers of a_j and a nested
+    comprehension, a_j^p g for p < k_j (outer) and g in G_{j-1} (inner)."""
+    N, d = inst.N, inst.d
+    group = [1]
+    where = {1: 0}
+    radices = []
+    rows = []
+    for j, a in enumerate(inst.a):
+        power, k = a % N, 1
+        while power not in where:
+            power = power * a % N
+            k += 1
+        pos, row = where[power], []
+        for r in radices:
+            pos, e = divmod(pos, r)
+            row.append(-e)
+        rows.append(row + [k] + [0] * (d - j - 1))
+        radices.append(k)
+        if k > 1 and j + 1 < d:
+            powers = [1]
+            for _ in range(k - 1):
+                powers.append(powers[-1] * a % N)
+            group = [p * g % N for p in powers for g in group]
+            where = dict(zip(group, range(len(group))))
+    basis = intmat.hermite_basis(rows, d)
+    assert len(basis) == d
+    det = abs(intmat.determinant(basis))
+    assert det == math.prod(radices)
+    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in basis), det=det)
 
 
 def subgroup_oracle(gens, N):
@@ -375,6 +410,26 @@ def test_coset_expansion_matches_bfs_reference_on_odd_composites(N, d):
     assert build_relation_lattice(inst) == bfs_relation_lattice_reference(inst)
 
 
+# The BFS reference costs about 0.6 s per 20-bit case and the coset
+# expansion about 20 ms, so the sweep up to 2^20 runs against the former
+# expansion.  N is drawn by bit length first, so that every size up to 20
+# bits shows, and coprime to the first five primes, so that every d builds.
+ODD_BELOW_2_20 = (
+    st.integers(4, 20)
+    .flatmap(lambda n: st.integers(1 << (n - 2), (1 << (n - 1)) - 1))
+    .map(lambda k: 2 * k + 1)
+    .filter(lambda N: math.gcd(N, 3 * 5 * 7 * 11) == 1)
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(N=ODD_BELOW_2_20, d=st.integers(1, 5))
+def test_coset_expansion_matches_its_former_listing_below_2_20(N, d):
+    assume(not is_probable_prime(N) and perfect_power_root(N) is None)
+    inst = FactoringInstance.build(N, d)
+    assert build_relation_lattice(inst) == coset_relation_lattice_reference(inst)
+
+
 # Hermite bases the BFS built for 1022117 = 1009 * 1013, both of det 255,024
 BASES_1022117 = {
     5: ((1, 0, 0, 11, 2038), (0, 1, 0, 3, 9126), (0, 0, 1, 5, 7966), (0, 0, 0, 22, 8368),
@@ -407,7 +462,7 @@ def test_reduced_basis_parity_decides_the_sign(N, d):
     inst = FactoringInstance.build(N, d)
     rel = build_relation_lattice(inst)
     reduced = latred.lll_reduce(rel.basis)
-    signs = [base_product(inst, row) for row in reduced.basis.vectors]
+    signs = [power_product(inst.b, row, N) for row in reduced.basis.vectors]
     r = 3 if d < 4 else 2
     # the ball of radius r sqrt(d) covers the box [-r, r]^d
     rows, norms_sq = latred.enumerate_coefficients(reduced, r * r * d)
@@ -419,7 +474,7 @@ def test_reduced_basis_parity_decides_the_sign(N, d):
         for c, s in zip(x, signs):
             if c & 1:
                 b = b * s % N
-        assert b == base_product(inst, z)
+        assert b == power_product(inst.b, z, N)
     box = {z for z in itertools.product(range(-r, r + 1), repeat=d)
            if any(z) and hom_image(inst, z) == 1}
     assert box <= set(members)
