@@ -154,13 +154,6 @@ class OpCounter:
     small_products: int = 0
     nbit_products: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "squarings_nbit": self.squarings_nbit,
-            "small_products": self.small_products,
-            "nbit_products": self.nbit_products,
-        }
-
 
 @dataclass(frozen=True)
 class FactoringInstance:

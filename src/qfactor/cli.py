@@ -4,8 +4,10 @@ Subcommands: factor, simulate, sample, estimate, check.  Exit codes are a
 stable contract: 0 success, 2 assumption or guard violation, 3 attempts
 exhausted, 64 usage.  A --config file holds `key = value` lines; each is
 read as the flag --key=value placed before the command line's own flags, so
-explicit flags win and every value goes through its flag's type.  Handlers
-raise; one map in `main` turns an exception into its exit code and one
+explicit flags win and every value goes through its flag's type.  A handler
+returns a Run (the report's config and results, the lines to print, an
+optional error: line and the exit code) or raises; `main` times the handler,
+writes the report, prints, and turns an exception into its exit code and one
 error: line.  A UsageError or an OSError exits 64: flags or a config file
 that do not parse (including a config file that is not UTF-8 text, a config
 key that is not a flag of the subcommand, or a value its flag rejects), a
@@ -31,7 +33,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -74,15 +76,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def make_report(command: str, seed, config: dict, results: dict, started: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "results": results,
-        "timings": {"total_s": time.perf_counter() - started},
-    }
+@dataclass
+class Run:
+    """What a handler computed.  `main` writes the report from config and
+    results; without --json it prints lines to stdout and then error, if
+    any, as one error: line to stderr.  It exits with code."""
+
+    config: dict
+    results: dict
+    lines: list[str]
+    error: str | None = None
+    code: int = EXIT_OK
 
 
 def load_schema() -> dict:
@@ -171,10 +175,10 @@ def json_text(obj) -> str:
 
 def emit(report: dict, args) -> None:
     text = json_text(report)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "json", False):
+    if args.json:
         print(text)
 
 
@@ -256,16 +260,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def cmd_factor(args) -> int:
-    started = time.perf_counter()
-    seed = args.seed
+def cmd_factor(args) -> Run:
     try:
         config = PipelineConfig(
             N=args.n,
             d=args.d,
             m=args.m,
             mode=args.mode,
-            seed=seed,
+            seed=args.seed,
             max_attempts=args.max_attempts,
             safety=args.safety,
             radius_override=args.radius,
@@ -279,17 +281,10 @@ def cmd_factor(args) -> int:
         "attempts_used": outcome.attempts_used,
         "transcript": outcome.transcript,
     }
-    report = make_report("factor", seed, vars(config), results, started)
-    emit(report, args)
     if outcome.status == FACTORED:
-        if not args.json:
-            print(outcome.factor)
-        return EXIT_OK
-    if not args.json:
-        print(f"error: {_unfactored_reason(outcome)}", file=sys.stderr)
-    if outcome.status == ATTEMPTS_EXHAUSTED:
-        return EXIT_EXHAUSTED
-    return EXIT_VIOLATION
+        return Run(vars(config), results, [str(outcome.factor)])
+    code = EXIT_EXHAUSTED if outcome.status == ATTEMPTS_EXHAUSTED else EXIT_VIOLATION
+    return Run(vars(config), results, [], _unfactored_reason(outcome), code)
 
 
 def _unfactored_reason(outcome) -> str:
@@ -321,9 +316,7 @@ def _parse_sweep(spec: str) -> list[tuple[int, int, float]]:
     return entries
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    seed = args.seed
+def cmd_simulate(args) -> Run:
     sweep = _parse_sweep(args.sweep)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
@@ -359,37 +352,27 @@ def cmd_simulate(args) -> int:
         P = qsim.qft_measure_distribution(joint)
         Q = gauss.q_table(dual_cosets(rel), params)
         entry["l1_distance"] = float(np.abs(P - Q).sum())
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(d, D)))
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(d, D)))
         conc = gauss.concentration_check(params, args.trials, rng)
         entry["concentration_failure_rate"] = conc.failure_rate
         entry["concentration_reference"] = conc.reference_rate
         results["configs"].append(entry)
-    report = make_report("simulate", seed, {"n": args.n, "sweep": args.sweep, "trials": args.trials}, results, started)
-    emit(report, args)
-    if not args.json:
-        for entry in results["configs"]:
-            print(
-                f"d={entry['d']} D={entry['D']} R={entry['R']}: "
-                f"l1={entry['l1_distance']:.3e} gap={entry['state_gap']:.3e}"
-            )
-    return EXIT_OK
+    lines = [
+        f"d={entry['d']} D={entry['D']} R={entry['R']}: "
+        f"l1={entry['l1_distance']:.3e} gap={entry['state_gap']:.3e}"
+        for entry in results["configs"]
+    ]
+    return Run({"n": args.n, "sweep": args.sweep, "trials": args.trials}, results, lines)
 
 
-def cmd_sample(args) -> int:
-    started = time.perf_counter()
-    seed = args.seed
-    prep = prepare(PipelineConfig(N=args.n, d=args.d, m=args.m, seed=seed, safety=args.safety))
+def cmd_sample(args) -> Run:
+    prep = prepare(PipelineConfig(N=args.n, d=args.d, m=args.m, seed=args.seed, safety=args.safety))
     if isinstance(prep, FactoringOutcome):
-        print(f"error: {_unfactored_reason(prep)}", file=sys.stderr)
-        return EXIT_VIOLATION
-    samples = draw_samples(seed, 0, prep.m, prep.params, prep.dual)
+        raise ParameterError(_unfactored_reason(prep))
+    samples = draw_samples(args.seed, 0, prep.m, prep.params, prep.dual)
     results = {"R": prep.R, "D": prep.params.D, "m": prep.m, "det": prep.rel.det, "samples": samples}
-    report = make_report("sample", seed, {"n": args.n, "d": prep.rel.d, "m": prep.m}, results, started)
-    emit(report, args)
-    if not args.json:
-        for s in samples:
-            print(s["w_indices"])
-    return EXIT_OK
+    lines = [str(s["w_indices"]) for s in samples]
+    return Run({"n": args.n, "d": prep.rel.d, "m": prep.m}, results, lines)
 
 
 def _parse_list(text: str, cast, flag: str) -> list:
@@ -399,8 +382,7 @@ def _parse_list(text: str, cast, flag: str) -> list:
         raise ParameterError(f"{flag} wants comma-separated numbers, got {text!r}") from None
 
 
-def cmd_estimate(args) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args) -> Run:
     try:
         if not (math.isfinite(args.c) and args.c > 0):
             raise ParameterError(f"--c wants a positive finite number, got {args.c}")
@@ -428,46 +410,31 @@ def cmd_estimate(args) -> int:
             "the cost model overflows a float; use smaller --n-values, --log2d or --c"
         ) from None
     prev_total = None
-    table = []
+    table, lines = [], []
     for row in rows:
         ratio = row.total / prev_total if prev_total else None
         prev_total = row.total
         table.append({**asdict(row), "ratio_to_previous": ratio})
-    results = {"rows": table}
-    report = make_report(
-        "estimate",
-        args.seed,
-        {"n_values": args.n_values, "d": args.d, "log2d": args.log2d, "eps_values": args.eps_values, "c": args.c},
-        results,
-        started,
-    )
-    emit(report, args)
-    if not args.json:
-        for row in table:
-            eps = f" eps={row['epsilon']}" if row["epsilon"] is not None else ""
-            print(f"n={row['n']} d={row['d']}{eps}: total={row['total']:.4g}")
-    return EXIT_OK
+        eps = f" eps={row.epsilon}" if row.epsilon is not None else ""
+        lines.append(f"n={row.n} d={row.d}{eps}: total={row.total:.4g}")
+    config = {"n_values": args.n_values, "d": args.d, "log2d": args.log2d, "eps_values": args.eps_values, "c": args.c}
+    return Run(config, {"rows": table}, lines)
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    seed = args.seed
+def cmd_check(args) -> Run:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     names = {"all": sorted(checks.SUITES), "none": []}.get(args.suite, [args.suite])
     problem = checks.unknown_suite(names)
     if problem:
         raise UsageError(problem)
-    results = checks.run_suites(names, trials=args.trials, seed=seed)
-    report = make_report("check", seed, {"suite": args.suite, "trials": args.trials}, results, started)
-    emit(report, args)
-    if not args.json:
-        for suite in results["suites"]:
-            print(f"{suite['name']}: {'pass' if suite['passed'] else 'FAIL'}")
-        if not results["passed"]:
-            failed = [suite["name"] for suite in results["suites"] if not suite["passed"]]
-            print(f"error: failed suites: {', '.join(failed)}", file=sys.stderr)
-    return EXIT_OK if results["passed"] else EXIT_VIOLATION
+    results = checks.run_suites(names, trials=args.trials, seed=args.seed)
+    config = {"suite": args.suite, "trials": args.trials}
+    lines = [f"{suite['name']}: {'pass' if suite['passed'] else 'FAIL'}" for suite in results["suites"]]
+    if results["passed"]:
+        return Run(config, results, lines)
+    failed = [suite["name"] for suite in results["suites"] if not suite["passed"]]
+    return Run(config, results, lines, f"failed suites: {', '.join(failed)}", EXIT_VIOLATION)
 
 
 _HANDLERS = {
@@ -491,7 +458,22 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if args.seed < 0:
             raise UsageError(f"the seed must be a nonnegative integer, got {args.seed}")
-        return _HANDLERS[args.cmd](args)
+        started = time.perf_counter()
+        run = _HANDLERS[args.cmd](args)
+        emit({
+            "schema_version": SCHEMA_VERSION,
+            "command": args.cmd,
+            "seed": args.seed,
+            "config": run.config,
+            "results": run.results,
+            "timings": {"total_s": time.perf_counter() - started},
+        }, args)
+        if not args.json:
+            for line in run.lines:
+                print(line)
+            if run.error is not None:
+                print(f"error: {run.error}", file=sys.stderr)
+        return run.code
     except SystemExit as exc:
         return int(exc.code or 0)
     except (UsageError, OSError, ParameterError, ResourceLimitError, FactorFound) as exc:

@@ -101,12 +101,6 @@ class GaussParams:
     def in_selection_window(self) -> bool:
         return self.in_tail_regime and self.D < 4 * math.sqrt(self.d) * self.R
 
-    def require_tail_regime(self):
-        if not self.in_tail_regime:
-            raise ParameterError(
-                f"parameters outside the tail regime: R={self.R}, D={self.D}, d={self.d}"
-            )
-
     @classmethod
     def choose(cls, d: int, R: float) -> "GaussParams":
         """Smallest power-of-two D with 2 sqrt(d) R <= D (< 4 sqrt(d) R).

@@ -298,11 +298,6 @@ class ExtendedLattice:
     basis: LatticeBasis
 
 
-class DomainGridError(ParameterError):
-    def __init__(self, j, D):
-        super().__init__(f"sample index {j!r} is not an integer in [0, {D})")
-
-
 def build_extended_lattice(d: int, indices, D: int) -> ExtendedLattice:
     """Assemble the embedding matrix for m >= d+4 samples on the 1/D grid,
     each given by its d integer indices."""
@@ -315,7 +310,7 @@ def build_extended_lattice(d: int, indices, D: int) -> ExtendedLattice:
             raise ParameterError("sample dimension mismatch")
         for j in w:
             if not isinstance(j, int) or not 0 <= j < D:
-                raise DomainGridError(j, D)
+                raise ParameterError(f"sample index {j!r} is not an integer in [0, {D})")
     dim = d + m
     vectors = []
     for j in range(d):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,10 +186,10 @@ def test_counter_counts_are_nonnegative_and_accumulate():
     inst = FactoringInstance.build(221, 4)
     counter = OpCounter()
     product_tree_exponentiation(inst, (3, 5, 7, 2), 8, counter)
-    first = counter.as_dict()
+    first = dataclasses.asdict(counter)
     assert all(v >= 0 for v in first.values())
     product_tree_exponentiation(inst, (3, 5, 7, 2), 8, counter)
-    second = counter.as_dict()
+    second = dataclasses.asdict(counter)
     assert all(second[k] >= first[k] for k in first)
     assert second["squarings_nbit"] == 2 * first["squarings_nbit"]
 

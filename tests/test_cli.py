@@ -306,6 +306,27 @@ def test_report_written_to_file(tmp_path, capsys):
     assert json.loads(json.dumps(report)) == report
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["factor", "--n", "15", "--d", "1", "--seed", "1"], "3\n"),
+    (["simulate", "--n", "15", "--sweep", "1:16:4", "--trials", "10"],
+     "d=1 D=16 R=4.0: l1=2.612e-06 gap=2.076e-06\n"),
+    (["sample", "--n", "77", "--d", "1", "--seed", "5"], "[87381]\n[104858]\n[78643]\n[78643]\n[52428]\n"),
+    (["estimate", "--n-values", "256"], "n=256 d=16: total=8.311e+04\n"),
+    (["check", "--suite", "poisson", "--trials", "10"], "poisson: pass\n"),
+], ids=["factor", "simulate", "sample", "estimate", "check"])
+def test_every_subcommand_takes_the_one_report_path(tmp_path, capsys, argv, text):
+    # main writes every report: --json prints the bytes written to --out,
+    # and without --json the handler's lines are the whole of stdout
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, [*argv, "--json", "--out", str(out_path)])
+    assert (code, err) == (0, "")
+    assert out == out_path.read_text()
+    report = json.loads(out)
+    validate_report(report)
+    assert report["command"] == argv[0]
+    assert run_cli(capsys, argv) == (0, text, "")
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 1\nseed = 9\nmax-attempts = 5\n# comment\n")

@@ -95,8 +95,7 @@ def _factor_of(report, stdout):
     return int(stdout.strip())
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command_lines())
 @example(["factor", "--n", "89"])
 @example(["factor", "--n", "35", "--d", "1", "--max-attempts", "0"])

@@ -422,7 +422,7 @@ ODD_BELOW_2_20 = (
 )
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None)
 @given(N=ODD_BELOW_2_20, d=st.integers(1, 5))
 def test_coset_expansion_matches_its_former_listing_below_2_20(N, d):
     assume(not is_probable_prime(N) and perfect_power_root(N) is None)
