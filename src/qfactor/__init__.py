@@ -50,7 +50,6 @@ from .relattice import (
     RelationLattice,
     build_relation_lattice,
     dual_cosets,
-    in_L0,
     shortest_nontrivial_witness,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "enumerate_lattice_vectors",
     "estimate_gate_cost",
     "extract_short_generators",
-    "in_L0",
     "lll_reduce",
     "nth_primes",
     "phi1_phi2_gap",

@@ -7,7 +7,8 @@ Weger and Cohen (Alg. 2.6.7) and hands its final data to its readers in
 an LLLResult, so short-generator extraction and enumeration read it
 instead of computing it again; each reduced basis has one Gram-Schmidt
 computation.  Enumeration scales every squared norm it compares to one
-common integer denominator.  Floats only bracket coefficient ranges.  At
+common integer denominator and brackets each level's coefficients with an
+integer square root, so no float enters a lattice decision.  At
 desk-scale dimensions exactness is affordable and removes every
 floating-point soundness question from the downstream guarantees.
 """
@@ -208,15 +209,16 @@ def enumerate_coefficients(
     mu_ti = lam[t][i] / dets[i+1], coefficient x at level i uses
     (x + sum_{t>i} c_t mu_ti)^2 B_i = (x dets[i+1] + S_i)^2 / (dets[i] dets[i+1])
     of the squared bound, where S_i = sum_{t>i} c_t lam[t][i].  The bound
-    and every such part are integers over one common denominator M, so each
-    candidate is admitted or rejected by an exact integer comparison.  Float
-    square roots only bracket the coefficient range of a level, around the
-    correctly rounded quotients remaining / B_i and -S_i / dets[i+1].  Each
-    coefficient value tried at each level is one enumeration node; with
-    node_cap set, a search that would try more nodes raises
-    ResourceLimitError.  A leaf's squared norm is what its levels used of
-    the squared bound, divided by M: an exact division, because the levels'
-    parts sum to M times the squared norm.
+    and every such part are integers over one common denominator M.  With M
+    times the remaining bound at level i and r = isqrt(remaining // scale_i),
+    the admitted x are exactly the integers with |x dets[i+1] + S_i| <= r:
+    one interval, whose ends are floor divisions, so no value outside it is
+    tried and no float is used (the exact Fincke-Pohst interval of Schnorr
+    and Euchner, 1994).  Each admitted coefficient value at each level is
+    one enumeration node; with node_cap set, a search that would admit more
+    nodes raises ResourceLimitError, at any bound.  A leaf's squared norm is
+    what its levels used of the squared bound, divided by M: an exact
+    division, because the levels' parts sum to M times the squared norm.
     """
     t_sq = Fraction(norm_bound_sq)
     if t_sq < 0:
@@ -225,7 +227,6 @@ def enumerate_coefficients(
     pairs = [dets[i] * dets[i + 1] for i in range(n)]
     M = math.lcm(t_sq.denominator, *pairs)
     scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
-    gs_scaled = [scale[i] * dets[i + 1] ** 2 for i in range(n)]  # M B_i
     top = t_sq.numerator * (M // t_sq.denominator)  # M times the squared bound
     out: list[tuple[int, ...]] = []
     norms_sq: list[int] = []
@@ -237,17 +238,14 @@ def enumerate_coefficients(
         nonlocal nodes
         d_i, scale_i = dets[i + 1], scale[i]
         s_i = sum(coeffs[t] * lam[t][i] for t in range(i + 1, n))
-        # |x + S_i / dets[i+1]| <= sqrt(remaining / (M B_i)); bracket with slack, verify exactly
-        radius = math.sqrt(remaining / gs_scaled[i]) + 1.0
-        center = -s_i / d_i
-        lo, hi = math.floor(center - radius), math.ceil(center + radius)
+        # admitted: |x d_i + s_i| <= r, the integer square root of remaining // scale_i
+        r = math.isqrt(remaining // scale_i)
+        lo, hi = -((r + s_i) // d_i), (r - s_i) // d_i
         nodes += hi - lo + 1
         if node_cap is not None and nodes > node_cap:
             raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
         for x in range(lo, hi + 1):
             used = (x * d_i + s_i) ** 2 * scale_i
-            if used > remaining:
-                continue
             coeffs[i] = x
             if i == 0:
                 if any(coeffs):
@@ -279,6 +277,12 @@ def enumerate_lattice_vectors(reduced: LLLResult, norm_bound_sq, node_cap=None) 
     that `reduced`, an lll_reduce result, spans, in the order and under the
     node cap of enumerate_coefficients."""
     return combine_rows(reduced.basis, enumerate_coefficients(reduced, norm_bound_sq, node_cap)[0])
+
+
+# the dimension k = d + m of the extended lattice, which exact LLL reduces
+# on every attempt; its cost grows steeply with k, from seconds past this
+# cap to minutes at k = 481
+DIM_CAP = 128
 
 
 @dataclass(frozen=True)

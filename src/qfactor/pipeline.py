@@ -17,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from . import relattice
+from . import latred
 from .arith import (
     FactoringInstance,
     FactorFound,
@@ -63,8 +63,7 @@ class PipelineConfig:
     d defaults to ceil(sqrt(n)); m to d+4.  The radius is derived from the
     certified witness norm (see select_radius); radius_override pins it for
     experiments.  All randomness flows from `seed`.  The resource limits
-    are module constants, not knobs: relattice.GROUP_CAP and ENUM_CAP,
-    qsim.STATEVECTOR_GUARD and gauss.TABLE_CAP.
+    are module constants, not knobs; README "Limits" lists them.
     """
 
     N: int
@@ -131,17 +130,17 @@ def default_dimension(n: int) -> int:
 
 
 def default_witness_bound(inst: FactoringInstance) -> int:
-    """Pigeonhole-scale radius sqrt(d) 2^{n/d}, clamped so that the box
-    (2r+1)^d holds about ENUM_CAP points.  The clamp reads ENUM_CAP as a box
-    volume; the cap itself counts the enumeration nodes of ball_census.
-    Where 2^{n/d} alone passes the clamp, the clamp is returned without
-    evaluating the radius, which can overflow a float."""
+    """The paper's radius sqrt(d) 2^{n/d}, rounded up, plus one: the bound
+    within which the heuristic assumption puts a vector of L outside L0.
+    A radius that overflows a float is refused as ResourceLimitError; a
+    finite one too large to certify is refused by the census's node cap."""
     d = inst.d
-    r_cap = (int(round(relattice.ENUM_CAP ** (1.0 / d))) - 1) // 2
-    if inst.n >= d * r_cap.bit_length():
-        return max(1, r_cap)
-    want = int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
-    return max(1, min(want, r_cap))
+    try:
+        return int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
+    except OverflowError:
+        raise ResourceLimitError(
+            f"the witness bound sqrt(d) 2^(n/d) for n = {inst.n}, d = {d} overflows a float"
+        ) from None
 
 
 def select_radius(inst: FactoringInstance, rel: RelationLattice, T: int, m: int, safety: int) -> int:
@@ -279,6 +278,8 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
     m = config.m if config.m is not None else d + 4
     if m < d + 4:
         raise ParameterError("m must be at least d + 4")
+    if d + m > latred.DIM_CAP:
+        raise ResourceLimitError(f"extended lattice dimension d + m = {d + m} exceeds cap {latred.DIM_CAP}")
     T = _ceil_sqrt(witness.norm_sq)
     R = config.radius_override
     if R is None:

@@ -38,11 +38,7 @@ from .arith import (
 # subgroup order; the coset expansion holds up to this many residues, each
 # in a list and a position dict (about 100 bytes per element)
 GROUP_CAP = 1 << 22
-ENUM_CAP = 1 << 22  # enumeration nodes: coefficient values tried, over all levels
-
-
-class DomainError(ValueError):
-    """A vector fails a membership precondition."""
+ENUM_CAP = 1 << 22  # enumeration nodes: admitted coefficient values, over all levels
 
 
 @dataclass(frozen=True)
@@ -133,14 +129,6 @@ def classify(rel: RelationLattice, z) -> dict:
         if not entry["in_sign"]:
             entry["gcd"] = gcd(bp - 1, inst.N)
     return entry
-
-
-def in_L0(rel: RelationLattice, z) -> bool:
-    """True iff prod b_i^{z_i} mod N lies in {1, N-1}.  Requires z in L."""
-    c = classify(rel, z)
-    if not c["in_lattice"]:
-        raise DomainError("vector is not in the relation lattice")
-    return c["in_sign"]
 
 
 @dataclass(frozen=True)

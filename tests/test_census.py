@@ -29,9 +29,9 @@ from qfactor.relattice import (
     BallCensus,
     ball_census,
     build_relation_lattice,
-    in_L0,
     shortest_nontrivial_witness,
 )
+from test_relattice import in_L0
 
 
 def census_reference(rel, bound):

@@ -39,8 +39,32 @@ def test_factor_20_bit_modulus(capsys, tmp_path):
     # the BFS construction of the lattice gave the same transcript
     body = {k: v for k, v in report.items() if k != "timings"}
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == (
-        "e79446621332f77c99a0660d4ac07fa6406e0f21d029e5848941330fb58e85ce"
+        "1b90c55b5e1009512f3d8d04aba14eaf518a0594211ce6220a3b547c6cf29747"
     )
+
+
+def test_factor_certifies_at_the_paper_witness_bound(capsys, tmp_path):
+    # 1022117 = 1009 * 1013 at d = 6: the bound is ceil(sqrt(6) 2^(20/6)) + 1 = 26
+    out = tmp_path / "report.json"
+    code, printed, _ = run_cli(capsys, ["factor", "--n", "1022117", "--d", "6", "--seed", "1", "--out", str(out)])
+    assert (code, printed.strip()) == (0, "1013")
+    witness = json.loads(out.read_text())["results"]["transcript"]["witness"]
+    assert witness["bound"] == 26 and witness["found"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a 1199-bit N at d = 1: sqrt(d) 2^(n/d) overflows a float
+    (["factor", "--n", str((4**600 - 1) // 3), "--d", "1"],
+     "the witness bound sqrt(d) 2^(n/d) for n = 1199, d = 1 overflows a float"),
+    (["factor", "--n", "221", "--d", "1", "--m", "480", "--radius", "16"],
+     "extended lattice dimension d + m = 481 exceeds cap 128"),
+], ids=["witness-bound", "dimension"])
+def test_a_run_past_a_limit_exits_2_before_any_sample(capsys, monkeypatch, argv, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an extended lattice was built")
+
+    monkeypatch.setattr("qfactor.pipeline.build_extended_lattice", unreachable)
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 class _Count(int):

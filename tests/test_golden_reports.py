@@ -27,7 +27,7 @@ GOLDEN = [
     (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
      "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
     (["factor", "--n", "10403", "--d", "4", "--seed", "1"],
-     "7be4db29898f64dcf10bc009fdfa209e03ebb5386dbc6d3936c516d3cda0c101"),
+     "888c30364e45c93df4512be7575e30cf1ae5b2c792e531d1dac291ff75a37b0e"),
     (["factor", "--n", "1147", "--d", "4", "--radius", "256", "--seed", "1"],
      "0068abaec3dc5270652b21922148057ad1690645f3ad7d44325dd05b992aa7b8"),
     (["sample", "--n", "437", "--d", "3", "--seed", "1"],

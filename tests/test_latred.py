@@ -271,10 +271,12 @@ def test_extract_cover_on_random_lattices():
 
 def fraction_enumerate_reference(basis, norm_bound_sq, node_cap=None):
     """Fincke-Pohst over Fraction Gram-Schmidt data, as enumerate_lattice_vectors
-    ran before it moved to integers; returns (vectors, nodes tried).
+    ran before it moved to integers; returns (vectors, nodes admitted).
 
-    Same brackets and the same exact admissions by construction; kept here
-    only as the reference the integer enumeration must reproduce exactly.
+    A float bracket with slack around each level's range, and an exact
+    Fraction test of each value in it; a node is a value the test admits.
+    Kept here only as the reference the integer enumeration must reproduce
+    exactly.
     """
     t_sq = Fraction(norm_bound_sq)
     vecs = [list(v) for v in getattr(basis, "vectors", basis)]
@@ -290,13 +292,13 @@ def fraction_enumerate_reference(basis, norm_bound_sq, node_cap=None):
         radius = math.sqrt(float(remaining / sq[i])) + 1.0
         center = float(-shift)
         lo, hi = math.floor(center - radius), math.ceil(center + radius)
-        nodes += hi - lo + 1
-        if node_cap is not None and nodes > node_cap:
-            raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
         for x in range(lo, hi + 1):
             used = (x + shift) ** 2 * sq[i]
             if used > remaining:
                 continue
+            nodes += 1
+            if node_cap is not None and nodes > node_cap:
+                raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
             coeffs[i] = x
             if i == 0:
                 if any(coeffs):
@@ -430,11 +432,18 @@ def test_enumeration_exact_boundary():
 
 
 def test_enumeration_node_cap_counts_coefficients_tried():
-    # on 2Z at bound 4 the single level tries x = -3..3: seven nodes
+    # on 2Z at bound 4 the single level tries x = -2..2, each admitted: five nodes
     two = lll_reduce([[2]])
-    assert enumerate_lattice_vectors(two, 16, node_cap=7) == [(-4,), (-2,), (2,), (4,)]
+    assert enumerate_lattice_vectors(two, 16, node_cap=5) == [(-4,), (-2,), (2,), (4,)]
     with pytest.raises(ResourceLimitError):
-        enumerate_lattice_vectors(two, 16, node_cap=6)
+        enumerate_lattice_vectors(two, 16, node_cap=4)
+
+
+def test_enumeration_node_cap_refuses_a_bound_past_float_range():
+    # a 2^1200 bound: the level interval is found in integers, so the cap
+    # refuses it instead of a float bracket overflowing
+    with pytest.raises(ResourceLimitError, match="10 nodes"):
+        latred.enumerate_coefficients(lll_reduce([[2]]), 4**1200, node_cap=10)
 
 
 @pytest.mark.parametrize("bound_sq", [-1, Fraction(-1, 3), -0.5])

@@ -21,13 +21,11 @@ from qfactor.arith import (
     power_product,
 )
 from qfactor.relattice import (
-    DomainError,
     RelationLattice,
     build_relation_lattice,
     classify,
     dual_cosets,
     dual_structure_from_basis,
-    in_L0,
     shortest_nontrivial_witness,
 )
 
@@ -119,6 +117,19 @@ def lattice_contains(rel, z) -> bool:
     """Membership via exact lattice algebra (not the homomorphism); the
     reference the homomorphism's verdict is checked against."""
     return intmat.lattice_contains([list(r) for r in rel.basis], list(z))
+
+
+class DomainError(ValueError):
+    """A vector fails a membership precondition."""
+
+
+def in_L0(rel, z) -> bool:
+    """True iff prod b_i^{z_i} mod N lies in {1, N-1}, through classify.
+    Requires z in L."""
+    c = classify(rel, z)
+    if not c["in_lattice"]:
+        raise DomainError("vector is not in the relation lattice")
+    return c["in_sign"]
 
 
 def extract_factor(rel, z) -> int:
