@@ -4,6 +4,12 @@ Each suite returns a JSON-friendly dict with a top-level `passed` flag.
 Frequency guarantees are accepted by an exact one-sided binomial test: a
 suite fails only when the observed rate is below the guaranteed rate at
 99% confidence.
+
+The generation and separation suites decide each trial by one exact mask
+test: every drawn element reads a bitmask from a read-only table, in which
+a set bit names a way the trial could fail (a hyperplane holding the
+element, a primal coset the element does not separate), and the trial
+passes iff the bitwise AND of its elements' masks is empty.
 """
 
 from __future__ import annotations
@@ -37,6 +43,20 @@ def _log_factorials(n: int) -> np.ndarray:
     table = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     table.flags.writeable = False
     return table
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of uint64 words; bit j of row i is bits[i, j], and the padding
+    bits of the last word are zero."""
+    padded = np.zeros((bits.shape[0], -(-bits.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _none_survive(masks: np.ndarray) -> np.ndarray:
+    """For a stack of trials x elements x words masks, whether the AND of
+    each trial's masks is empty.  An AND over no words is empty."""
+    return ~np.bitwise_and.reduce(masks, axis=1).any(axis=-1)
 
 
 def binomial_lower_pvalue(successes: int, trials: int, p: float) -> float:
@@ -77,23 +97,42 @@ def _random_tiny_lattice(rng, d: int) -> list[list[int]]:
             return m
 
 
+@lru_cache(maxsize=64)
+def _separation_masks(snf_diag: tuple[int, ...], m: int) -> np.ndarray:
+    """Read-only table of the primal cosets each dual coset fails to
+    separate, for m draws on the quotient with Smith diagonal `snf_diag`.
+
+    Row x (quotient elements in C order over the diagonal, 0 first) has bit
+    y - 1 set iff nonzero primal coset y is within eps = (4 det)^{-1/m}/3 of
+    the integers against x.  On the diagonal the pairing is
+    sum_j x_j y_j / s_j mod 1 (see DualStructure), so det times it is the
+    integer sum_j x_j y_j (det / s_j) mod det, below d det^2 before the
+    reduction and so exact in int64.  At det = 1 the rows have no words.
+    """
+    det = math.prod(snf_diag)
+    eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
+    coords = np.indices(snf_diag).reshape(len(snf_diag), -1).T  # every quotient element; 0 first
+    r = coords * [det // s for s in snf_diag] @ coords[1:].T % det
+    table = _pack_bits(np.minimum(r, det - r) <= eps_scaled)  # det x (det - 1) bits
+    table.flags.writeable = False
+    return table
+
+
 def separation_suite(trials: int = 2000, seed: int = 0) -> dict:
     """Uniform dual cosets separate every nonzero primal coset.
 
     For each tiny lattice (det <= 64), draw m = d+4 uniform cosets of
     L*/Z^d and check exhaustively that every nonzero element of Z^d/L has
     some inner product at least eps = (4 det)^{-1/m}/3 away from the
-    integers.  Guaranteed frequency of the event: 1/4.  Whether the coset
-    of quotient element x is far from the integers against primal coset y
-    is tabulated once per lattice, for every x and every nonzero y, both
-    in C order over the Smith diagonal s: on that diagonal the pairing is
-    sum_j x_j y_j / s_j mod 1 (see DualStructure), so det times it is the
-    integer sum_j x_j y_j (det / s_j) mod det, below d det^2 before the
-    reduction and so exact in int64.  A drawn coset then looks its row up
-    by its mixed-radix index.  The trials of a lattice are drawn and
-    decided in blocks of about BLOCK_CELLS table entries, one call per
-    block, which yields the same stream as drawing them trial by trial and
-    bounds the memory.
+    integers.  Guaranteed frequency of the event: 1/4.  Each drawn coset
+    looks up, by its mixed-radix index on the Smith diagonal, the mask of
+    primal cosets it leaves within eps (`_separation_masks`, built once per
+    diagonal and m), and the m draws separate every nonzero coset iff the
+    AND of their masks is empty; at det = 1 there is none to separate, and
+    every trial passes.  The trials of a lattice are drawn and decided in
+    blocks of about BLOCK_CELLS table entries, one call per block, which
+    yields the same stream as drawing them trial by trial and bounds the
+    memory.
     """
     rng = np.random.default_rng(seed)
     lattices = [[[2]], [[12]], [[64]]]
@@ -106,17 +145,13 @@ def separation_suite(trials: int = 2000, seed: int = 0) -> dict:
         m = d + 4
         dual = dual_structure_from_basis(basis)
         det = dual.det
-        eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
-        coords = np.indices(dual.snf_diag).reshape(d, -1).T  # every quotient element; 0 first
-        r = coords * [det // s for s in dual.snf_diag] @ coords[1:].T % det
-        far = np.minimum(r, det - r) > eps_scaled  # det x (det - 1)
+        masks = _separation_masks(tuple(dual.snf_diag), m)
         block = max(1, BLOCK_CELLS // (m * det))
         successes = 0
         for start in range(0, trials, block):
             x = rng.integers(0, dual.snf_diag, size=(min(block, trials - start), m, d))
-            hits = far[np.ravel_multi_index(np.moveaxis(x, -1, 0), dual.snf_diag)]  # rows x m x (det - 1)
-            # at det = 1 there is no nonzero coset to separate, and all() of nothing holds
-            successes += int(np.all(np.any(hits, axis=1), axis=1).sum())
+            drawn = masks[np.ravel_multi_index(np.moveaxis(x, -1, 0), dual.snf_diag)]  # rows x m x words
+            successes += int(_none_survive(drawn).sum())
         verdict = frequency_verdict(successes, trials, 0.25)
         verdict["basis"] = basis
         verdict["det"] = det
@@ -125,26 +160,37 @@ def separation_suite(trials: int = 2000, seed: int = 0) -> dict:
     return {"name": "separation", "passed": all_passed, "cases": per_lattice}
 
 
-def _full_rank_mod_p(vecs: np.ndarray, p: int) -> np.ndarray:
-    """For a stack of k x r integer matrices (k >= r), whether each has rank
-    r modulo the prime p.
+@lru_cache(maxsize=16)
+def _hyperplane_masks(p: int, r: int) -> np.ndarray:
+    """Read-only table of the hyperplanes of F_p^r that hold each vector.
 
-    Gaussian elimination runs on the whole stack at once.  A matrix keeps
-    full rank only if every column finds a pivot, so pivot c always lands in
-    row c; a matrix that misses one is marked and its later rows are moot.
+    Row v (vectors in C order, so row sum_j v_j p^{r-1-j}) has bit h set iff
+    h . v = 0 mod p, for the (p^r - 1)/(p - 1) normals h whose first nonzero
+    entry is 1, one per hyperplane.  The bits are built one word of 64
+    normals at a time.
     """
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    a = vecs % p
-    stack = np.arange(a.shape[0])
-    full = np.ones(a.shape[0], dtype=bool)
-    for c in range(a.shape[2]):
-        nonzero = a[:, c:, c] != 0
-        full &= nonzero.any(axis=1)
-        piv = c + nonzero.argmax(axis=1)
-        a[stack, c], a[stack, piv] = a[stack, piv], a[stack, c]
-        a[:, c] = a[:, c] * inverse[a[:, c, c]][:, None] % p
-        a[:, c + 1:] = (a[:, c + 1:] - a[:, c + 1:, c, None] * a[:, c, None]) % p
-    return full
+    vecs = np.indices((p,) * r).reshape(r, p**r).T
+    lead = (vecs * ((vecs != 0).cumsum(axis=1) == 1)).sum(axis=1)  # first nonzero entry, or 0
+    normals = vecs[lead == 1]
+    words = [_pack_bits(vecs @ normals[w : w + 64].T % p == 0) for w in range(0, len(normals), 64)]
+    table = np.concatenate([np.zeros((len(vecs), 0), dtype="<u8"), *words], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _full_rank_mod_p(vecs: np.ndarray, p: int) -> np.ndarray:
+    """For a stack of k x r integer matrices, whether each has rank r
+    modulo the prime p.
+
+    k rows span F_p^r iff no hyperplane holds all of them, so each row
+    reads its hyperplane mask (`_hyperplane_masks`) and a matrix has full
+    rank iff the AND of its rows' masks is empty; with k < r some
+    hyperplane always survives.
+    """
+    r = vecs.shape[2]
+    residues = vecs - vecs // p * p  # vecs % p; numpy divides by a scalar faster than it takes `%`
+    index = residues @ p ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    return _none_survive(_hyperplane_masks(p, r)[index])
 
 
 def generation_suite(trials: int = 2000, seed: int = 0) -> dict:
@@ -152,10 +198,11 @@ def generation_suite(trials: int = 2000, seed: int = 0) -> dict:
     for r = 1..4 and t = 2, 3, 4.
 
     Generation is decided exactly: for each prime p | t the elements must
-    have full rank r modulo p.  The trials of an (r, t) case are drawn in
-    blocks of about BLOCK_CELLS entries, one call per block, which yields
-    the same stream as drawing them trial by trial, and each block's ranks
-    are decided by one batched elimination per prime.
+    have full rank r modulo p, that is, the AND of their hyperplane masks
+    mod p must be empty.  The trials of an (r, t) case are drawn in blocks
+    of about BLOCK_CELLS entries, one call per block, which yields the same
+    stream as drawing them trial by trial, and each block is decided by one
+    batched mask test per prime.
     """
     rng = np.random.default_rng(seed)
     cases = []

@@ -238,19 +238,20 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
         raise ResourceLimitError(f"enumeration box radius overflows a float at R = {R:g}") from None
     if (2 * B + 1) ** d > BOX_GUARD:
         raise ResourceLimitError("enumeration box too large")
+    # squared norm, cell index (offset encoding) and in-box flag of each
+    # point, combined axis by axis over the box in C order, the grid's order
     ys = np.arange(-B, B + 1)
-    grids = np.meshgrid(*([ys] * d), indexing="ij")
-    flat = [g.ravel() for g in grids]
-    norm_sq = sum(y.astype(float) ** 2 for y in flat)
+    axis_sq = ys.astype(float) ** 2
+    axis_cell = (ys + D // 2) % D
+    axis_in = (ys >= -D // 2) & (ys < D // 2)
+    norm_sq, cell, in_box = axis_sq, axis_cell, axis_in
+    for _ in range(d - 1):
+        norm_sq = np.add.outer(norm_sq, axis_sq)
+        cell = np.add.outer(cell * D, axis_cell)
+        in_box = np.logical_and.outer(in_box, axis_in)
+    norm_sq, cell, in_box = norm_sq.ravel(), cell.ravel(), in_box.ravel()
     rho_vals = np.exp(-math.pi * norm_sq / (R * R))
-    # group element per point; meshgrid's "ij" order is the grid's index order
     e_vals = power_grid(inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
-    # cell index per point (offset encoding), and in-box mask
-    cell = np.zeros(flat[0].size, dtype=np.int64)
-    in_box = np.ones(flat[0].size, dtype=bool)
-    for i in range(d):
-        cell = cell * D + ((flat[i] + D // 2) % D)
-        in_box &= (flat[i] >= -D // 2) & (flat[i] < D // 2)
     ordered = np.sort(e_vals)
     uniq = ordered[_run_starts(ordered)]
     branch_idx = np.searchsorted(uniq, e_vals)

@@ -7,7 +7,9 @@ or are split into several.  The separation reference pairs cosets through
 the Smith transform U, where the suite pairs them on the Smith diagonal.
 The short-cover suite, which reduces each lattice once, is held to the
 form that reduces twice and enumerates on the unreduced basis.  The exact
-binomial p-value is held to its scalar loop the same way.
+binomial p-value is held to its scalar loop the same way, the hyperplane
+mask test to Gaussian elimination on every small matrix, and the separation
+masks to the boolean table of far cosets they pack.
 """
 
 import itertools
@@ -23,7 +25,9 @@ from qfactor.arith import ParameterError
 from qfactor.checks import (
     BLOCK_CELLS,
     _full_rank_mod_p,
+    _none_survive,
     _random_tiny_lattice,
+    _separation_masks,
     binomial_lower_pvalue,
     frequency_verdict,
     generation_suite,
@@ -194,6 +198,40 @@ def test_full_rank_mod_p_matches_reference(p):
         got = _full_rank_mod_p(vecs, p)
         want = [rank_mod_p_reference(m.tolist(), p) == r for m in vecs]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p, r_max, k_max", [(2, 3, 4), (3, 2, 3)])
+def test_full_rank_mod_p_matches_reference_on_every_matrix(p, r_max, k_max):
+    # every k x r matrix over 0..p-1, with k < r (never full rank) included
+    for r in range(1, r_max + 1):
+        for k in range(k_max + 1):
+            vecs = np.array(list(itertools.product(range(p), repeat=k * r)), dtype=np.int64)
+            vecs = vecs.reshape(p ** (k * r), k, r)
+            got = _full_rank_mod_p(vecs, p)
+            want = [rank_mod_p_reference(m.tolist(), p) == r for m in vecs]
+            assert got.tolist() == want, (p, r, k)
+            if k < r:
+                assert not got.any()
+
+
+# det - 1 nonzero cosets give 0, 1, 7, 8, 63, 64, 65 and 127 mask bits: no
+# word, one word with and without padding, a full word, and a second word
+@pytest.mark.parametrize("det", [1, 2, 8, 9, 64, 65, 66, 128])
+def test_separation_masks_match_the_far_table_across_words(det):
+    rng = np.random.default_rng(det)
+    for m in (1, 2, 5):
+        eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det
+        x = np.arange(det)
+        r = np.outer(x, x[1:]) % det
+        far = np.minimum(r, det - r) > eps_scaled  # det x (det - 1)
+        masks = _separation_masks((det,), m)
+        bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+        assert masks.shape == (det, -(-(det - 1) // 64))
+        assert np.array_equal(bits[:, : det - 1], ~far)
+        assert not bits[:, det - 1 :].any()  # padding
+        draws = rng.integers(0, det, size=(2000, m))
+        want = np.all(np.any(far[draws], axis=1), axis=1)
+        assert np.array_equal(_none_survive(masks[draws]), want)
 
 
 # the default blocks hold 409 trials of the det-64 separation case and 4096

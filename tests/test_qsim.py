@@ -13,6 +13,7 @@ from qfactor.arith import (
     power_product,
     product_tree_exponentiation,
 )
+from qfactor import qsim
 from qfactor.gauss import GaussParams, q_table
 from qfactor.pipeline import draw_samples
 from qfactor.qsim import (
@@ -270,6 +271,38 @@ def test_phi_gap_guarantee_windows():
         # z1 agrees with the state builder's reported mass
         state = build_gaussian_state(params)
         assert res.z1**2 == pytest.approx(state.z1_squared, rel=1e-10)
+
+
+def phi1_phi2_gap_reference(rel, params):
+    """The gap with every box point listed by meshgrid, and each point's
+    squared norm, cell and in-box flag built over the d coordinate arrays."""
+    d, D, R, N = params.d, params.D, params.R, rel.inst.N
+    B = max(int(math.ceil(qsim._BOX_RADII * R)) + 1, D // 2)
+    flat = [g.ravel() for g in np.meshgrid(*([np.arange(-B, B + 1)] * d), indexing="ij")]
+    rho_vals = np.exp(-math.pi * sum(y.astype(float) ** 2 for y in flat) / (R * R))
+    e_vals = power_grid(rel.inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
+    cell = np.zeros(flat[0].size, dtype=np.int64)
+    in_box = np.ones(flat[0].size, dtype=bool)
+    for y in flat:
+        cell = cell * D + ((y + D // 2) % D)
+        in_box &= (y >= -D // 2) & (y < D // 2)
+    uniq, branch_idx = np.unique(e_vals, return_inverse=True)
+    size = uniq.size * D**d
+    a2 = np.bincount(branch_idx * D**d + cell, weights=rho_vals, minlength=size)
+    a1 = np.bincount(branch_idx[in_box] * D**d + cell[in_box], weights=rho_vals[in_box], minlength=size)
+    z1, z2 = math.sqrt(float(np.square(a1).sum())), math.sqrt(float(np.square(a2).sum()))
+    gap = math.sqrt(float(np.square(a1 / z1 - a2 / z2).sum()))
+    return qsim.GapResult(gap=gap, z1=z1, z2=z2, ratio=z1 / z2)
+
+
+@pytest.mark.parametrize("N,d,D,R", [
+    (77, 1, 16, 4.0), (77, 2, 32, 8.0), (77, 3, 32, 4.62),  # the simulate golden's sweep
+    (91, 1, 64, 6.0), (221, 2, 8, 2.5), (437, 3, 8, 3.0), ((1 << 32) + 1, 1, 64, 8.0),
+])
+def test_phi_gap_matches_meshgrid_reference(N, d, D, R):
+    params = GaussParams(R=R, D=D, d=d)
+    rel = rel_for(N, d)
+    assert phi1_phi2_gap(rel, params) == phi1_phi2_gap_reference(rel, params)
 
 
 def test_wrapped_mass_oracle_tiny_case():
