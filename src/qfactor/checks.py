@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import intmat
-from .arith import ParameterError
+from .arith import ParameterError, integer_root
 from .latred import (
     LatticeBasis,
     enumerate_lattice_vectors,
@@ -106,14 +106,16 @@ def _separation_masks(snf_diag: tuple[int, ...], m: int) -> np.ndarray:
     y - 1 set iff nonzero primal coset y is within eps = (4 det)^{-1/m}/3 of
     the integers against x.  On the diagonal the pairing is
     sum_j x_j y_j / s_j mod 1 (see DualStructure), so det times it is the
-    integer sum_j x_j y_j (det / s_j) mod det, below d det^2 before the
-    reduction and so exact in int64.  At det = 1 the rows have no words.
+    integer r = sum_j x_j y_j (det / s_j) mod det, below d det^2 before the
+    reduction and so exact in int64.  It is within eps iff
+    (3 min(r, det - r))^m 4 det <= det^m, that is iff min(r, det - r) <= near,
+    found in Python ints.  At det = 1 the rows have no words.
     """
     det = math.prod(snf_diag)
-    eps_scaled = (4 * det) ** (-1.0 / m) / 3.0 * det  # compare against min(r, det-r)
+    near = integer_root(det**m // (4 * det), m) // 3
     coords = np.indices(snf_diag).reshape(len(snf_diag), -1).T  # every quotient element; 0 first
     r = coords * [det // s for s in snf_diag] @ coords[1:].T % det
-    table = _pack_bits(np.minimum(r, det - r) <= eps_scaled)  # det x (det - 1) bits
+    table = _pack_bits(np.minimum(r, det - r) <= near)  # det x (det - 1) bits
     table.flags.writeable = False
     return table
 

@@ -19,10 +19,10 @@ finite (or a --c that is not positive), an estimate --eps-values given with
 --d or --log2d (the sweep picks both itself), and, found only after the
 run, an --out path that cannot be written.  A ParameterError,
 ResourceLimitError or FactorFound raised once a run has started (such as
---d 0, --m below d+4, or a radius, sweep or estimate that overflows a
-float) exits 2.  Without --json, every non-zero exit writes an error: line
-to stderr.  Identical flags and seed produce byte-identical JSON up to the
-timings block.
+--d 0, --m below d+4, a radius too large for the grid, or a sweep or
+estimate that overflows a float) exits 2.  Without --json, every non-zero
+exit writes an error: line to stderr.  Identical flags and seed produce
+byte-identical JSON up to the timings block.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,29 +93,28 @@ class GaussParams:
 
     @property
     def in_tail_regime(self) -> bool:
-        return (
-            self.R >= math.sqrt(2 * self.d) - 1e-12
-            and self.D >= 2 * math.sqrt(self.d) * self.R - 1e-9
-        )
+        R_sq = Fraction(self.R) ** 2
+        return R_sq >= 2 * self.d and self.D * self.D >= 4 * self.d * R_sq
 
     @property
     def in_selection_window(self) -> bool:
-        return self.in_tail_regime and self.D < 4 * math.sqrt(self.d) * self.R
+        return self.in_tail_regime and self.D * self.D < 16 * self.d * Fraction(self.R) ** 2
 
     @classmethod
     def choose(cls, d: int, R: float) -> "GaussParams":
-        """Smallest power-of-two D with 2 sqrt(d) R <= D (< 4 sqrt(d) R).
+        """Smallest power-of-two D >= 2 with D^2 >= 4 d R^2, decided exactly
+        with R read as a Fraction; then D < 4 sqrt(d) R unless D = 2.
 
         Raises ResourceLimitError when D would pass GRID_CAP."""
-        lo = 2 * math.sqrt(d) * R
-        D = 1 << max(1, math.ceil(math.log2(lo) - 1e-9))
-        while D < lo:
-            D <<= 1
-        if D > GRID_CAP:
-            raise ResourceLimitError(
-                f"grid size 2^{D.bit_length() - 1} exceeds the cap 2^62; lower the radius"
-            )
-        return cls(R=R, D=D, d=d)
+        R = Fraction(R)
+        # D = 2^j needs den 4^j >= lo; by the bit lengths the least such j is this start or one above
+        lo, den = 4 * d * R.numerator**2, R.denominator**2
+        j = max(1, (lo.bit_length() - den.bit_length()) // 2)
+        while den << 2 * j < lo:
+            j += 1
+        if j > GRID_CAP.bit_length() - 1:
+            raise ResourceLimitError(f"grid size 2^{j} exceeds the cap 2^62; lower the radius")
+        return cls(R=float(R), D=1 << j, d=d)
 
 
 def rho(s: float, x) -> float:

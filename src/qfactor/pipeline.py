@@ -11,9 +11,9 @@ factor.  Every intermediate object lands in a JSON-friendly transcript.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .arith import (
     FactorFound,
     ParameterError,
     ResourceLimitError,
+    integer_root,
     precheck,
 )
 from .gauss import GaussParams, sample_Q_many
@@ -119,75 +120,73 @@ def certify_assumption(
     )
 
 
-def _ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else r + 1
+def _ceil_root(n: int, k: int = 2) -> int:
+    r = integer_root(n, k)
+    return r if r**k == n else r + 1
 
 
 def default_dimension(n: int) -> int:
     """The default dimension d = ceil(sqrt(n)) for an n-bit modulus."""
-    return max(1, _ceil_sqrt(n))
+    return max(1, _ceil_root(n))
 
 
 def default_witness_bound(inst: FactoringInstance) -> int:
     """The paper's radius sqrt(d) 2^{n/d}, rounded up, plus one: the bound
     within which the heuristic assumption puts a vector of L outside L0.
-    A radius that overflows a float is refused as ResourceLimitError; a
-    finite one too large to certify is refused by the census's node cap."""
-    d = inst.d
-    try:
-        return int(math.ceil(math.sqrt(d) * 2 ** (inst.n / d))) + 1
-    except OverflowError:
-        raise ResourceLimitError(
-            f"the witness bound sqrt(d) 2^(n/d) for n = {inst.n}, d = {d} overflows a float"
-        ) from None
+    The rounded radius is the least t with t^{2d} >= d^d 4^n, found in
+    integers; the census's node cap refuses a bound too large to certify."""
+    return _ceil_root(inst.d**inst.d * 4**inst.n, 2 * inst.d) + 1
+
+
+def recovery_holds(k: int, T: int, d: int, det: int, m: int, lift_sq, R) -> bool:
+    """The recovery inequality sqrt(k) 2^{k/2} T lift < (sqrt(2) R / sqrt(d))
+    (4 det)^{-1/m} / 6, squared and raised to the m-th power so that ints or
+    Fractions decide it exactly: (36 k 2^k T^2 lift^2 d)^m (4 det)^2 < (2 R^2)^m."""
+    return (36 * k * 2**k * T * T * lift_sq * d) ** m * (4 * det) ** 2 < (2 * R * R) ** m
 
 
 def select_radius(inst: FactoringInstance, rel: RelationLattice, T: int, m: int, safety: int) -> int:
-    """Smallest power-of-two radius R satisfying both requirements.
+    """Smallest power-of-two radius R >= 2 satisfying both requirements.
 
     (a) the scaling relation R > 2^{d + n/d} T, with a 2^safety margin; and
-    (b) twice the exact recovery inequality
-        sqrt(k) 2^{k/2} T sqrt(1 + 8 m d^2) < (sqrt(2) R / sqrt(d)) (4 det)^{-1/m} / 6
-    where k = d+m and sqrt(1 + 8 m d^2) is the worst-case lift factor of the
-    S = D embedding over the whole selection window.
+    (b) twice the recovery inequality: recovery_holds at R/2 with the lift
+        sqrt(1 + 8 m d^2), worst case of the S = D embedding over the window.
+    Both are decided in integers: (a) as R^d > 2^{d^2 + n + d safety} T^d,
+    and (b) as (72 k 2^k (1 + 8 m d^2) T^2 d)^m (4 det)^2 < R^{2m}, with
+    k = d+m.  GaussParams holds R as a float, so R >= 2^1024 is refused unbuilt.
     """
     d, n = inst.d, inst.n
     k = d + m
-    lift = math.sqrt(1 + 8 * m * d * d)
-    try:
-        base = 2.0 ** (d + n / d) * T * 2 ** safety
-        need = (
-            6.0
-            * math.sqrt(k)
-            * 2.0 ** (k / 2)
-            * lift
-            * T
-            * math.sqrt(d / 2.0)
-            * (4 * rel.det) ** (1.0 / m)
-        )
-        target = max(base, 2.0 * need, 2.0)
-        return 1 << max(1, math.ceil(math.log2(target) - 1e-9))
-    except OverflowError:
-        raise ResourceLimitError(
-            f"the radius for m = {m} and safety margin 2^{safety} overflows a float"
-        ) from None
+    lift_sq = 1 + 8 * m * d * d
+    # R = 2^e meets (a) iff e d >= d^2 + n + d safety + bitlen(T^d).  (b)
+    # needs 2 e m >= bitlen(X^m (4 det)^2) for X = 72 k 2^k lift^2 T^2 d, and
+    # the bit lengths of X and 4 det put its least e at e_b or e_b + 1.
+    e_a = -(-(d * d + n + d * safety + (T**d).bit_length()) // d)
+    X = 72 * k * 2**k * lift_sq * T * T * d
+    e_b = -(-(m * (X.bit_length() - 1) + 2 * (4 * rel.det).bit_length() - 1) // (2 * m))
+    e = max(1, e_a, e_b)
+    limit = sys.float_info.max_exp  # 2^limit overflows a float
+    while e < limit and not recovery_holds(k, T, d, rel.det, m, lift_sq, 1 << (e - 1)):
+        e += 1
+    if e >= limit:
+        raise ResourceLimitError(f"the radius for m = {m} and safety margin 2^{safety} is at least 2^{limit}")
+    return 1 << e
 
 
 def recovery_recheck(rel: RelationLattice, params: GaussParams, T: int, m: int) -> dict:
-    """Numeric check of the norm inequality actually used this run; a float
-    overflow is refused as in select_radius, which a pinned radius skips."""
+    """The norm inequality actually used this run: `holds` is recovery_holds
+    at the run's R and lift, decided exactly; lhs, rhs, delta and lift are
+    its float sides, for display."""
     d = rel.d
     S = params.D
     delta = math.sqrt(d) * params.s
     lift = math.sqrt(1 + m * (S * delta) ** 2)
     k = d + m
-    try:
-        lhs = math.sqrt(k) * 2.0 ** (k / 2) * T * lift
-    except OverflowError:
-        raise ResourceLimitError(f"the recovery bound for k = d + m = {k} overflows a float") from None
+    lhs = math.sqrt(k) * 2.0 ** (k / 2) * T * lift
     rhs = (1.0 / delta) * (4 * rel.det) ** (-1.0 / m) / 6.0
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs < rhs, "delta": delta, "lift": lift}
+    R = Fraction(params.R)
+    holds = recovery_holds(k, T, d, rel.det, m, 1 + m * S * S * d / (2 * R * R), R)
+    return {"lhs": lhs, "rhs": rhs, "holds": holds, "delta": delta, "lift": lift}
 
 
 @dataclass
@@ -280,14 +279,11 @@ def prepare(config: PipelineConfig) -> Prepared | FactoringOutcome:
         raise ParameterError("m must be at least d + 4")
     if d + m > latred.DIM_CAP:
         raise ResourceLimitError(f"extended lattice dimension d + m = {d + m} exceeds cap {latred.DIM_CAP}")
-    T = _ceil_sqrt(witness.norm_sq)
+    T = _ceil_root(witness.norm_sq)
     R = config.radius_override
     if R is None:
         R = select_radius(inst, rel, T, m, config.safety)
-    try:
-        params = GaussParams.choose(d, float(R))
-    except OverflowError:
-        raise ResourceLimitError(f"radius R >= 2^{R.bit_length() - 1} overflows a float") from None
+    params = GaussParams.choose(d, R)
     transcript["parameters"] = {
         "T": T, "R": R, "D": params.D, "S": params.D, "m": m,
         "noise_width": params.s, "recheck": recovery_recheck(rel, params, T, m),

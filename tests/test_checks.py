@@ -234,6 +234,15 @@ def test_separation_masks_match_the_far_table_across_words(det):
         assert np.array_equal(_none_survive(masks[draws]), want)
 
 
+@pytest.mark.parametrize("det, m, y", [(36, 2, 1), (54, 3, 3)])
+def test_separation_masks_set_the_bit_of_a_pairing_exactly_at_eps(det, m, y):
+    # against x = 1, coset y pairs to y / det, and (3 y)^m 4 det = det^m puts
+    # it exactly at eps = (4 det)^{-1/m} / 3: within eps, while y + 1 is not
+    assert (3 * y) ** m * 4 * det == det**m
+    bits = np.unpackbits(_separation_masks((det,), m).view(np.uint8), axis=1, bitorder="little")
+    assert bits[1, y - 1] and not bits[1, y]
+
+
 # the default blocks hold 409 trials of the det-64 separation case and 4096
 # of the r = 4 generation cases; the counts below straddle both, and the
 # smaller budgets split every case into blocks of one or a few trials

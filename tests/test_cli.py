@@ -53,9 +53,10 @@ def test_factor_certifies_at_the_paper_witness_bound(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # a 1199-bit N at d = 1: sqrt(d) 2^(n/d) overflows a float
+    # a 1199-bit N at d = 1: the witness bound 2^1199 + 1 is exact, and its
+    # census passes the node cap
     (["factor", "--n", str((4**600 - 1) // 3), "--d", "1"],
-     "the witness bound sqrt(d) 2^(n/d) for n = 1199, d = 1 overflows a float"),
+     "enumeration exceeds 4194304 nodes"),
     (["factor", "--n", "221", "--d", "1", "--m", "480", "--radius", "16"],
      "extended lattice dimension d + m = 481 exceeds cap 128"),
 ], ids=["witness-bound", "dimension"])

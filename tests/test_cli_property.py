@@ -103,17 +103,20 @@ def _factor_of(report, stdout):
 @example(["estimate", "--n-values", "4", "--log2d=inf", "--json"])
 @example(["estimate", "--n-values", "4", "--c=1e308", "--json"])
 @example(["simulate", "--n", "15", "--sweep", "1:2:nan", "--trials", "1"])
-# floats that overflow: the radius, the radius selection, the box, the mass
+# sizes past a limit: a pinned radius, the radius selection, the box, the mass
 @example(["factor", "--n", "77", "--d", "2", "--radius", "1" + "0" * 400])
 @example(["factor", "--n", "77", "--d", "2", "--m", "2100"])
 @example(["sample", "--n", "77", "--d", "2", "--m", "3000"])
 @example(["simulate", "--n", "77", "--sweep", "1:16:1e308"])
 @example(["simulate", "--n", "77", "--sweep", "2:16:1e307"])
-# the witness bound at a 1198-bit N, and the recovery recheck at a pinned radius
+# the witness bound at a 1199-bit N, and the recovery recheck at a pinned radius
 @example(["factor", "--n", str((4**600 - 1) // 3), "--d", "1"])
 @example(["sample", "--n", str((4**600 - 1) // 3), "--d", "1"])
 @example(["factor", "--n", "221", "--d", "1", "--m", "3000", "--radius", "16", "--max-attempts", "0"])
 @example(["factor", "--n", "77", "--d", "2", "--m", "2100", "--radius", "16"])
+# a negative safety margin, and one whose radius is refused before it is built
+@example(["factor", "--n", "35", "--d", "1", "--safety", "-40"])
+@example(["factor", "--n", "35", "--d", "1", "--safety", "1000000000000"])
 def test_cli_contract_holds_for_generated_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

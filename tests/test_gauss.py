@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qfactor.arith import FactoringInstance, ParameterError
 from qfactor.gauss import (
@@ -55,16 +57,23 @@ def test_params_validation():
     assert loose.in_tail_regime and not loose.in_selection_window
     off = GaussParams(R=1.0, D=8, d=1)  # radius below sqrt(2d)
     assert not off.in_tail_regime
+    # the regime's edges are exact: R^2 >= 2d and D^2 >= 4 d R^2
+    assert GaussParams(R=2.0, D=8, d=2).in_tail_regime
+    assert not GaussParams(R=math.nextafter(2.0, 0.0), D=8, d=2).in_tail_regime
+    assert not GaussParams(R=math.nextafter(4.0, math.inf), D=8, d=1).in_tail_regime
 
 
-def test_choose_picks_the_power_of_two_window():
-    for d in (1, 2, 3, 4):
-        for R in (2.1, 4.0, 7.7, 16.0, 300.0):
-            if R < math.sqrt(2 * d):
-                continue
-            p = GaussParams.choose(d, R)
-            assert p.in_selection_window
-            assert 2 * math.sqrt(d) * R <= p.D < 4 * math.sqrt(d) * R
+@given(d=st.integers(1, 8), R=st.floats(0.01, 2.0**40) | st.integers(1, 2**40))
+@example(d=1, R=4.0)  # D = 2 sqrt(d) R exactly
+@example(d=4, R=2.0)
+@example(d=3, R=4.62)
+def test_choose_picks_the_power_of_two_window(d, R):
+    # the least power of two D >= 2 with D^2 >= 4 d R^2
+    p = GaussParams.choose(d, R)
+    lo = 4 * d * Fraction(R) ** 2
+    assert p.D & (p.D - 1) == 0
+    assert p.D**2 >= lo and (p.D == 2 or (p.D // 2) ** 2 < lo)
+    assert p.in_selection_window == (Fraction(R) ** 2 >= 2 * d)  # then D^2 < 16 d R^2 as well
 
 
 def test_theta_cutoff_tail_below_2_to_minus_64():

@@ -1,8 +1,13 @@
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
 from qfactor.checks import binomial_lower_pvalue
@@ -15,9 +20,11 @@ from qfactor.pipeline import (
     PipelineConfig,
     certify_assumption,
     default_dimension,
+    default_witness_bound,
     draw_samples,
     estimate_gate_cost,
     prepare,
+    recovery_recheck,
     run_factoring,
     select_radius,
     tradeoff_rows,
@@ -224,20 +231,68 @@ def test_certify_no_witness_reports_evidence():
     assert report.fraction_outside == 0.0  # short relations exist, all signed
 
 
-def test_select_radius_meets_both_requirements():
-    inst = FactoringInstance.build(221, 1)
-    rel = build_relation_lattice(inst)
-    T = 12
-    m = 5
-    R = select_radius(inst, rel, T, m, safety=4)
-    assert R & (R - 1) == 0
-    assert R > 2 ** (inst.d + inst.n / inst.d) * T * 2**4
-    k = inst.d + m
-    lift = math.sqrt(1 + 8 * m * inst.d**2)
-    need = 6 * math.sqrt(k) * 2 ** (k / 2) * lift * T * math.sqrt(inst.d / 2) * (
-        4 * rel.det
-    ) ** (1 / m)
-    assert R >= 2 * need
+@pytest.mark.parametrize("N, bound", [(77, 17), (323, 33), (1147, 65)])
+def test_witness_bound_is_exact_where_the_paper_radius_is_an_integer(N, bound):
+    # sqrt(2) 2^{n/2} is the integer 2^{(n+1)/2} at d = 2 and odd n
+    assert default_witness_bound(FactoringInstance.build(N, 2)) == bound
+
+
+@given(n=st.integers(2, 400), d=st.integers(1, 40))
+def test_witness_bound_is_the_least_t_with_t_to_the_2d_at_least_d_to_the_d_4_to_the_n(n, d):
+    t = default_witness_bound(SimpleNamespace(n=n, d=d)) - 1
+    assert t ** (2 * d) >= d**d * 4**n > (t - 1) ** (2 * d)
+
+
+@functools.cache
+def _lattice(N, d):
+    return build_relation_lattice(FactoringInstance.build(N, d))
+
+
+LATTICE_CASES = st.sampled_from([(221, 1), (35, 1), (77, 2), (1147, 2), (221, 3)])
+
+
+def _radius_requirements(rel, T, m, safety, R):
+    """select_radius's (a) and (b) at R, decided in integers."""
+    d, k = rel.d, rel.d + m
+    shift = d * d + rel.inst.n + d * safety  # (a): R^d > 2^shift T^d
+    scaling = R**d * 2 ** max(0, -shift) > 2 ** max(0, shift) * T**d
+    recovery = (72 * k * 2**k * (1 + 8 * m * d * d) * T * T * d) ** m * (4 * rel.det) ** 2 < R ** (2 * m)
+    return scaling and recovery
+
+
+@given(case=LATTICE_CASES, T=st.integers(1, 64), extra=st.integers(0, 8), safety=st.integers(-40, 40))
+@example(case=(221, 1), T=12, extra=0, safety=4)
+def test_select_radius_meets_both_requirements(case, T, extra, safety):
+    # the least power of two R >= 2 that satisfies both strictly
+    rel = _lattice(*case)
+    m = rel.d + 4 + extra
+    R = select_radius(rel.inst, rel, T, m, safety)
+    assert R >= 2 and R & (R - 1) == 0
+    assert _radius_requirements(rel, T, m, safety, R)
+    assert R == 2 or not _radius_requirements(rel, T, m, safety, R // 2)
+
+
+def test_select_radius_refuses_a_radius_of_2_to_the_1024_unbuilt():
+    rel = _lattice(35, 1)
+    with pytest.raises(ResourceLimitError, match="at least 2"):
+        select_radius(rel.inst, rel, 2, 5, 10**12)
+
+
+@given(case=LATTICE_CASES, T=st.integers(1, 64), extra=st.integers(0, 8), R=st.integers(2, 2**40))
+def test_recovery_recheck_holds_is_the_exact_inequality(case, T, extra, R):
+    rel = _lattice(*case)
+    d = rel.d
+    m = d + 4 + extra
+    k = d + m
+    params = GaussParams.choose(d, R)
+    check = recovery_recheck(rel, params, T, m)
+    # sqrt(k) 2^{k/2} T lift < (sqrt(2) R / sqrt(d)) (4 det)^{-1/m} / 6, squared
+    # and raised to the m-th power, with lift^2 = 1 + m D^2 d / (2 R^2)
+    lift_sq = 1 + Fraction(m * params.D**2 * d, 2 * R * R)
+    exact = (k * 2**k * T * T * lift_sq * 36 * d) ** m * (4 * rel.det) ** 2 < Fraction(2 * R * R) ** m
+    assert check["holds"] == exact
+    if abs(check["lhs"] / check["rhs"] - 1) > 1e-9:  # the display floats agree off the boundary
+        assert check["holds"] == (check["lhs"] < check["rhs"])
 
 
 def test_success_rate_nondecreasing_when_radius_doubles():
