@@ -16,6 +16,7 @@ floating-point soundness question from the downstream guarantees.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,11 +199,12 @@ def extract_short_generators(reduced: LLLResult, norm_bound_sq) -> list[tuple[in
 
 def enumerate_coefficients(
     reduced: LLLResult, norm_bound_sq, node_cap=None
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The coefficient rows x of all nonzero lattice vectors sum_i x_i b_i
-    of squared norm <= norm_bound_sq (an int or a Fraction), exactly, and
-    the squared norm of each, on the basis b of `reduced`, an lll_reduce
-    result.  A negative squared bound raises ParameterError.
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The coefficient row x of every nonzero lattice vector sum_i x_i b_i
+    of squared norm <= norm_bound_sq (an int or a Fraction), exactly, with
+    that squared norm, on the basis b of `reduced`, an lll_reduce result:
+    an iterator of (x, norm_sq) pairs, so no member list is built.  The
+    bound is checked at the call: a negative one raises ParameterError.
 
     Fincke-Pohst enumeration over the integer Gram-Schmidt data (dets, lam)
     that LLL leaves in `reduced`.  With B_i = dets[i+1] / dets[i] and
@@ -214,49 +216,61 @@ def enumerate_coefficients(
     the admitted x are exactly the integers with |x dets[i+1] + S_i| <= r:
     one interval, whose ends are floor divisions, so no value outside it is
     tried and no float is used (the exact Fincke-Pohst interval of Schnorr
-    and Euchner, 1994).  Each admitted coefficient value at each level is
-    one enumeration node; with node_cap set, a search that would admit more
-    nodes raises ResourceLimitError, at any bound.  A leaf's squared norm is
-    what its levels used of the squared bound, divided by M: an exact
-    division, because the levels' parts sum to M times the squared norm.
+    and Euchner, 1994).  The walk is depth-first, each level's interval in
+    increasing order, and runs as one loop over the level index.  Each
+    admitted coefficient value at each level is one enumeration node,
+    counted when the level is entered; with node_cap set, a search that
+    would admit more nodes raises ResourceLimitError, at any bound.  A
+    leaf's squared norm is what its levels used of the squared bound,
+    divided by M: an exact division, because the levels' parts sum to M
+    times the squared norm.
     """
     t_sq = Fraction(norm_bound_sq)
     if t_sq < 0:
         raise ParameterError("squared norm bound must be nonnegative")
+    return _fincke_pohst(reduced, t_sq, node_cap)
+
+
+def _fincke_pohst(reduced: LLLResult, t_sq: Fraction, node_cap):
+    """The walk of enumerate_coefficients, apart so that its bound check runs at the call."""
     n, dets, lam = reduced.basis.rank, reduced.dets, reduced.lam
     pairs = [dets[i] * dets[i + 1] for i in range(n)]
     M = math.lcm(t_sq.denominator, *pairs)
     scale = [M // p for p in pairs]  # M times level i's part is (x dets[i+1] + S_i)^2 scale[i]
     top = t_sq.numerator * (M // t_sq.denominator)  # M times the squared bound
-    out: list[tuple[int, ...]] = []
-    norms_sq: list[int] = []
-    coeffs = [0] * n
+    coeffs = [0] * n  # the current coefficient of each level
+    highs = [0] * n  # the last admitted coefficient of each level above 0
+    sums = [0] * n  # S_i of each level above 0
+    left = [0] * n  # M times the squared norm the levels <= i may still use
+    left[n - 1] = top
     nodes = 0
-
-    def descend(i: int, remaining: int):
-        # remaining: M times the squared norm the levels <= i may still use
-        nonlocal nodes
+    i = n - 1
+    while True:
+        # enter level i: admitted are |x d_i + s_i| <= r, r = isqrt(left[i] // scale_i)
         d_i, scale_i = dets[i + 1], scale[i]
         s_i = sum(coeffs[t] * lam[t][i] for t in range(i + 1, n))
-        # admitted: |x d_i + s_i| <= r, the integer square root of remaining // scale_i
-        r = math.isqrt(remaining // scale_i)
+        r = math.isqrt(left[i] // scale_i)
         lo, hi = -((r + s_i) // d_i), (r - s_i) // d_i
         nodes += hi - lo + 1
         if node_cap is not None and nodes > node_cap:
             raise ResourceLimitError(f"enumeration exceeds {node_cap} nodes")
-        for x in range(lo, hi + 1):
-            used = (x * d_i + s_i) ** 2 * scale_i
-            coeffs[i] = x
-            if i == 0:
+        if i == 0:
+            base = top - left[0]
+            for x in range(lo, hi + 1):
+                coeffs[0] = x
                 if any(coeffs):
-                    out.append(tuple(coeffs))
-                    norms_sq.append((top - remaining + used) // M)
-            else:
-                descend(i - 1, remaining - used)
-        coeffs[i] = 0
-
-    descend(n - 1, top)
-    return out, norms_sq
+                    yield tuple(coeffs), (base + (x * d_i + s_i) ** 2 * scale_i) // M
+            i = 1
+        else:
+            coeffs[i], highs[i], sums[i] = lo - 1, hi, s_i
+        # step the lowest level >= i that has a coefficient left, then descend
+        while i < n and coeffs[i] == highs[i]:
+            i += 1
+        if i == n:
+            return
+        x = coeffs[i] = coeffs[i] + 1
+        left[i - 1] = left[i] - (x * dets[i + 1] + sums[i]) ** 2 * scale[i]
+        i -= 1
 
 
 def combine_rows(basis, rows) -> list[tuple[int, ...]]:
@@ -276,7 +290,8 @@ def enumerate_lattice_vectors(reduced: LLLResult, norm_bound_sq, node_cap=None) 
     """All nonzero vectors of squared norm <= norm_bound_sq of the lattice
     that `reduced`, an lll_reduce result, spans, in the order and under the
     node cap of enumerate_coefficients."""
-    return combine_rows(reduced.basis, enumerate_coefficients(reduced, norm_bound_sq, node_cap)[0])
+    leaves = enumerate_coefficients(reduced, norm_bound_sq, node_cap)
+    return combine_rows(reduced.basis, (x for x, _ in leaves))
 
 
 # the dimension k = d + m of the extended lattice, which exact LLL reduces

@@ -41,6 +41,7 @@ from .qsim import qft_measure_distribution  # not called here; kept bound for pe
 from .relattice import (
     DualStructure,
     RelationLattice,
+    WitnessReport,
     ball_census,
     build_relation_lattice,
     classify,
@@ -85,19 +86,6 @@ class PipelineConfig:
             raise ParameterError("radius_override must be positive")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of the exhaustive short-witness certification."""
-
-    found: bool
-    vector: tuple[int, ...] | None
-    norm_sq: int | None
-    bound: int
-    lattice_vectors: int  # nonzero lattice vectors in the ball
-    outside_sign: int  # of those, how many sit outside the sign sublattice
-    fraction_outside: float | None
-
-
 def certify_assumption(
     inst: FactoringInstance, T_bound, rel: RelationLattice | None = None
 ) -> WitnessReport:
@@ -105,19 +93,7 @@ def certify_assumption(
     sublattice, and measure what fraction of short relation vectors do."""
     if rel is None:
         rel = build_relation_lattice(inst)
-    census = ball_census(rel, T_bound)
-    witness = census.witness
-    members = len(census.rows)
-    outside = len(census.outside)
-    return WitnessReport(
-        found=witness is not None,
-        vector=witness,
-        norm_sq=sum(x * x for x in witness) if witness else None,
-        bound=int(T_bound),
-        lattice_vectors=members,
-        outside_sign=outside,
-        fraction_outside=(outside / members) if members else None,
-    )
+    return ball_census(rel, T_bound)
 
 
 def _ceil_root(n: int, k: int = 2) -> int:

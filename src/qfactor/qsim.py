@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -232,10 +233,7 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     d, D, R, N = params.d, params.D, params.R, inst.N
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("wrapped state would exceed the simulation guard")
-    try:
-        B = max(int(math.ceil(_BOX_RADII * R)) + 1, D // 2)
-    except OverflowError:
-        raise ResourceLimitError(f"enumeration box radius overflows a float at R = {R:g}") from None
+    B = max(math.ceil(Fraction(_BOX_RADII) * Fraction(R)) + 1, D // 2)
     if (2 * B + 1) ** d > BOX_GUARD:
         raise ResourceLimitError("enumeration box too large")
     # squared norm, cell index (offset encoding) and in-box flag of each

@@ -8,14 +8,15 @@ coset expansion of the subgroup generated by the a_i, one generator at a
 time, and the quotient L*/Z^d is made samplable through a Smith
 decomposition, whose diagonal alone pairs dual cosets with primal ones.
 
-The short vectors of L are listed by exact Fincke-Pohst enumeration over an
-LLL-reduced basis (ball_census), as coefficient rows on that basis; the
-enumeration reads the Gram-Schmidt data the reduction leaves behind.  The
-list is complete because the basis generates all of L: its determinant is
-checked against the subgroup order.  The reduced rows are confirmed in L by
-the homomorphism, so every listed vector is in L by construction, and the
-parities of its coefficients decide whether it lies in L0; the witness is
-confirmed by the homomorphism too.
+The short vectors of L are counted in one streamed pass of exact
+Fincke-Pohst enumeration over an LLL-reduced basis (ball_census), as
+coefficient rows on that basis, and none is kept but the shortest rows
+outside L0; the enumeration reads the Gram-Schmidt data the reduction
+leaves behind.  The count is complete because the basis generates all of
+L: its determinant is checked against the subgroup order.  The reduced rows
+are confirmed in L by the homomorphism, so every enumerated vector is in L
+by construction, and the parities of its coefficients decide whether it
+lies in L0; the witness is confirmed by the homomorphism too.
 """
 
 from __future__ import annotations
@@ -197,21 +198,21 @@ def dual_cosets(rel: RelationLattice) -> DualStructure:
 
 
 @dataclass(frozen=True)
-class BallCensus:
-    """The nonzero vectors of L with norm <= a bound, split by L0.
+class WitnessReport:
+    """Outcome of the exhaustive short-witness certification."""
 
-    Members are held as their coefficient rows on the LLL-reduced basis, in
-    enumeration order; latred.combine_rows(basis, rows) assembles them.
-    """
+    found: bool
+    vector: tuple[int, ...] | None
+    norm_sq: int | None
+    bound: int
+    lattice_vectors: int  # nonzero lattice vectors in the ball
+    outside_sign: int  # of those, how many sit outside the sign sublattice
+    fraction_outside: float | None
 
-    basis: latred.LatticeBasis  # LLL-reduced basis of L
-    rows: tuple[tuple[int, ...], ...]  # one per member
-    outside: tuple[tuple[int, ...], ...]  # the rows of the members outside L0
-    witness: tuple[int, ...] | None  # a shortest member outside L0, least among ties
 
-
-def ball_census(rel: RelationLattice, bound) -> BallCensus:
-    """Every nonzero vector of L with norm <= bound, each classified once.
+def ball_census(rel: RelationLattice, bound) -> WitnessReport:
+    """Count the nonzero vectors of L with norm <= bound, and those of them
+    outside L0, and find a shortest one outside L0, in one streamed pass.
 
     The coefficient rows x come from one exact enumeration over the
     LLL-reduced basis B, capped at ENUM_CAP enumeration nodes, and each
@@ -220,14 +221,14 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
     only on the parities of x: the product of b(B_i) over the odd
     coefficients, kept in a table per parity mask.  Each reduced row B_i is
     confirmed in L by the homomorphism.  The enumeration gives each row's
-    squared norm, and only the shortest outside rows are assembled: the
-    witness is the lexicographically smallest of them, and it is confirmed
-    by classify.
+    squared norm, and only the outside rows tied at the least squared norm
+    so far are kept: the witness is the lexicographically smallest of them
+    once assembled, and it is confirmed by classify.
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
     reduced = latred.lll_reduce(rel.basis)
-    rows, norms_sq = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
+    leaves = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
     basis, inst, N = reduced.basis, rel.inst, rel.inst.N
     row_signs = []
     for row in basis.vectors:
@@ -235,22 +236,34 @@ def ball_census(rel: RelationLattice, bound) -> BallCensus:
             raise AssertionError(f"reduced row {row} is not a relation")
         row_signs.append(power_product(inst.b, row, N))
     signs = {}  # parity mask of x -> b of its members
-    outside, outside_sq = [], []
-    for x, sq in zip(rows, norms_sq):
+    members = outside = 0
+    least, tied = None, []  # the least outside squared norm, and its rows
+    for x, sq in leaves:
+        members += 1
         mask = tuple(c & 1 for c in x)
         b = signs.get(mask)
         if b is None:
             b = signs[mask] = power_product(row_signs, mask, N)
         if b != 1 and b != N - 1:
-            outside.append(x)
-            outside_sq.append(sq)
+            outside += 1
+            if least is None or sq < least:
+                least, tied = sq, [x]
+            elif sq == least:
+                tied.append(x)
     witness = None
-    if outside:
-        least = min(outside_sq)
-        witness = min(latred.combine_rows(basis, [x for x, sq in zip(outside, outside_sq) if sq == least]))
+    if tied:
+        witness = min(latred.combine_rows(basis, tied))
         if classify(rel, witness)["in_sign"] is not False:
             raise AssertionError(f"witness {witness} is not outside the sign sublattice")
-    return BallCensus(basis=basis, rows=tuple(rows), outside=tuple(outside), witness=witness)
+    return WitnessReport(
+        found=witness is not None,
+        vector=witness,
+        norm_sq=least,
+        bound=int(bound),
+        lattice_vectors=members,
+        outside_sign=outside,
+        fraction_outside=(outside / members) if members else None,
+    )
 
 
 def shortest_nontrivial_witness(rel: RelationLattice, bound):
@@ -260,4 +273,4 @@ def shortest_nontrivial_witness(rel: RelationLattice, bound):
     every vector confirmed by the homomorphism.  Among several shortest
     witnesses the lexicographically smallest is returned.
     """
-    return ball_census(rel, bound).witness
+    return ball_census(rel, bound).vector

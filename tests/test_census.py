@@ -5,15 +5,20 @@ oracle: one (2r+1)^d box loop for the shortest witness and a second one for
 the member and outside-sign counts, with every point decided by the
 homomorphism.  `box_scan_numpy` walks the same box with per-coordinate power
 tables so the large benchmark instances stay cheap; it is checked against
-the reference on every small case.
+the reference on every small case.  `census_reference` lists the ball by
+`enumerate_lattice_vectors` and classifies every member on its own; the
+streamed census must count what it lists and find the same witness.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qfactor import latred
 from qfactor.arith import (
@@ -26,7 +31,6 @@ from qfactor.arith import (
 )
 from qfactor.pipeline import certify_assumption, default_witness_bound
 from qfactor.relattice import (
-    BallCensus,
     ball_census,
     build_relation_lattice,
     shortest_nontrivial_witness,
@@ -34,25 +38,24 @@ from qfactor.relattice import (
 from test_relattice import in_L0
 
 
-def census_reference(rel, bound):
-    """(members, outside, witness) with every member assembled and
+def census_reference(rel, bound, node_cap=None):
+    """(members, outside, witness) with every member listed, assembled and
     classified on its own: in_L0 confirms it by the homomorphism and then
     tests the sign sublattice.  The witness is the least outside member by
     (squared norm, vector)."""
     reduced = latred.lll_reduce(rel.basis)
-    members = latred.enumerate_lattice_vectors(reduced, Fraction(bound) ** 2)
+    members = latred.enumerate_lattice_vectors(reduced, Fraction(bound) ** 2, node_cap)
     outside = [z for z in members if not in_L0(rel, z)]
     witness = min(outside, key=lambda z: (sum(x * x for x in z), z), default=None)
     return members, outside, witness
 
 
-def assembled(census: BallCensus):
-    """(members, outside, witness) of a census, its rows assembled."""
-    return (
-        latred.combine_rows(census.basis, census.rows),
-        latred.combine_rows(census.basis, census.outside),
-        census.witness,
-    )
+def assert_report_matches(report, members, outside, witness):
+    """A census report counts the listed members and outside members and
+    names the listed witness."""
+    assert (report.lattice_vectors, report.outside_sign, report.vector) == (len(members), len(outside), witness)
+    assert report.norm_sq == (sum(x * x for x in witness) if witness else None)
+    assert report.found == (witness is not None)
 
 
 def box_scan_reference(rel, bound):
@@ -158,9 +161,9 @@ def test_parity_census_matches_per_member_reference(N, d, bound):
     rel = build_relation_lattice(FactoringInstance.build(N, d))
     if bound is None:
         bound = default_witness_bound(rel.inst)
-    census = ball_census(rel, bound)
-    assert assembled(census) == census_reference(rel, bound)
-    assert census.rows
+    report = ball_census(rel, bound)
+    assert_report_matches(report, *census_reference(rel, bound))
+    assert report.lattice_vectors
 
 
 SMALL_BOUNDS = [0, 1, 2, 3, 5, 8, Fraction(5, 2), Fraction(7, 3), 2.5, Fraction(99, 10)]
@@ -194,7 +197,7 @@ def test_census_matches_box_scan_small_moduli(N, d):
 
 def test_census_lists_each_ball_vector_once():
     rel = build_relation_lattice(FactoringInstance.build(221, 2))
-    members, outside, _ = assembled(ball_census(rel, 24))
+    members, outside, _ = census_reference(rel, 24)
     assert len(set(members)) == len(members)
     assert set(outside) <= set(members)
     assert all(0 < sum(x * x for x in z) <= 24**2 for z in members)
@@ -203,10 +206,11 @@ def test_census_lists_each_ball_vector_once():
 def test_witness_tie_break_is_lexicographic():
     # four witnesses of norm^2 5 at N = 77, d = 3; the box scan kept the first
     rel = build_relation_lattice(FactoringInstance.build(77, 3))
-    _, outside, witness = assembled(ball_census(rel, 12))
+    _, outside, witness = census_reference(rel, 12)
     ties = sorted(z for z in outside if sum(x * x for x in z) == 5)
     assert ties == [(-1, 2, 0), (0, -1, 2), (0, 1, -2), (1, -2, 0)]
     assert witness == (-1, 2, 0)
+    assert shortest_nontrivial_witness(rel, 12) == (-1, 2, 0)
     assert box_scan_reference(rel, 12)[0] == (-1, 2, 0)
     # a witness and its negation always tie; the negative one comes first
     rel15 = build_relation_lattice(FactoringInstance.build(15, 1))
@@ -232,3 +236,62 @@ def test_negative_bound_rejected():
     rel = build_relation_lattice(FactoringInstance.build(15, 1))
     with pytest.raises(ParameterError):
         ball_census(rel, -1)
+
+
+@pytest.mark.parametrize("N,d,bound,nodes", [(77, 2, 100, 2114), (10403, 4, 22, 588), (1022117, 6, 26, 8090)])
+def test_enumeration_node_count_is_pinned(N, d, bound, nodes):
+    # nodes is the least cap under which the search completes
+    reduced = latred.lll_reduce(build_relation_lattice(FactoringInstance.build(N, d)).basis)
+    bound_sq = Fraction(bound) ** 2
+    assert list(latred.enumerate_coefficients(reduced, bound_sq, node_cap=nodes))
+    with pytest.raises(ResourceLimitError, match=f"{nodes - 1} nodes"):
+        list(latred.enumerate_coefficients(reduced, bound_sq, node_cap=nodes - 1))
+
+
+def test_census_streams_its_members():
+    # 348,820 members; a census that listed them as rows peaked near 47 MB
+    inst = FactoringInstance.build(10403, 8)
+    rel = build_relation_lattice(inst)
+    tracemalloc.start()
+    try:
+        report = certify_assumption(inst, 11, rel=rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.lattice_vectors, report.outside_sign) == (348_820, 174_510)
+    assert report.vector == (-1, -1, 0, 0, 0, 0, -1, 0)
+    assert peak < 4 << 20, peak
+
+
+CAP = 5_000  # enumeration nodes per example, so every example stays cheap
+# a bound is a multiple of the shortest reduced row's (rounded) norm, so the
+# balls hold from no vector to thousands
+SCALES = st.one_of(
+    st.integers(0, 6),
+    st.fractions(0, 6, max_denominator=60),
+    st.floats(0, 6, allow_nan=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(15, (1 << 16) - 1), d=st.integers(1, 4), scale=SCALES)
+@example(N=221, d=2, scale=2)
+@example(N=77, d=3, scale=Fraction(5, 2))
+@example(N=15, d=1, scale=1.5)
+def test_streamed_census_matches_listing_reference(N, d, scale):
+    try:
+        inst = FactoringInstance.build(N, d)
+    except (ParameterError, FactorFound):
+        assume(False)
+    rel = build_relation_lattice(inst)
+    shortest = min(sum(c * c for c in row) for row in latred.lll_reduce(rel.basis).basis.vectors)
+    bound = scale * math.isqrt(shortest)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qfactor.relattice.ENUM_CAP", CAP)
+        try:
+            reference = census_reference(rel, bound, node_cap=CAP)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                ball_census(rel, bound)
+            return
+        assert_report_matches(ball_census(rel, bound), *reference)

@@ -322,7 +322,8 @@ def assert_enumeration_matches_reference(reduced, norm_bound_sq):
     the listed vectors."""
     want, nodes = fraction_enumerate_reference(reduced.basis, norm_bound_sq)
     assert enumerate_lattice_vectors(reduced, norm_bound_sq) == want
-    assert latred.enumerate_coefficients(reduced, norm_bound_sq)[1] == [sum(x * x for x in z) for z in want]
+    norms_sq = [sq for _, sq in latred.enumerate_coefficients(reduced, norm_bound_sq)]
+    assert norms_sq == [sum(x * x for x in z) for z in want]
     assert enumerate_lattice_vectors(reduced, norm_bound_sq, node_cap=nodes) == want
     with pytest.raises(ResourceLimitError):
         enumerate_lattice_vectors(reduced, norm_bound_sq, node_cap=nodes - 1)
@@ -443,7 +444,7 @@ def test_enumeration_node_cap_refuses_a_bound_past_float_range():
     # a 2^1200 bound: the level interval is found in integers, so the cap
     # refuses it instead of a float bracket overflowing
     with pytest.raises(ResourceLimitError, match="10 nodes"):
-        latred.enumerate_coefficients(lll_reduce([[2]]), 4**1200, node_cap=10)
+        list(latred.enumerate_coefficients(lll_reduce([[2]]), 4**1200, node_cap=10))
 
 
 @pytest.mark.parametrize("bound_sq", [-1, Fraction(-1, 3), -0.5])

@@ -476,7 +476,7 @@ def test_reduced_basis_parity_decides_the_sign(N, d):
     signs = [power_product(inst.b, row, N) for row in reduced.basis.vectors]
     r = 3 if d < 4 else 2
     # the ball of radius r sqrt(d) covers the box [-r, r]^d
-    rows, norms_sq = latred.enumerate_coefficients(reduced, r * r * d)
+    rows, norms_sq = zip(*latred.enumerate_coefficients(reduced, r * r * d))
     members = latred.combine_rows(reduced.basis, rows)
     for x, z, sq in zip(rows, members, norms_sq):
         assert sum(c * c for c in z) == sq
