@@ -21,6 +21,7 @@ import numpy as np
 
 from . import intmat
 from .arith import ParameterError, integer_root
+from .gauss import EXP_ZERO
 from .latred import (
     LatticeBasis,
     enumerate_lattice_vectors,
@@ -31,10 +32,6 @@ from .relattice import dual_structure_from_basis
 
 CONFIDENCE_ALPHA = 0.01
 BLOCK_CELLS = 1 << 17  # array entries per trial block of a batched suite
-
-
-# math.exp returns exactly 0.0 for every argument below this
-_EXP_UNDERFLOW = -745.2
 
 
 @lru_cache(maxsize=16)
@@ -64,7 +61,8 @@ def binomial_lower_pvalue(successes: int, trials: int, p: float) -> float:
 
     The log terms are built elementwise in the order a scalar loop would
     use, and summed left to right with math.exp, so the value matches the
-    term-by-term sum bit for bit; terms that exp rounds to 0.0 are skipped.
+    term-by-term sum bit for bit; terms below gauss.EXP_ZERO, which exp
+    rounds to 0.0, are skipped.
     """
     if successes >= trials:
         return 1.0
@@ -74,7 +72,7 @@ def binomial_lower_pvalue(successes: int, trials: int, p: float) -> float:
     logs = lf[trials] - lf[i] - lf[trials - i] + i * lp + (trials - i) * lq
     peak = float(logs.max())
     shifted = logs - peak
-    return min(1.0, math.exp(peak) * sum(map(math.exp, shifted[shifted >= _EXP_UNDERFLOW].tolist())))
+    return min(1.0, math.exp(peak) * sum(map(math.exp, shifted[shifted > EXP_ZERO].tolist())))
 
 
 def frequency_verdict(successes: int, trials: int, guaranteed: float) -> dict:

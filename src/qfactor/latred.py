@@ -23,10 +23,6 @@ from fractions import Fraction
 from .arith import ParameterError, ResourceLimitError
 
 
-class LatticeError(ValueError):
-    """Rank-deficient or otherwise unusable basis input."""
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Integer basis vectors of a full-rank lattice."""
@@ -35,10 +31,10 @@ class LatticeBasis:
 
     def __post_init__(self):
         if not self.vectors:
-            raise LatticeError("empty basis")
+            raise ParameterError("empty basis")
         k = len(self.vectors[0])
         if any(len(v) != k for v in self.vectors):
-            raise LatticeError("ragged basis")
+            raise ParameterError("ragged basis")
 
     @property
     def rank(self) -> int:
@@ -64,14 +60,14 @@ def gram_schmidt(vectors):
         v = [Fraction(x) for x in vectors[i]]
         for j in range(i):
             if sq[j] == 0:
-                raise LatticeError("rank-deficient basis")
+                raise ParameterError("rank-deficient basis")
             mu_ij = sum(Fraction(vectors[i][t]) * b_star[j][t] for t in range(len(v))) / sq[j]
             mu[i][j] = mu_ij
             v = [a - mu_ij * b for a, b in zip(v, b_star[j])]
         b_star.append(v)
         sq.append(sum(x * x for x in v))
     if any(s == 0 for s in sq):
-        raise LatticeError("rank-deficient basis")
+        raise ParameterError("rank-deficient basis")
     return mu, b_star, sq
 
 
@@ -116,7 +112,7 @@ def _integral_gram_schmidt(vecs):
             if j < i:
                 lam[i][j] = u
             elif u == 0:
-                raise LatticeError("rank-deficient basis")
+                raise ParameterError("rank-deficient basis")
             else:
                 dets[i + 1] = u
     return dets, lam

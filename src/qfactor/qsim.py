@@ -5,10 +5,11 @@ stands for the integer i - D/2).  The pipeline is: Gaussian state over the
 box, group-element register attached in superposition (the elements of
 the whole grid from one arith.power_grid call), per-axis Fourier transform
 over Z_D, exact outcome distribution.  The joint state is kept compact:
-the amplitudes, one group-element label per grid cell, and each branch's
-cells as one slice of a single index array.  The transform takes one
-branch at a time (branch_distribution), so no more than one dense branch
-is ever held; the full outcome table is the sum of the branch rows.
+the amplitudes and one group-element label per grid cell, which is the
+whole branch partition.  The transform takes one branch at a time
+(branch_distribution, which masks it out of the labels), so no more than
+one dense branch is ever held; the full outcome table is the sum of the
+branch rows.
 A reader that only draws from the table can measure the register first
 and transform just the branches its draws land on.  A wrapped variant of
 the state (Gaussian mass folded modulo D) backs the truncation-error
@@ -64,9 +65,7 @@ class JointState:
     and labels[idx] is the position in elements of the element the register
     holds at grid cell idx.  Branch k, the grid state entangled with
     register value elements[k], is the amplitudes where labels == k and 0
-    elsewhere.  Its cells, as flat indices in computational order (each
-    axis rolled by D/2, as the transform reads them), are
-    cells[spans[k, 0]:spans[k, 1]], in ascending order.
+    elsewhere.
     """
 
     d: int
@@ -74,8 +73,6 @@ class JointState:
     amplitudes: np.ndarray
     elements: tuple[int, ...]
     labels: np.ndarray
-    cells: np.ndarray
-    spans: np.ndarray
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -113,12 +110,10 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
     untouched.  The whole grid of group elements is one arith.power_grid
-    call over the box {0..D-1}^d, and each cell gets the label of its
-    element in first-appearance order.  One stable sort of the grid, read
-    in computational order, groups the cells of each element into one run:
-    the runs are the branches' cell slices, and the least offset index in
-    a run orders the elements.  Guarded by |image| * D^d against memory
-    blowup.
+    call over the box {0..D-1}^d, and one np.unique over it, in index
+    order, gives each element's first cell and each cell's element: the
+    first cells order the elements, and each cell is labelled with the rank
+    of its element.  Guarded by |image| * D^d against memory blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -126,55 +121,39 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
         raise ParameterError("instance dimension does not match the state")
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
-    e = power_grid(inst.a, inst.N, (D,) * d)
-    offset = np.arange(D ** d).reshape(e.shape)  # the offset index of each cell
-    for axis in range(d):
-        e = np.roll(e, D // 2, axis=axis)
-        offset = np.roll(offset, D // 2, axis=axis)
-    e, offset = e.ravel(), offset.ravel()
-    # numpy's stable sort takes integers of at most 16 bits by radix
-    cells = np.argsort(e.astype(np.uint16) if inst.N <= 1 << 16 else e, kind="stable")
-    grouped = e[cells]
-    starts = np.flatnonzero(_run_starts(grouped))
-    stops = np.append(starts[1:], e.size)
-    offset = offset[cells]
-    order = np.argsort(np.minimum.reduceat(offset, starts))  # runs by first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    labels = np.empty(e.size, dtype=np.intp)
-    labels[offset] = np.repeat(rank, stops - starts)
+    e = power_grid(inst.a, inst.N, (D,) * d).ravel()
+    # first indices make np.unique sort stably, which numpy does by radix on
+    # integers of at most 16 bits
+    keys = e.astype(np.uint16) if inst.N <= 1 << 16 else e
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # elements by first appearance
+    rank = np.argsort(order)  # the inverse permutation
     return JointState(
         d=d,
         D=D,
         amplitudes=state.amplitudes,
-        elements=tuple(int(x) for x in grouped[starts[order]]),
-        labels=labels.reshape((D,) * d),
-        cells=cells,
-        spans=np.stack([starts[order], stops[order]], axis=1),
+        elements=tuple(int(x) for x in e[first[order]]),
+        labels=rank[inverse].reshape((D,) * d),
     )
 
 
 def branch_distribution(joint: JointState, k: int) -> np.ndarray:
     """Branch k's squared-magnitude outcome row |F(branch_k)|^2.
 
-    The branch is scattered in computational (mod D) order into an
-    otherwise zero grid, transformed by ifftn and scaled by D^(d/2); entry
-    [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D)
-    jointly with register value elements[k].  The transform over Z_D^d has
-    kernel exp(+2 pi i <w, z> / D).
+    The branch, the amplitudes where labels == k and 0 elsewhere, is rolled
+    into computational (mod D) order, transformed by ifftn and scaled by
+    D^(d/2); entry [k_1..k_d] is the probability of outcome
+    w = (k_1/D, ..., k_d/D) jointly with register value elements[k].  The
+    transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).
     """
     d, D = joint.d, joint.D
-    amps = joint.amplitudes
+    grid = np.where(joint.labels == k, joint.amplitudes, 0)
     for axis in range(d):
-        amps = np.roll(amps, D // 2, axis=axis)
-    take = joint.cells[joint.spans[k, 0]:joint.spans[k, 1]]
-    row = np.zeros(D ** d, dtype=complex)
-    row[take] = amps.ravel()[take]
-    grid = row.reshape((D,) * d)
+        grid = np.roll(grid, D // 2, axis=axis)
     np.fft.ifftn(grid, out=grid)
-    row *= D ** (d / 2)
-    mag = np.abs(row)
-    return np.square(mag, out=mag).reshape((D,) * d)
+    grid *= D ** (d / 2)
+    mag = np.abs(grid)
+    return np.square(mag, out=mag)
 
 
 def qft_measure_distribution(joint: JointState) -> np.ndarray:
@@ -213,14 +192,6 @@ class GapResult:
     ratio: float  # Z1 / Z2
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the positions of a sorted array where a new value begins."""
-    starts = np.empty(ordered.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return starts
-
-
 def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     """Exact gap between the box-truncated state and its mod-D wrapped twin.
 
@@ -251,7 +222,7 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     rho_vals = np.exp(-math.pi * norm_sq / (R * R))
     e_vals = power_grid(inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
     ordered = np.sort(e_vals)
-    uniq = ordered[_run_starts(ordered)]
+    uniq = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     branch_idx = np.searchsorted(uniq, e_vals)
     size = uniq.size * D ** d
     # bincount adds the weights in input order, as a per-point loop would

@@ -14,7 +14,6 @@ from qfactor.gauss import GaussParams
 from qfactor.latred import (
     LLL_DELTA,
     LatticeBasis,
-    LatticeError,
     LLLResult,
     build_extended_lattice,
     enumerate_lattice_vectors,
@@ -104,7 +103,7 @@ def test_lll_postconditions():
 
 
 def test_lll_rejects_rank_deficient():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ParameterError):
         lll_reduce([[1, 2], [2, 4]])
 
 
@@ -235,9 +234,9 @@ def test_lll_tie_reduces_half_but_keeps_minus_half():
     [[3, 1, 4], [1, 5, 9], [4, 6, 13]],  # third row is the sum of the first two
 ])
 def test_lll_rank_deficient_raises(basis):
-    with pytest.raises(LatticeError, match="rank-deficient"):
+    with pytest.raises(ParameterError, match="rank-deficient"):
         lll_reduce(basis)
-    with pytest.raises(LatticeError):
+    with pytest.raises(ParameterError):
         fraction_lll_reference(basis)
 
 

@@ -323,27 +323,14 @@ def test_wrapped_mass_oracle_tiny_case():
 
 def apply_exponentiation_reference(state, rel):
     """The per-point register attachment: one exponentiation per grid point,
-    each new group element labelled in the order the grid first reaches it;
-    branch k's cells are found by a mask over the rolled labels and laid
-    out in branch order."""
+    each new group element labelled in the order the grid first reaches it."""
     d, D = state.d, state.D
     elements = {}
     labels = np.empty((D,) * d, dtype=np.intp)
     for idx in itertools.product(range(D), repeat=d):
         e = product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
         labels[idx] = elements.setdefault(e, len(elements))
-    rolled = labels
-    for axis in range(d):
-        rolled = np.roll(rolled, D // 2, axis=axis)
-    per_branch = [np.flatnonzero(rolled.ravel() == k) for k in range(len(elements))]
-    sizes = np.array([len(c) for c in per_branch])
-    stops = np.cumsum(sizes)
-    return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels,
-                      cells=np.concatenate(per_branch), spans=np.stack([stops - sizes, stops], axis=1))
-
-
-def branch_cells(joint, k):
-    return joint.cells[joint.spans[k, 0]:joint.spans[k, 1]]
+    return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels)
 
 
 def assert_same_joint_state(rel, params):
@@ -354,8 +341,6 @@ def assert_same_joint_state(rel, params):
     assert all(type(e) is int for e in got.elements)
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.amplitudes, want.amplitudes)
-    for k in range(len(want.elements)):
-        assert np.array_equal(branch_cells(got, k), branch_cells(want, k))
     got_branches, want_branches = dense_branches(got), dense_branches(want)
     assert list(got_branches) == list(want_branches)
     for e, branch in want_branches.items():
@@ -381,6 +366,19 @@ def test_exponentiation_matches_per_point_reference(N, d, D):
 ])
 def test_exponentiation_matches_reference_on_benchmark_grids(N, d, D, R):
     assert_same_joint_state(rel_for(N, d), GaussParams(R=R, D=D, d=d))
+
+
+@pytest.mark.parametrize("N,b,D", [
+    # N <= 2^16: the grid is grouped on uint16 keys
+    (65535, (2,), 64), (65535, (2, 7), 16),
+    # 2^16 < N < 2^31: on the int64 grid itself (N = 3 * 65537, where 2 has order 32)
+    (3 * 65537, (2,), 64), (3 * 65537, (2, 256), 32),
+])
+def test_exponentiation_matches_reference_on_each_key_width(N, b, D):
+    grid = power_grid(b, N, (D,) * len(b))
+    assert grid.dtype == np.int64 and (grid.max() >= 1 << 16) == (N > 1 << 16)
+    joint = assert_same_joint_state(rel_for(N, len(b), b), GaussParams(R=D / 4, D=D, d=len(b)))
+    assert len(joint.elements) > 1
 
 
 @pytest.mark.parametrize("b,D", [((2,), 64), ((2, 256), 32)])
@@ -512,3 +510,18 @@ def test_joint_state_and_transform_memory_stay_below_dense_branches():
     assert len(joint.elements) == 15
     assert apply_peak < 8 << 20
     assert qft_peak < 20 << 20
+
+
+def test_joint_state_keeps_one_label_per_cell():
+    # the 77/d=1 statevector grid: the joint state retains its 2^17 labels
+    # (1 MB of intp) and the element tuple, beside the state's amplitudes
+    rel = rel_for(77, 1)
+    state = build_gaussian_state(GaussParams(R=65536.0, D=131072, d=1))
+    tracemalloc.start()
+    try:
+        joint = apply_exponentiation(state, rel)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert joint.amplitudes is state.amplitudes
+    assert retained <= 1.25 * (1 << 20)
