@@ -17,7 +17,7 @@ from .arith import (
     precheck,
     product_tree_exponentiation,
 )
-from .gauss import ConcentrationReport, GaussParams, concentration_check, rho, sample_Q, sample_Qv
+from .gauss import ConcentrationReport, GaussParams, concentration_check, sample_Q
 from .latred import (
     ExtendedLattice,
     LatticeBasis,
@@ -91,10 +91,8 @@ __all__ = [
     "product_tree_exponentiation",
     "qft_measure_distribution",
     "recover_relation_vectors",
-    "rho",
     "run_factoring",
     "sample_Q",
-    "sample_Qv",
     "shortest_nontrivial_witness",
     "tradeoff_rows",
 ]

@@ -20,7 +20,8 @@ finite (or a --c that is not positive), an estimate --eps-values given with
 run, an --out path that cannot be written.  A ParameterError,
 ResourceLimitError or FactorFound raised once a run has started (such as
 --d 0, --m below d+4, a radius too large for the grid or the simulation
-box, or an estimate that overflows a float) exits 2.  Without --json,
+box, a simulate radius so large against D that the masses between cells
+underflow, or an estimate that overflows a float) exits 2.  Without --json,
 every non-zero exit writes an error: line to stderr.  Identical flags and
 seed produce byte-identical JSON up to the timings block.
 """
@@ -44,6 +45,7 @@ from .arith import FactoringInstance, FactorFound, ParameterError, ResourceLimit
 from .pipeline import (
     ATTEMPTS_EXHAUSTED,
     FACTORED,
+    MODES,
     REJECTED_PRIME,
     FactoringOutcome,
     PipelineConfig,
@@ -225,7 +227,7 @@ def build_parser() -> _Parser:
     f.add_argument("--n", type=int, required=True, help="odd composite modulus (decimal)")
     f.add_argument("--d", type=int, default=None)
     f.add_argument("--m", type=int, default=None)
-    f.add_argument("--mode", choices=["oracle", "statevector"], default="oracle")
+    f.add_argument("--mode", choices=MODES, default="oracle")
     f.add_argument("--max-attempts", type=int, default=50, dest="max_attempts")
     f.add_argument("--safety", type=int, default=4)
     f.add_argument("--radius", type=int, default=None, help="override the selected radius")

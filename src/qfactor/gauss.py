@@ -36,6 +36,10 @@ WIDTH_CAP = 256.0
 # exp(x) rounds to 0.0 for every x below -745.134, and the slow underflow
 # path of np.exp is skipped by writing those zeros directly
 EXP_ZERO = -746.0
+# exp(-x) is a normal float for x <= 708.  A center midway between two cells
+# is at the exponent pi R^2 / (2 D^2) from both, so below this every theta
+# sum keeps a nonzero term and the masses normalize.
+UNDERFLOW_EXP = 708
 
 
 def theta_cutoff_for(s: float) -> int:
@@ -53,9 +57,11 @@ class GaussParams:
     """Radius R, grid size D (a power of two), and dimension d.
 
     The tail regime (R >= sqrt(2d) and D >= 2 sqrt(d) R) is where the
-    Gaussian tail bounds hold; the parameter-selection window additionally
-    keeps D < 4 sqrt(d) R.  Both are queryable; only basic sanity is
-    enforced at construction so that off-regime diagnostics stay possible.
+    Gaussian tail bounds hold; it is queryable, and besides malformed values
+    construction refuses only what cannot be evaluated, so that off-regime
+    diagnostics stay possible: a noise width past WIDTH_CAP, and a radius so
+    large against D (pi R^2 >= 2 UNDERFLOW_EXP D^2) that the masses between
+    cells underflow.
     """
 
     R: float
@@ -72,6 +78,11 @@ class GaussParams:
         if self.s > WIDTH_CAP:
             raise ResourceLimitError(
                 f"noise width {self.s:.3g} exceeds {WIDTH_CAP:g}; raise the radius R = {self.R:g}"
+            )
+        if Fraction(math.pi) * Fraction(self.R) ** 2 >= 2 * UNDERFLOW_EXP * self.D**2:
+            raise ParameterError(
+                f"radius R = {self.R:g} is too large for the grid D = {self.D}: the masses between"
+                f" cells underflow; keep pi R^2 < {2 * UNDERFLOW_EXP} D^2"
             )
 
     @property
@@ -96,10 +107,6 @@ class GaussParams:
         R_sq = Fraction(self.R) ** 2
         return R_sq >= 2 * self.d and self.D * self.D >= 4 * self.d * R_sq
 
-    @property
-    def in_selection_window(self) -> bool:
-        return self.in_tail_regime and self.D * self.D < 16 * self.d * Fraction(self.R) ** 2
-
     @classmethod
     def choose(cls, d: int, R: float) -> "GaussParams":
         """Smallest power-of-two D >= 2 with D^2 >= 4 d R^2, decided exactly
@@ -115,14 +122,6 @@ class GaussParams:
         if j > GRID_CAP.bit_length() - 1:
             raise ResourceLimitError(f"grid size 2^{j} exceeds the cap 2^62; lower the radius")
         return cls(R=float(R), D=1 << j, d=d)
-
-
-def rho(s: float, x) -> float:
-    """The Gaussian weight exp(-pi ||x||^2 / s^2)."""
-    if s <= 0:
-        raise ParameterError("s must be positive")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.exp(-math.pi * float(np.dot(arr, arr)) / (s * s)))
 
 
 def theta_sum(x, cells, params: GaussParams) -> np.ndarray:
@@ -173,19 +172,17 @@ def window_cdf(x, params: GaussParams) -> tuple[np.ndarray, np.ndarray]:
 
     x is one center or an array of them; each center gets one row of cells
     and one of CDF values, so both results have shape x.shape + (cells,).
-    A row lists the cells within W of the cell holding its center, or the
-    whole grid when 2W+1 >= D, in ascending order mod D, also when the
-    window wraps past 0; so the CDF matches the dense D-cell table's at
-    every window cell and a uniform draw maps to the same cell.  The masses
-    are normalized over the window.  All rows come from one theta_sum call.
+    A row lists the cells within W of the cell holding its center, clipped
+    to the D cells of the grid when 2W+1 >= D, in ascending order mod D,
+    also when the window wraps past 0; so the CDF matches the dense D-cell
+    table's at every window cell and a uniform draw maps to the same cell.
+    The masses are normalized over the window.  All rows come from one
+    theta_sum call.
     """
     D, W = params.D, params.window
     x = np.asarray(x, dtype=float)
-    if 2 * W + 1 >= D:  # the whole grid in every row
-        cells = np.zeros(x.shape + (1,), dtype=np.int64) + np.arange(D)
-    else:
-        c = (x * D).astype(np.int64)[..., None]
-        cells = np.sort((c + np.arange(-W, W + 1)) % D, axis=-1)
+    c = (x * D).astype(np.int64)[..., None]
+    cells = np.sort((c - W + np.arange(min(2 * W + 1, D))) % D, axis=-1)
     masses = theta_sum(x, cells, params)
     cdf = np.cumsum(masses / masses.sum(axis=-1, keepdims=True), axis=-1)
     cdf[..., -1] = 1.0
@@ -232,32 +229,16 @@ def q_table(dual, params: GaussParams) -> np.ndarray:
     return out / count
 
 
-def sample_Qv(v, params: GaussParams, rng) -> tuple[int, ...]:
-    """Draw one grid point w = indices / D from the single-coset
-    distribution around v, and return its index tuple.
-
-    Per coordinate: inverse CDF over the coordinate's window (window_cdf,
-    one call for all d coordinates) at one uniform, drawn in coordinate
-    order; the mass left outside the window is below 2^-64.  Time and
-    memory per draw do not depend on D.  Reproducible given the generator
-    state.
-    """
-    vv = tuple(v)
-    if len(vv) != params.d:
-        raise ParameterError("coset representative has wrong dimension")
-    x = np.array([float(v_j) % 1.0 for v_j in vv])
-    indices = _window_draws(x, rng.random(params.d), params)
-    return tuple(indices.tolist())
-
-
 def sample_Q_many(dual, params: GaussParams, rngs) -> list[tuple]:
     """One output sample per generator: a uniform dual coset v, then a draw
     around it.
 
     This is the classical oracle standing in for the measurement procedure.
-    Each generator draws its coset, then its d uniforms, as sample_Qv would;
-    the windows of all the draws come from one window_cdf call.  Returns a
-    list of (v, w) with v as exact Fractions and w the grid index tuple.
+    Each generator draws its coset, then one uniform per coordinate, which
+    picks a cell by inverse CDF over that coordinate's window (outside mass
+    below 2^-64, so time and memory per draw do not depend on D).  The
+    windows of all the draws come from one window_cdf call.  Returns a list
+    of (v, w) with v as exact Fractions and w the grid index tuple.
     """
     if dual.d != params.d:
         raise ParameterError("coset representative has wrong dimension")
@@ -297,41 +278,26 @@ class ConcentrationReport:
     reference_rate: float  # the 2^-d scale the tail bound talks about
 
 
-def concentration_check(
-    params: GaussParams, trials: int, rng, v=None
-) -> ConcentrationReport:
-    """Measure how often a draw lands farther than sqrt(d)*s from its center.
+def concentration_check(params: GaussParams, trials: int, rng) -> ConcentrationReport:
+    """Measure how often a draw lands farther than sqrt(d)*s from its center,
+    a fresh uniform torus point per trial.  The rate is reported next to
+    the 2^-d reference scale, never asserted against an invented constant.
 
-    v fixed if given, else a fresh uniform torus point per trial.  The rate
-    is reported next to the 2^-d reference scale, never asserted against an
-    invented constant.
-
-    Each trial consumes the stream as sample_Qv after drawing its center
-    would: d center coordinates (unless v is fixed), then d uniforms.
-    Trials run in blocks of about THETA_BLOCK window cells, each drawn by
-    one rng.random call, so memory does not grow with trials.
+    Each trial consumes d center coordinates, then d uniforms, one per
+    coordinate as in sample_Q_many.  Trials run in blocks of about
+    THETA_BLOCK window cells, each drawn by one rng.random call, so memory
+    does not grow with trials.
     """
     if trials < 1:
         raise ParameterError("trials must be positive")
     d = params.d
     threshold = math.sqrt(d) * params.s
-    if v is not None:
-        vv = tuple(v)
-        if len(vv) != d:
-            raise ParameterError("coset representative has wrong dimension")
-        center = np.array([float(x) for x in vv])
-        reduced = np.array([float(x) % 1.0 for x in vv])
     block = max(1, THETA_BLOCK // (d * min(params.D, 2 * params.window + 1)))
     failures = 0
     for start in range(0, trials, block):
-        rows = min(block, trials - start)
-        if v is None:
-            draw = rng.random((rows, 2 * d))
-            center = reduced = draw[:, :d]
-            u = draw[:, d:]
-        else:
-            u = rng.random((rows, d))
-        w = _window_draws(np.broadcast_to(reduced, u.shape), u, params) / params.D
+        draw = rng.random((min(block, trials - start), 2 * d))
+        center, u = draw[:, :d], draw[:, d:]
+        w = _window_draws(center, u, params) / params.D
         failures += int((torus_distance(w, center) > threshold).sum())
     return ConcentrationReport(
         trials=trials,

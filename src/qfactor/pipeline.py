@@ -86,13 +86,11 @@ class PipelineConfig:
             raise ParameterError("radius_override must be positive")
 
 
-def certify_assumption(
-    inst: FactoringInstance, T_bound, rel: RelationLattice | None = None
-) -> WitnessReport:
-    """Certify (by enumeration) that some short vector escapes the sign
-    sublattice, and measure what fraction of short relation vectors do."""
-    if rel is None:
-        rel = build_relation_lattice(inst)
+def certify_assumption(inst: FactoringInstance, T_bound, rel: RelationLattice) -> WitnessReport:
+    """Certify (by enumeration) that some short vector of the relation
+    lattice rel of inst escapes the sign sublattice, and measure what
+    fraction of short relation vectors do.  inst is not read here; it is
+    the argument perfbench's tracer sizes the certification by."""
     return ball_census(rel, T_bound)
 
 
@@ -325,20 +323,13 @@ def default_log2_D(n: int, d: int, C: float = 1.0, epsilon: float = 0.0) -> floa
     return 1.0 + 0.5 * math.log2(max(d, 1)) + C * n ** (0.5 - epsilon) * math.log2(math.e)
 
 
-def estimate_gate_cost(
-    n: int,
-    d: int,
-    log2_D: float | None = None,
-    epsilon_qft: float | None = None,
-    C: float = 1.0,
-) -> GateCostReport:
+def estimate_gate_cost(n: int, d: int, log2_D: float | None = None, C: float = 1.0) -> GateCostReport:
     """Evaluate the circuit-size model term by term.
 
     Terms: subset product trees log2D * d * log2(d)^3; transform
-    log2D * d * log2(log2 D) (or log2D * d * log2(log2 D / eps) when an
-    explicit transform accuracy eps is supplied); accumulator squarings
-    log2D * n * log2 n; state preparation d * log2(d)^3, taking degree 3
-    for its poly(log d) factor.
+    log2D * d * log2(log2 D); accumulator squarings log2D * n * log2 n;
+    state preparation d * log2(d)^3, taking degree 3 for its poly(log d)
+    factor.
     """
     if n < 2 or d < 1:
         raise ParameterError("need n >= 2 and d >= 1")
@@ -347,16 +338,9 @@ def estimate_gate_cost(
     if log2_D < 1:
         raise ParameterError("log2 of D must be at least 1")
     log_d = math.log2(d) if d > 1 else 0.0
-    loglog_D = math.log2(max(log2_D, 1.0))
-    if epsilon_qft is not None:
-        if not 0 < epsilon_qft < 1:
-            raise ParameterError("epsilon_qft must lie in (0, 1)")
-        qft_inner = math.log2(max(log2_D / epsilon_qft, 2.0))
-    else:
-        qft_inner = loglog_D
     terms = {
         "tree": log2_D * d * log_d ** 3,
-        "qft": log2_D * d * qft_inner,
+        "qft": log2_D * d * math.log2(max(log2_D, 1.0)),
         "square": log2_D * n * math.log2(n),
         "prep": d * log_d ** 3,
     }

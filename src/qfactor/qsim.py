@@ -51,9 +51,6 @@ class StateVector:
     amplitudes: np.ndarray
     z1_squared: float
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class JointState:
@@ -73,9 +70,6 @@ class JointState:
     amplitudes: np.ndarray
     elements: tuple[int, ...]
     labels: np.ndarray
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def branch_masses(self) -> np.ndarray:
         """The squared norm of each branch, sum |amp|^2 over its cells: the

@@ -214,6 +214,7 @@ def test_factor_radius_below_one_exit_64(capsys, radius):
     ["factor", "--n", "35", "--d", "1", "--safety", "300"],
     ["factor", "--n", "35", "--d", "1", "--radius", str(10**21)],
     ["sample", "--n", "35", "--d", "1", "--safety", "2000"],
+    ["simulate", "--n", "77", "--sweep", "1:2:64", "--json"],  # masses between cells underflow
 ])
 def test_oversized_radius_exit_2_without_traceback(capsys, argv):
     code, _, err = run_cli(capsys, argv)

@@ -109,6 +109,7 @@ def _factor_of(report, stdout):
 @example(["sample", "--n", "77", "--d", "2", "--m", "3000"])
 @example(["simulate", "--n", "77", "--sweep", "1:16:1e308"])
 @example(["simulate", "--n", "77", "--sweep", "2:16:1e307"])
+@example(["simulate", "--n", "77", "--sweep", "1:2:64", "--json"])
 # the witness bound at a 1199-bit N, and the recovery recheck at a pinned radius
 @example(["factor", "--n", str((4**600 - 1) // 3), "--d", "1"])
 @example(["sample", "--n", str((4**600 - 1) // 3), "--d", "1"])

@@ -12,13 +12,12 @@ from qfactor.arith import FactoringInstance, ParameterError
 from qfactor.gauss import (
     ConcentrationReport,
     GaussParams,
+    _window_draws,
     concentration_check,
     coordinate_masses,
     q_table,
     qv_table,
-    rho,
     sample_Q,
-    sample_Qv,
     theta_sum,
     torus_distance,
     window_cdf,
@@ -37,24 +36,15 @@ def wrapped_gaussian_oracle(center, grid, s, shifts=12):
     return [x / total for x in out]
 
 
-def test_rho_basics():
-    assert rho(1.0, [0.0, 0.0]) == 1.0
-    assert rho(1.0, [1.0]) == pytest.approx(math.exp(-math.pi), rel=1e-15)
-    x = [0.3, -1.2, 0.7]
-    assert rho(2.0, x) == pytest.approx(rho(1.0, [v / 2 for v in x]), rel=1e-14)
-    with pytest.raises(ParameterError):
-        rho(0.0, [1.0])
-
-
 def test_params_validation():
     with pytest.raises(ParameterError):
         GaussParams(R=4.0, D=12, d=1)  # not a power of two
     with pytest.raises(ParameterError):
         GaussParams(R=-1.0, D=8, d=1)
     p = GaussParams(R=4.0, D=8, d=1)
-    assert p.in_tail_regime and p.in_selection_window
-    loose = GaussParams(R=4.0, D=16, d=1)  # top of the window
-    assert loose.in_tail_regime and not loose.in_selection_window
+    assert p.in_tail_regime and p.D**2 < 16 * p.d * Fraction(p.R) ** 2
+    loose = GaussParams(R=4.0, D=16, d=1)  # top of the selection window D < 4 sqrt(d) R
+    assert loose.in_tail_regime and not loose.D**2 < 16 * loose.d * Fraction(loose.R) ** 2
     off = GaussParams(R=1.0, D=8, d=1)  # radius below sqrt(2d)
     assert not off.in_tail_regime
     # the regime's edges are exact: R^2 >= 2d and D^2 >= 4 d R^2
@@ -73,7 +63,8 @@ def test_choose_picks_the_power_of_two_window(d, R):
     lo = 4 * d * Fraction(R) ** 2
     assert p.D & (p.D - 1) == 0
     assert p.D**2 >= lo and (p.D == 2 or (p.D // 2) ** 2 < lo)
-    assert p.in_selection_window == (Fraction(R) ** 2 >= 2 * d)  # then D^2 < 16 d R^2 as well
+    in_selection_window = p.in_tail_regime and p.D**2 < 16 * d * Fraction(R) ** 2
+    assert in_selection_window == (Fraction(R) ** 2 >= 2 * d)  # then D^2 < 16 d R^2 as well
 
 
 def test_theta_cutoff_tail_below_2_to_minus_64():
@@ -153,11 +144,9 @@ def test_qv_table_factorizes_against_direct_sum():
 def test_sampler_frequencies_match_masses():
     p = GaussParams(R=4.0, D=8, d=1)
     table = coordinate_masses(0.5, p)
-    rng = np.random.default_rng(123)
     draws = 100_000
-    counts = np.zeros(8)
-    for _ in range(draws):
-        counts[sample_Qv((0.5,), p, rng)[0]] += 1
+    picks = _window_draws(np.full(draws, 0.5), np.random.default_rng(123).random(draws), p)
+    counts = np.bincount(picks, minlength=8)
     for k in range(8):
         sigma = math.sqrt(table[k] * (1 - table[k]) * draws)
         assert abs(counts[k] - draws * table[k]) <= 3 * sigma + 3
@@ -165,9 +154,9 @@ def test_sampler_frequencies_match_masses():
 
 def test_sampler_reproducible():
     p = GaussParams(R=4.0, D=16, d=2)
-    a = sample_Qv((0.1, 0.9), p, np.random.default_rng(5))
-    b = sample_Qv((0.1, 0.9), p, np.random.default_rng(5))
-    assert a == b
+    a = _window_draws(np.array([0.1, 0.9]), np.random.default_rng(5).random(2), p)
+    b = _window_draws(np.array([0.1, 0.9]), np.random.default_rng(5).random(2), p)
+    assert np.array_equal(a, b)
 
 
 def test_sample_Q_trivial_lattice_pins_coset():
@@ -220,17 +209,6 @@ def test_torus_distance_shift_invariant():
     assert torus_distance((0.95,), (0.05,)) == pytest.approx(0.1, abs=1e-12)
 
 
-def test_concentration_zero_distance_counts_as_success():
-    # exact-center draw at distance 0 is a success, and with the grid held
-    # fixed while the radius grows, all mass collapses onto the center
-    assert torus_distance((0.0,), (0.0,)) == 0.0
-    p = GaussParams(R=2048.0, D=256, d=1)  # far outside the selection window
-    rng = np.random.default_rng(3)
-    rep = concentration_check(p, 500, rng, v=(0.0,))
-    assert isinstance(rep, ConcentrationReport)
-    assert rep.failure_rate == 0.0
-
-
 def test_concentration_rate_d4():
     p = GaussParams.choose(4, 8.0)
     rng = np.random.default_rng(42)
@@ -279,16 +257,16 @@ def test_window_draws_match_dense_inverse_cdf(d, R):
 
 
 def test_sample_Qv_matches_dense_sampler():
-    # the seeded sampler end to end: one uniform per coordinate, in order
+    # the seeded window sampler: one uniform per coordinate, in order
     for d, R in WINDOW_CASES:
         p = GaussParams.choose(d, R)
         centres = window_centres(p.D)
         cdfs = {x: dense_cdf(x, p) for x in centres}
         for i in range(150):
             v = tuple(centres[(i + j) % len(centres)] for j in range(d))
-            got = sample_Qv(v, p, np.random.default_rng(i))
+            got = _window_draws(np.array(v), np.random.default_rng(i).random(d), p).tolist()
             rng = np.random.default_rng(i)
-            want = tuple(int(np.searchsorted(cdfs[x], rng.random(), side="right")) for x in v)
+            want = [int(np.searchsorted(cdfs[x], rng.random(), side="right")) for x in v]
             assert got == want, (d, R, v)
 
 
@@ -316,6 +294,27 @@ def test_dense_mass_outside_window_below_2_to_minus_64(d, R, D):
         assert outside.sum() < 2.0**-64, x
 
 
+@pytest.mark.parametrize("D,R,width", [(8, 10.75, 9), (8, 21.5, 7), (16, 7.25, 17), (16, 8.75, 15),
+                                       (64, 5.75, 65), (64, 6.0, 63)])
+def test_window_rows_match_dense_at_the_grid_width(D, R, width):
+    # a window of 2W+1 = D+1 cells is clipped to the whole grid; one of D-1
+    # cells leaves out the single cell opposite the center
+    p = GaussParams(R=R, D=D, d=1)
+    assert 2 * p.window + 1 == width
+    ulp = np.finfo(float).eps
+    u = np.random.default_rng(7).random(5000)
+    for x in window_centres(D):
+        cells, cdf = window_cdf(x, p)
+        dense = dense_cdf(x, p)
+        assert cells.dtype == np.int64 and len(cells) == min(width, D)
+        assert np.all(np.diff(cells) > 0)
+        assert np.abs(cdf - dense[cells]).max() <= 2 * ulp
+        assert np.array_equal(cells[np.searchsorted(cdf, u, side="right")],
+                              np.searchsorted(dense, u, side="right")), x
+        if width > D:
+            assert np.array_equal(cells, np.arange(D)) and np.array_equal(cdf, dense)
+
+
 def test_window_is_the_whole_grid_on_tiny_grids():
     p = GaussParams(R=4.0, D=8, d=1)
     assert 2 * p.window + 1 >= p.D
@@ -330,20 +329,20 @@ def test_sample_Qv_memory_does_not_grow_with_D():
     assert p.D == 1 << 23
     tracemalloc.start()
     try:
-        sample_Qv((0.0, 0.25, 5 / p.D, 1 - 1e-9), p, np.random.default_rng(1))
+        _window_draws(np.array([0.0, 0.25, 5 / p.D, 1 - 1e-9]), np.random.default_rng(1).random(4), p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def concentration_reference(params, trials, rng, v=None):
-    """concentration_check as a per-trial loop: a center (unless v is fixed),
-    one window and one uniform per coordinate, a scalar torus distance."""
+def concentration_reference(params, trials, rng):
+    """concentration_check as a per-trial loop: a center, one window and
+    one uniform per coordinate, a scalar torus distance."""
     threshold = math.sqrt(params.d) * params.s
     failures = 0
     for _ in range(trials):
-        center = tuple(rng.random(params.d)) if v is None else tuple(v)
+        center = tuple(rng.random(params.d))
         w = []
         for x in center:
             cells, cdf = window_cdf(float(x) % 1.0, params)
@@ -374,16 +373,12 @@ CONCENTRATION_PARAMS = [
 
 @pytest.mark.parametrize("params", CONCENTRATION_PARAMS, ids=lambda p: f"d{p.d}-D{p.D}-R{p.R}")
 def test_concentration_check_matches_per_trial_reference(params):
-    # fixed centers: at 0 and just below 1 (windows wrap past 0), a cell
-    # edge, and an exact Fraction; trial counts straddle the trial blocks
-    fixed = [None, (0.0,) * params.d, (-1e-12,) * params.d,
-             tuple(Fraction(j + 1, 3 * params.D) for j in range(params.d))]
+    # trial counts straddle the trial blocks
     for seed in range(5):
-        for v in fixed:
-            trials = 3 if params.D == 2**14 else 120 + 121 * seed
-            got = concentration_check(params, trials, np.random.default_rng(seed), v=v)
-            want = concentration_reference(params, trials, np.random.default_rng(seed), v=v)
-            assert got == want, (seed, v)
+        trials = 3 if params.D == 2**14 else 120 + 121 * seed
+        got = concentration_check(params, trials, np.random.default_rng(seed))
+        want = concentration_reference(params, trials, np.random.default_rng(seed))
+        assert got == want, seed
 
 
 def test_window_cdf_rows_match_single_windows():
@@ -404,14 +399,14 @@ def test_sample_Qv_matches_one_window_per_coordinate():
     for d, R in WINDOW_CASES + [(3, 4.62)]:
         p = GaussParams.choose(d, R)
         for i in range(100):
-            v = tuple(np.random.default_rng(1000 + i).random(d) * 3 - 1)
-            got = sample_Qv(v, p, np.random.default_rng(i))
+            v = np.random.default_rng(1000 + i).random(d) * 3 - 1
+            got = _window_draws(v % 1.0, np.random.default_rng(i).random(d), p).tolist()
             rng = np.random.default_rng(i)
             want = []
             for x in v:
                 cells, cdf = window_cdf(float(x) % 1.0, p)
                 want.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]))
-            assert got == tuple(want), (d, R, v)
+            assert got == want, (d, R, v)
 
 
 def test_torus_distance_rows_match_pairs():

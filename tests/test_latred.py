@@ -351,7 +351,7 @@ def benchmark_enumerations():
         mp.setattr(latred, "enumerate_coefficients", record)
         for N, d in BENCHMARK_INSTANCES:
             inst = FactoringInstance.build(N, d)
-            certify_assumption(inst, default_witness_bound(inst))
+            certify_assumption(inst, default_witness_bound(inst), build_relation_lattice(inst))
         for seed in (0, 1):
             checks.short_cover_suite(n_lattices=100, seed=seed)
     return calls

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qfactor.arith import FactoringInstance, ParameterError, ResourceLimitError
 from qfactor.checks import binomial_lower_pvalue
-from qfactor.gauss import GaussParams, sample_Qv
+from qfactor.gauss import GaussParams, window_cdf
 from qfactor.pipeline import (
     ASSUMPTION_VIOLATED,
     ATTEMPTS_EXHAUSTED,
@@ -41,13 +41,16 @@ from qfactor.relattice import build_relation_lattice, dual_cosets
 
 def draw_samples_reference(seed, attempt, m, params, dual):
     """The oracle draws of one attempt, one sample at a time: its coset,
-    then its own window tables (sample_Qv)."""
+    then each coordinate from its own window table at one uniform."""
     samples = []
     for i in range(m):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
         v = dual.sample(rng)
-        w = sample_Qv(v, params, rng)
-        samples.append({"v": [str(x) for x in v], "w_indices": list(w)})
+        w = []
+        for x in v:
+            cells, cdf = window_cdf(float(x) % 1.0, params)
+            w.append(int(cells[np.searchsorted(cdf, rng.random(), side="right")]))
+        samples.append({"v": [str(x) for x in v], "w_indices": w})
     return samples
 
 
@@ -214,7 +217,7 @@ def test_default_dimension_is_ceil_sqrt_bits():
 
 def test_certify_witness_for_15():
     inst = FactoringInstance.build(15, 1)
-    report = certify_assumption(inst, 8)
+    report = certify_assumption(inst, 8, build_relation_lattice(inst))
     assert report.found and report.vector in ((2,), (-2,))
     assert report.norm_sq == 4
     # ball of radius 8 in L = 2Z: nonzero members +-2 +-4 +-6 +-8, half escape
@@ -225,7 +228,7 @@ def test_certify_witness_for_15():
 
 def test_certify_no_witness_reports_evidence():
     inst = FactoringInstance.build(33, 1)
-    report = certify_assumption(inst, 20)
+    report = certify_assumption(inst, 20, build_relation_lattice(inst))
     assert not report.found
     assert report.vector is None
     assert report.fraction_outside == 0.0  # short relations exist, all signed
@@ -345,14 +348,6 @@ def test_doubling_n_scales_like_three_halves_power():
         totals.append(estimate_gate_cost(n, d).total)
     ratio = totals[1] / totals[0]  # n quadrupled: expect ~4^{3/2} = 8, log slack
     assert 8.0 <= ratio <= 8.0 * 1.5
-
-
-def test_epsilon_qft_term():
-    plain = estimate_gate_cost(256, 16, log2_D=24.0)
-    tighter = estimate_gate_cost(256, 16, log2_D=24.0, epsilon_qft=2.0**-10)
-    assert tighter.terms["qft"] > plain.terms["qft"]
-    with pytest.raises(ParameterError):
-        estimate_gate_cost(256, 16, log2_D=24.0, epsilon_qft=2.0)
 
 
 def test_tradeoff_rows_shapes():

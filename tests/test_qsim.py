@@ -72,7 +72,7 @@ def test_gaussian_state_d1_amplitudes():
     # offset order: z = -2, -1, 0, 1
     expected = np.array([math.exp(-math.pi * z * z) for z in (-2, -1, 0, 1)])
     assert np.allclose(amps / amps[2], expected, rtol=1e-12)
-    assert state.norm() == pytest.approx(1.0, abs=2.0**-40)
+    assert float(np.linalg.norm(state.amplitudes)) == pytest.approx(1.0, abs=2.0**-40)
 
 
 def test_gaussian_state_tensor_structure():
@@ -166,7 +166,7 @@ def test_exponentiation_support_and_marginals():
     params = GaussParams(R=3.0, D=16, d=1)
     state = build_gaussian_state(params)
     joint = apply_exponentiation(state, rel)
-    assert joint.norm_sq() == pytest.approx(1.0, abs=2.0**-40)
+    assert float(np.vdot(joint.amplitudes, joint.amplitudes).real) == pytest.approx(1.0, abs=2.0**-40)
     direct = {}
     total = 0.0
     for idx in range(16):
@@ -200,7 +200,7 @@ def test_qft_unitarity_preserves_branch_mass():
     params = GaussParams(R=4.0, D=8, d=2)
     joint = apply_exponentiation(build_gaussian_state(params), rel)
     P = qft_measure_distribution(joint)
-    assert abs(float(P.sum()) - joint.norm_sq()) < 2.0**-40
+    assert abs(float(P.sum()) - float(np.vdot(joint.amplitudes, joint.amplitudes).real)) < 2.0**-40
 
 
 L1_BASELINES = {
@@ -474,7 +474,7 @@ def test_outcome_table_is_pinned_and_sums_the_branch_rows(N, d, D, R, digest):
         assert abs(float(row.sum()) - masses[k]) <= 2.0**-40
         total += row
     assert np.array_equal(total, P)
-    assert abs(float(masses.sum()) - joint.norm_sq()) <= 2.0**-40
+    assert abs(float(masses.sum()) - float(np.vdot(joint.amplitudes, joint.amplitudes).real)) <= 2.0**-40
 
 
 @pytest.mark.parametrize("a,N", [((4,), 77), ((2, 3), 77), ((4, 9, 25), 221), ((2, 256), (1 << 32) + 1)])
