@@ -42,10 +42,10 @@ from .relattice import (
     DualStructure,
     RelationLattice,
     WitnessReport,
-    ball_census,
     build_relation_lattice,
     classify,
     dual_cosets,
+    find_witness,
     shortest_nontrivial_witness,  # not called here; kept bound for perfbench's tracer
 )
 from .arith import hom_image  # not called here; kept bound for perfbench's tracer
@@ -87,11 +87,11 @@ class PipelineConfig:
 
 
 def certify_assumption(inst: FactoringInstance, T_bound, rel: RelationLattice) -> WitnessReport:
-    """Certify (by enumeration) that some short vector of the relation
-    lattice rel of inst escapes the sign sublattice, and measure what
-    fraction of short relation vectors do.  inst is not read here; it is
-    the argument perfbench's tracer sizes the certification by."""
-    return ball_census(rel, T_bound)
+    """Certify (by enumeration) that some vector of the relation lattice rel
+    of inst no longer than T_bound escapes the sign sublattice, and find a
+    shortest one.  inst is not read here; it is the argument perfbench's
+    tracer sizes the certification by."""
+    return find_witness(rel, T_bound)
 
 
 def _ceil_root(n: int, k: int = 2) -> int:
@@ -108,7 +108,7 @@ def default_witness_bound(inst: FactoringInstance) -> int:
     """The paper's radius sqrt(d) 2^{n/d}, rounded up, plus one: the bound
     within which the heuristic assumption puts a vector of L outside L0.
     The rounded radius is the least t with t^{2d} >= d^d 4^n, found in
-    integers; the census's node cap refuses a bound too large to certify."""
+    integers; relattice.ENUM_CAP caps each ball the witness search walks."""
     return _ceil_root(inst.d**inst.d * 4**inst.n, 2 * inst.d) + 1
 
 

@@ -8,15 +8,15 @@ coset expansion of the subgroup generated by the a_i, one generator at a
 time, and the quotient L*/Z^d is made samplable through a Smith
 decomposition, whose diagonal alone pairs dual cosets with primal ones.
 
-The short vectors of L are counted in one streamed pass of exact
-Fincke-Pohst enumeration over an LLL-reduced basis (ball_census), as
-coefficient rows on that basis, and none is kept but the shortest rows
-outside L0; the enumeration reads the Gram-Schmidt data the reduction
-leaves behind.  The count is complete because the basis generates all of
-L: its determinant is checked against the subgroup order.  The reduced rows
-are confirmed in L by the homomorphism, so every enumerated vector is in L
-by construction, and the parities of its coefficients decide whether it
-lies in L0; the witness is confirmed by the homomorphism too.
+The witness is searched for in balls of growing radius, each walked in one
+streamed pass of exact Fincke-Pohst enumeration over an LLL-reduced basis
+(find_witness), as coefficient rows on that basis, and none is kept but the
+shortest rows outside L0; the enumeration reads the Gram-Schmidt data the
+reduction leaves behind.  A walk is complete because the basis generates all
+of L: its determinant is checked against the subgroup order.  The reduced
+rows are confirmed in L by the homomorphism, so every enumerated vector is
+in L by construction, and the parities of its coefficients decide whether
+it lies in L0; the witness is confirmed by the homomorphism too.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .arith import (
 # subgroup order; the coset expansion holds up to this many residues, each
 # in a list and a position dict (about 100 bytes per element)
 GROUP_CAP = 1 << 22
-ENUM_CAP = 1 << 22  # enumeration nodes: admitted coefficient values, over all levels
+ENUM_CAP = 1 << 22  # enumeration nodes of one walk: admitted coefficient values, over all levels
 
 
 @dataclass(frozen=True)
@@ -199,36 +199,34 @@ def dual_cosets(rel: RelationLattice) -> DualStructure:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Outcome of the exhaustive short-witness certification."""
+    """Outcome of the short-witness certification."""
 
     found: bool
     vector: tuple[int, ...] | None
     norm_sq: int | None
     bound: int
-    lattice_vectors: int  # nonzero lattice vectors in the ball
-    outside_sign: int  # of those, how many sit outside the sign sublattice
-    fraction_outside: float | None
+    lattice_vectors: int  # nonzero lattice vectors in the last ball walked
 
 
-def ball_census(rel: RelationLattice, bound) -> WitnessReport:
-    """Count the nonzero vectors of L with norm <= bound, and those of them
-    outside L0, and find a shortest one outside L0, in one streamed pass.
+def find_witness(rel: RelationLattice, bound) -> WitnessReport:
+    """Find a shortest vector of L outside L0 with norm <= bound.
 
-    The coefficient rows x come from one exact enumeration over the
-    LLL-reduced basis B, capped at ENUM_CAP enumeration nodes, and each
-    member is z = x B.  b(z) = prod b_i^{z_i} mod N maps L into the square
-    roots of 1 and is a homomorphism, so it is trivial on 2L and depends
-    only on the parities of x: the product of b(B_i) over the odd
-    coefficients, kept in a table per parity mask.  Each reduced row B_i is
-    confirmed in L by the homomorphism.  The enumeration gives each row's
-    squared norm, and only the outside rows tied at the least squared norm
-    so far are kept: the witness is the lexicographically smallest of them
-    once assembled, and it is confirmed by classify.
+    Each walk takes the coefficient rows x of squared norm <= limit from one
+    exact enumeration over the LLL-reduced basis B, capped at ENUM_CAP
+    nodes; each member is z = x B.  limit starts at the least squared norm
+    of a row of B and grows 4-fold up to bound^2, until a walk meets a row
+    outside L0; every walk lies in the bound's ball.  b(z) = prod b_i^{z_i}
+    mod N maps L into the square roots of 1 and is a homomorphism, so it is
+    trivial on 2L and depends only on the parities of x: the product of
+    b(B_i) over the odd coefficients, kept in a table per parity mask.  Each
+    reduced row B_i is confirmed in L by the homomorphism.  Only the outside
+    rows tied at the least squared norm so far are kept; the last walk holds
+    every vector that short, so the witness, the lexicographically smallest
+    of them once assembled, is the whole ball's.  classify confirms it.
     """
     if int(bound) < 0:
         raise ParameterError("bound must be nonnegative")
     reduced = latred.lll_reduce(rel.basis)
-    leaves = latred.enumerate_coefficients(reduced, Fraction(bound) ** 2, node_cap=ENUM_CAP)
     basis, inst, N = reduced.basis, rel.inst, rel.inst.N
     row_signs = []
     for row in basis.vectors:
@@ -236,20 +234,24 @@ def ball_census(rel: RelationLattice, bound) -> WitnessReport:
             raise AssertionError(f"reduced row {row} is not a relation")
         row_signs.append(power_product(inst.b, row, N))
     signs = {}  # parity mask of x -> b of its members
-    members = outside = 0
-    least, tied = None, []  # the least outside squared norm, and its rows
-    for x, sq in leaves:
-        members += 1
-        mask = tuple(c & 1 for c in x)
-        b = signs.get(mask)
-        if b is None:
-            b = signs[mask] = power_product(row_signs, mask, N)
-        if b != 1 and b != N - 1:
-            outside += 1
-            if least is None or sq < least:
-                least, tied = sq, [x]
-            elif sq == least:
-                tied.append(x)
+    bound_sq = Fraction(bound) ** 2
+    limit = min(bound_sq, *(sum(c * c for c in row) for row in basis.vectors))
+    while True:
+        members, least, tied = 0, None, []  # the least outside squared norm, and its rows
+        for x, sq in latred.enumerate_coefficients(reduced, limit, node_cap=ENUM_CAP):
+            members += 1
+            mask = tuple(c & 1 for c in x)
+            b = signs.get(mask)
+            if b is None:
+                b = signs[mask] = power_product(row_signs, mask, N)
+            if b != 1 and b != N - 1:
+                if least is None or sq < least:
+                    least, tied = sq, [x]
+                elif sq == least:
+                    tied.append(x)
+        if tied or limit == bound_sq:
+            break
+        limit = min(bound_sq, 4 * limit)
     witness = None
     if tied:
         witness = min(latred.combine_rows(basis, tied))
@@ -261,16 +263,14 @@ def ball_census(rel: RelationLattice, bound) -> WitnessReport:
         norm_sq=least,
         bound=int(bound),
         lattice_vectors=members,
-        outside_sign=outside,
-        fraction_outside=(outside / members) if members else None,
     )
 
 
 def shortest_nontrivial_witness(rel: RelationLattice, bound):
     """A shortest vector of L \\ L0 with norm <= bound, or None.
 
-    Taken from the ball census: exact enumeration over the lattice basis,
-    every vector confirmed by the homomorphism.  Among several shortest
-    witnesses the lexicographically smallest is returned.
+    Taken from find_witness: exact enumeration over the lattice basis, every
+    vector confirmed by the homomorphism.  Among several shortest witnesses
+    the lexicographically smallest is returned.
     """
-    return ball_census(rel, bound).vector
+    return find_witness(rel, bound).vector

@@ -1,18 +1,20 @@
-"""The ball census against the double box scan it replaced.
+"""The witness search against the box scans and the listing census.
 
-`box_scan_reference` is the former certification, kept here only as an
+`box_scan_reference` is an early certification, kept here only as an
 oracle: one (2r+1)^d box loop for the shortest witness and a second one for
 the member and outside-sign counts, with every point decided by the
 homomorphism.  `box_scan_numpy` walks the same box with per-coordinate power
 tables so the large benchmark instances stay cheap; it is checked against
-the reference on every small case.  `census_reference` lists the ball by
-`enumerate_lattice_vectors` and classifies every member on its own; the
-streamed census must count what it lists and find the same witness.
+the reference on every small case.  `census_reference` lists the whole ball
+by `enumerate_lattice_vectors` and classifies every member on its own.  The
+search walks growing balls and stops at the first that holds a witness, so
+it must find the witness these name, and, when there is none, count the
+whole ball's members.
 """
 
 import itertools
 import math
-import tracemalloc
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -31,35 +33,36 @@ from qfactor.arith import (
 )
 from qfactor.pipeline import certify_assumption, default_witness_bound
 from qfactor.relattice import (
-    ball_census,
     build_relation_lattice,
+    find_witness,
     shortest_nontrivial_witness,
 )
 from test_relattice import in_L0
 
 
-def census_reference(rel, bound, node_cap=None):
-    """(members, outside, witness) with every member listed, assembled and
-    classified on its own: in_L0 confirms it by the homomorphism and then
-    tests the sign sublattice.  The witness is the least outside member by
-    (squared norm, vector)."""
+def census_reference(rel, bound_sq, node_cap=None):
+    """(members, outside, witness) with every member of squared norm <=
+    bound_sq listed, assembled and classified on its own: in_L0 confirms it
+    by the homomorphism and then tests the sign sublattice.  The witness is
+    the least outside member by (squared norm, vector)."""
     reduced = latred.lll_reduce(rel.basis)
-    members = latred.enumerate_lattice_vectors(reduced, Fraction(bound) ** 2, node_cap)
+    members = latred.enumerate_lattice_vectors(reduced, bound_sq, node_cap)
     outside = [z for z in members if not in_L0(rel, z)]
     witness = min(outside, key=lambda z: (sum(x * x for x in z), z), default=None)
     return members, outside, witness
 
 
-def assert_report_matches(report, members, outside, witness):
-    """A census report counts the listed members and outside members and
-    names the listed witness."""
-    assert (report.lattice_vectors, report.outside_sign, report.vector) == (len(members), len(outside), witness)
-    assert report.norm_sq == (sum(x * x for x in witness) if witness else None)
-    assert report.found == (witness is not None)
+def assert_report_matches(report, bound, witness, ball_size):
+    """A report names the reference's witness at the bound it was given, and
+    with no witness it counts the ball's ball_size members."""
+    norm_sq = sum(x * x for x in witness) if witness else None
+    assert (report.found, report.vector, report.norm_sq, report.bound) == (witness is not None, witness, norm_sq, int(bound))
+    if witness is None:
+        assert report.lattice_vectors == ball_size
 
 
 def box_scan_reference(rel, bound):
-    """(witness, lattice_vectors, outside_sign) by the two former box loops."""
+    """(witness, members, outside) by two box loops."""
     inst = rel.inst
     r = int(bound)
     bound_sq = Fraction(bound) ** 2
@@ -125,14 +128,6 @@ def box_scan_numpy(rel, bound):
     return witness, int(members.sum()), int(outside.sum())
 
 
-def _report_tuple(report):
-    return report.vector, report.lattice_vectors, report.outside_sign, report.fraction_outside
-
-
-def _expected(witness, members, outside):
-    return witness, members, outside, (outside / members) if members else None
-
-
 # The (N, d) of every benchmark factor job and warm-up, each at its default bound.
 BENCHMARK_INSTANCES = [
     (15, 1), (35, 1), (77, 1), (91, 1), (221, 1), (77, 2), (143, 2), (221, 2),
@@ -145,11 +140,9 @@ def test_census_matches_box_scan_on_benchmark_instances(N, d):
     inst = FactoringInstance.build(N, d)
     rel = build_relation_lattice(inst)
     bound = default_witness_bound(inst)
-    expected = box_scan_numpy(rel, bound)
-    report = certify_assumption(inst, bound, rel=rel)
-    assert _report_tuple(report) == _expected(*expected)
-    assert report.bound == int(bound)
-    assert shortest_nontrivial_witness(rel, bound) == expected[0]
+    witness, members, _ = box_scan_numpy(rel, bound)
+    assert_report_matches(certify_assumption(inst, bound, rel=rel), bound, witness, members)
+    assert shortest_nontrivial_witness(rel, bound) == witness
 
 
 @pytest.mark.parametrize("N,d,bound", [
@@ -161,8 +154,9 @@ def test_parity_census_matches_per_member_reference(N, d, bound):
     rel = build_relation_lattice(FactoringInstance.build(N, d))
     if bound is None:
         bound = default_witness_bound(rel.inst)
-    report = ball_census(rel, bound)
-    assert_report_matches(report, *census_reference(rel, bound))
+    members, _, witness = census_reference(rel, Fraction(bound) ** 2)
+    report = find_witness(rel, bound)
+    assert_report_matches(report, bound, witness, len(members))
     assert report.lattice_vectors
 
 
@@ -189,15 +183,14 @@ def test_census_matches_box_scan_small_moduli(N, d):
     for bound in SMALL_BOUNDS + [default_witness_bound(inst)]:
         expected = box_scan_reference(rel, bound)
         assert box_scan_numpy(rel, bound) == expected
-        report = certify_assumption(inst, bound, rel=rel)
-        assert _report_tuple(report) == _expected(*expected), bound
-        assert report.bound == int(bound)
-        assert shortest_nontrivial_witness(rel, bound) == expected[0]
+        witness, members, _ = expected
+        assert_report_matches(certify_assumption(inst, bound, rel=rel), bound, witness, members)
+        assert shortest_nontrivial_witness(rel, bound) == witness
 
 
 def test_census_lists_each_ball_vector_once():
     rel = build_relation_lattice(FactoringInstance.build(221, 2))
-    members, outside, _ = census_reference(rel, 24)
+    members, outside, _ = census_reference(rel, 24**2)
     assert len(set(members)) == len(members)
     assert set(outside) <= set(members)
     assert all(0 < sum(x * x for x in z) <= 24**2 for z in members)
@@ -206,7 +199,7 @@ def test_census_lists_each_ball_vector_once():
 def test_witness_tie_break_is_lexicographic():
     # four witnesses of norm^2 5 at N = 77, d = 3; the box scan kept the first
     rel = build_relation_lattice(FactoringInstance.build(77, 3))
-    _, outside, witness = census_reference(rel, 12)
+    _, outside, witness = census_reference(rel, 12**2)
     ties = sorted(z for z in outside if sum(x * x for x in z) == 5)
     assert ties == [(-1, 2, 0), (0, -1, 2), (0, 1, -2), (1, -2, 0)]
     assert witness == (-1, 2, 0)
@@ -219,13 +212,19 @@ def test_witness_tie_break_is_lexicographic():
 
 def test_enum_cap_counts_nodes_not_box_volume(monkeypatch):
     rel = build_relation_lattice(FactoringInstance.build(77, 2))
-    # the ball of radius 100 holds 2084 lattice vectors: far more than 100 nodes
-    assert certify_assumption(rel.inst, 100, rel=rel).lattice_vectors == 2084
+    # the ball of radius 100 holds 2084 lattice vectors: far more than 100
+    # nodes, but the search meets its witness of norm^2 5 in the first ball
+    assert len(census_reference(rel, 100**2)[0]) == 2084
     monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 100)
+    report = certify_assumption(rel.inst, 100, rel=rel)
+    assert (report.vector, report.norm_sq, report.lattice_vectors) == ((-1, 2), 5, 2)
+    # every relation of 33 at d = 1 is signed, so the whole ball of radius
+    # 1000, 400 vectors and 401 nodes, is walked
+    rel = build_relation_lattice(FactoringInstance.build(33, 1))
     with pytest.raises(ResourceLimitError):
-        shortest_nontrivial_witness(rel, 100)
+        shortest_nontrivial_witness(rel, 1000)
     with pytest.raises(ResourceLimitError):
-        certify_assumption(rel.inst, 100, rel=rel)
+        certify_assumption(rel.inst, 1000, rel=rel)
     # the 4.1e6-point box of radius 22 at d = 4 holds 446 vectors, < 2000 nodes
     monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 2000)
     rel = build_relation_lattice(FactoringInstance.build(10403, 4))
@@ -235,7 +234,7 @@ def test_enum_cap_counts_nodes_not_box_volume(monkeypatch):
 def test_negative_bound_rejected():
     rel = build_relation_lattice(FactoringInstance.build(15, 1))
     with pytest.raises(ParameterError):
-        ball_census(rel, -1)
+        find_witness(rel, -1)
 
 
 @pytest.mark.parametrize("N,d,bound,nodes", [(77, 2, 100, 2114), (10403, 4, 22, 588), (1022117, 6, 26, 8090)])
@@ -249,18 +248,17 @@ def test_enumeration_node_count_is_pinned(N, d, bound, nodes):
 
 
 def test_census_streams_its_members():
-    # 348,820 members; a census that listed them as rows peaked near 47 MB
+    # the ball of radius 11 holds 348,820 vectors, but the first ball walked
+    # holds only the witness and its negation, so this takes about 1 ms
     inst = FactoringInstance.build(10403, 8)
     rel = build_relation_lattice(inst)
-    tracemalloc.start()
-    try:
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
         report = certify_assumption(inst, 11, rel=rel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (report.lattice_vectors, report.outside_sign) == (348_820, 174_510)
-    assert report.vector == (-1, -1, 0, 0, 0, 0, -1, 0)
-    assert peak < 4 << 20, peak
+        seconds.append(time.perf_counter() - start)
+    assert (report.vector, report.norm_sq, report.lattice_vectors) == ((-1, -1, 0, 0, 0, 0, -1, 0), 3, 2)
+    assert min(seconds) < 0.05, seconds
 
 
 CAP = 5_000  # enumeration nodes per example, so every example stays cheap
@@ -278,6 +276,7 @@ SCALES = st.one_of(
 @example(N=221, d=2, scale=2)
 @example(N=77, d=3, scale=Fraction(5, 2))
 @example(N=15, d=1, scale=1.5)
+@example(N=77, d=2, scale=100)  # the bound's ball passes CAP; the first ball holds a witness
 def test_streamed_census_matches_listing_reference(N, d, scale):
     try:
         inst = FactoringInstance.build(N, d)
@@ -289,9 +288,20 @@ def test_streamed_census_matches_listing_reference(N, d, scale):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("qfactor.relattice.ENUM_CAP", CAP)
         try:
-            reference = census_reference(rel, bound, node_cap=CAP)
+            members, _, witness = census_reference(rel, Fraction(bound) ** 2, node_cap=CAP)
         except ResourceLimitError:
-            with pytest.raises(ResourceLimitError):
-                ball_census(rel, bound)
+            members = None
+        try:
+            report = find_witness(rel, bound)
+        except ResourceLimitError:
+            # every ball the search walks lies in the bound's
+            assert members is None
             return
-        assert_report_matches(ball_census(rel, bound), *reference)
+    if members is not None:
+        assert_report_matches(report, bound, witness, len(members))
+        return
+    # the bound's ball passes the cap, so the search met a witness in a
+    # smaller ball; no vector outside L0 is shorter
+    assert report.found
+    members, _, witness = census_reference(rel, report.norm_sq, node_cap=CAP)
+    assert witness == report.vector

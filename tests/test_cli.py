@@ -39,7 +39,7 @@ def test_factor_20_bit_modulus(capsys, tmp_path):
     # the BFS construction of the lattice gave the same transcript
     body = {k: v for k, v in report.items() if k != "timings"}
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == (
-        "1b90c55b5e1009512f3d8d04aba14eaf518a0594211ce6220a3b547c6cf29747"
+        "b2fa99d0e105160efdfa86561276397241328e64614fda91cea36aeb7d81e82f"
     )
 
 
@@ -52,11 +52,18 @@ def test_factor_certifies_at_the_paper_witness_bound(capsys, tmp_path):
     assert witness["bound"] == 26 and witness["found"]
 
 
+def test_factor_certifies_past_the_ball_the_node_cap_refuses(capsys):
+    # 10403 = 101 * 103 at d = 10: the whole ball of the paper's bound takes
+    # more than ENUM_CAP nodes, but the witness, of norm^2 3, lies in the first
+    # ball walked
+    assert run_cli(capsys, ["factor", "--n", "10403", "--d", "10", "--seed", "1"]) == (0, "103\n", "")
+
+
 @pytest.mark.parametrize("argv, message", [
-    # a 1199-bit N at d = 1: the witness bound 2^1199 + 1 is exact, and its
-    # census passes the node cap
+    # a 1199-bit N at d = 1: the witness (-600,) is certified in the first
+    # ball, and the radius the scaling relation then asks for passes 2^1024
     (["factor", "--n", str((4**600 - 1) // 3), "--d", "1"],
-     "enumeration exceeds 4194304 nodes"),
+     "the radius for m = 5 and safety margin 2^4 is at least 2^1024"),
     (["factor", "--n", "221", "--d", "1", "--m", "480", "--radius", "16"],
      "extended lattice dimension d + m = 481 exceeds cap 128"),
 ], ids=["witness-bound", "dimension"])

@@ -27,15 +27,15 @@ GOLDEN = [
     (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
      "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
     (["factor", "--n", "10403", "--d", "4", "--seed", "1"],
-     "888c30364e45c93df4512be7575e30cf1ae5b2c792e531d1dac291ff75a37b0e"),
+     "7abcdf02e25efe2fa4e885aa0159dcd2ff20595aa4ce0db4e8bc3cd3e038781f"),
     (["factor", "--n", "1147", "--d", "4", "--radius", "256", "--seed", "1"],
-     "0068abaec3dc5270652b21922148057ad1690645f3ad7d44325dd05b992aa7b8"),
+     "980940b531f563fac8e534c81e60f0b95d690be08887ea66a3a762723ff8d1e5"),
     (["sample", "--n", "437", "--d", "3", "--seed", "1"],
      "d6f468f7529407d05bebd7a01289ec3c708cec4acd4963b6f7a1d29024e0886a"),
     (["factor", "--n", "77", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "e13eb9b98f99740d8a4a606efd8acaef03c058f80c3f97c1a9c78bd40aed92ac"),
+     "242afc6621aade8b555ca21fc86f190ff9338c3ab80b88bcb0ca62b755372fac"),
     (["factor", "--n", "91", "--d", "1", "--mode", "statevector", "--seed", "1"],
-     "223448c1bb974cb8160564ec6b72403eb154cb7ce363901908da9fbaa83bbeca"),
+     "570f2654144320a38787337d2a3698afe41e587ac8e1488debef4816ddcb65f1"),
 ]
 
 

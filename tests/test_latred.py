@@ -339,7 +339,9 @@ BENCHMARK_INSTANCES = [
 def benchmark_enumerations():
     """The (LLL result, squared bound) of every enumeration that
     certification of the benchmark instances and two short-cover suites
-    make, recorded at the enumeration core that both reach."""
+    make, recorded at the enumeration core that both reach, and of each
+    instance's whole ball at its certification bound, which the witness
+    search walks only when no smaller ball holds a witness."""
     calls = []
     core = latred.enumerate_coefficients
 
@@ -351,14 +353,18 @@ def benchmark_enumerations():
         mp.setattr(latred, "enumerate_coefficients", record)
         for N, d in BENCHMARK_INSTANCES:
             inst = FactoringInstance.build(N, d)
-            certify_assumption(inst, default_witness_bound(inst), build_relation_lattice(inst))
+            rel, bound = build_relation_lattice(inst), default_witness_bound(inst)
+            certify_assumption(inst, bound, rel)
+            record(lll_reduce(rel.basis), Fraction(bound) ** 2)
         for seed in (0, 1):
             checks.short_cover_suite(n_lattices=100, seed=seed)
     return calls
 
 
 def test_integer_enumeration_matches_reference_on_benchmark_inputs(benchmark_enumerations):
-    assert len(benchmark_enumerations) == len(BENCHMARK_INSTANCES) + 200
+    # one walk per certification but the three of 3127/d=3, one whole ball
+    # per instance and one per short-cover lattice
+    assert len(benchmark_enumerations) == 18 + len(BENCHMARK_INSTANCES) + 200
     for reduced, norm_bound_sq in benchmark_enumerations:
         assert reduced == lll_reduce(reduced.basis)
         assert_enumeration_matches_reference(reduced, norm_bound_sq)

@@ -37,6 +37,7 @@ from qfactor.qsim import (
     sample_measurement,
 )
 from qfactor.relattice import build_relation_lattice, dual_cosets
+from test_census import census_reference
 
 
 def draw_samples_reference(seed, attempt, m, params, dual):
@@ -217,21 +218,22 @@ def test_default_dimension_is_ceil_sqrt_bits():
 
 def test_certify_witness_for_15():
     inst = FactoringInstance.build(15, 1)
-    report = certify_assumption(inst, 8, build_relation_lattice(inst))
-    assert report.found and report.vector in ((2,), (-2,))
-    assert report.norm_sq == 4
+    rel = build_relation_lattice(inst)
+    report = certify_assumption(inst, 8, rel)
     # ball of radius 8 in L = 2Z: nonzero members +-2 +-4 +-6 +-8, half escape
-    assert report.lattice_vectors == 8
-    assert report.outside_sign == 4
-    assert report.fraction_outside == 0.5
+    members, outside, witness = census_reference(rel, 8**2)
+    assert (len(members), len(outside), witness) == (8, 4, (-2,))
+    assert (report.found, report.vector, report.norm_sq, report.bound) == (True, witness, 4, 8)
 
 
 def test_certify_no_witness_reports_evidence():
     inst = FactoringInstance.build(33, 1)
-    report = certify_assumption(inst, 20, build_relation_lattice(inst))
-    assert not report.found
-    assert report.vector is None
-    assert report.fraction_outside == 0.0  # short relations exist, all signed
+    rel = build_relation_lattice(inst)
+    report = certify_assumption(inst, 20, rel)
+    members, outside, _ = census_reference(rel, 20**2)
+    assert (report.found, report.vector, report.norm_sq, report.bound) == (False, None, None, 20)
+    # short relations exist, all signed, and the whole ball is counted
+    assert outside == [] and report.lattice_vectors == len(members) == 8
 
 
 @pytest.mark.parametrize("N, bound", [(77, 17), (323, 33), (1147, 65)])

@@ -342,10 +342,14 @@ def test_witness_examples(rel15):
 
 
 def test_witness_enum_cap(monkeypatch):
-    rel = build_relation_lattice(FactoringInstance.build(77, 2))
     monkeypatch.setattr("qfactor.relattice.ENUM_CAP", 100)
+    # the witness of 77 at d = 2 lies in the first ball walked, of 2 vectors
+    rel = build_relation_lattice(FactoringInstance.build(77, 2))
+    assert shortest_nontrivial_witness(rel, 100) == (-1, 2)
+    # 33 at d = 1 has none, so the whole ball, of 401 nodes, is walked
+    rel = build_relation_lattice(FactoringInstance.build(33, 1))
     with pytest.raises(ResourceLimitError):
-        shortest_nontrivial_witness(rel, 100)
+        shortest_nontrivial_witness(rel, 1000)
 
 
 def test_witness_absent_when_sign_sublattice_fills():
