@@ -5,19 +5,23 @@ stands for the integer i - D/2).  The pipeline is: Gaussian state over the
 box, group-element register attached in superposition (the elements of
 the whole grid from one arith.power_grid call), per-axis Fourier transform
 over Z_D, exact outcome distribution.  The joint state is kept compact:
-the amplitudes and one group-element label per grid cell, which is the
-whole branch partition.  The transform takes one branch at a time
-(branch_distribution, which masks it out of the labels), so no more than
-one dense branch is ever held; the full outcome table is the sum of the
-branch rows.
+the real amplitudes (the Gaussian state has no phase) and one small
+unsigned group-element label per grid cell, which is the whole branch
+partition.  The transform takes one branch at a time (branch_distribution
+copies it out of the labels into one complex grid and transforms that in
+place), so no more than one dense branch is ever held; the full outcome
+table is the sum of the branch rows.
 A reader that only draws from the table can measure the register first
 and transform just the branches its draws land on.  A wrapped variant of
 the state (Gaussian mass folded modulo D) backs the truncation-error
-checks.
+checks; it too is built a block of branches at a time, and its sums follow
+numpy's own pairwise order, so they equal those over the whole
+branches x D^d arrays bit for bit without ever holding them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +44,19 @@ BOX_GUARD = 1 << 24
 # a desk-scale box, so enumeration can stop there.
 _BOX_RADII = 4.5
 
+# The truncation gap builds its bins in blocks of about LEAF and sums them
+# in leaves of at most LEAF values (see _pairwise_sums); numpy reduces spans
+# of up to 128 values in one unrolled block, so a leaf must be no shorter.
+LEAF = 1 << 13
+
+# apply_exponentiation labels the grid at most this many cells at a time.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over the offset-encoded box, plus the squared
+    """Normalized amplitudes over the offset-encoded box, real (float64)
+    since the Gaussian state has no phase, plus the squared
     pre-normalization mass (sum of squared Gaussian weights)."""
 
     d: int
@@ -59,7 +72,8 @@ class JointState:
     amplitudes are the grid state's own (globally normalized) amplitudes,
     which the attachment leaves untouched.  elements lists the group
     elements in the order the grid, read in index order, first reaches them,
-    and labels[idx] is the position in elements of the element the register
+    and labels[idx], of the smallest unsigned dtype that holds every
+    position, is the position in elements of the element the register
     holds at grid cell idx.  Branch k, the grid state entangled with
     register value elements[k], is the amplitudes where labels == k and 0
     elsewhere.
@@ -74,7 +88,7 @@ class JointState:
     def branch_masses(self) -> np.ndarray:
         """The squared norm of each branch, sum |amp|^2 over its cells: the
         probability of each register value, were the register measured."""
-        return np.bincount(self.labels.ravel(), weights=np.abs(self.amplitudes.ravel()) ** 2,
+        return np.bincount(self.labels.ravel(), weights=np.square(self.amplitudes.ravel()),
                            minlength=len(self.elements))
 
 
@@ -93,9 +107,8 @@ def build_gaussian_state(params: GaussParams) -> StateVector:
     for _ in range(d - 1):
         amps = np.multiply.outer(amps, axis)
     z1_sq = float((amps ** 2).sum())
-    return StateVector(
-        d=d, D=D, amplitudes=(amps / math.sqrt(z1_sq)).astype(complex), z1_squared=z1_sq
-    )
+    amps /= math.sqrt(z1_sq)  # a fresh array: the axis table or an outer product
+    return StateVector(d=d, D=D, amplitudes=amps, z1_squared=z1_sq)
 
 
 def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState:
@@ -104,10 +117,11 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
     untouched.  The whole grid of group elements is one arith.power_grid
-    call over the box {0..D-1}^d, and one np.unique over it, in index
-    order, gives each element's first cell and each cell's element: the
-    first cells order the elements, and each cell is labelled with the rank
-    of its element.  Guarded by |image| * D^d against memory blowup.
+    call over the box {0..D-1}^d, labelled in index order a chunk of at
+    most _CHUNK cells at a time: each chunk is looked up among the elements
+    met so far, kept sorted beside their ranks, and the elements it is the
+    first to reach are ranked next, in the order of their first cells.
+    Guarded by |image| * D^d against memory blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -116,18 +130,31 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
     e = power_grid(inst.a, inst.N, (D,) * d).ravel()
-    # first indices make np.unique sort stably, which numpy does by radix on
-    # integers of at most 16 bits
-    keys = e.astype(np.uint16) if inst.N <= 1 << 16 else e
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # elements by first appearance
-    rank = np.argsort(order)  # the inverse permutation
+    labels = np.empty(e.size, dtype=np.min_scalar_type(rel.det - 1))
+    met, ranks = e[:1], np.zeros(1, dtype=np.intp)  # sorted, and each one's rank
+    elements = [int(e[0])]
+    start, size = 0, 256  # chunks double up to _CHUNK, so the first sort is short
+    while start < e.size:
+        chunk = e[start:start + size]
+        at = np.searchsorted(met, chunk)
+        new = np.take(met, at, mode="clip") != chunk
+        if new.any():
+            fresh, first = np.unique(chunk[new], return_index=True)
+            fresh = fresh[np.argsort(first)]  # by first appearance
+            ranks = np.concatenate((ranks, np.arange(len(elements), len(elements) + fresh.size)))
+            elements += [int(x) for x in fresh]
+            met = np.concatenate((met, fresh))
+            order = np.argsort(met)
+            met, ranks = met[order], ranks[order]
+            at = np.searchsorted(met, chunk)
+        labels[start:start + size] = ranks[at]
+        start, size = start + size, min(2 * size, _CHUNK)
     return JointState(
         d=d,
         D=D,
         amplitudes=state.amplitudes,
-        elements=tuple(int(x) for x in e[first[order]]),
-        labels=rank[inverse].reshape((D,) * d),
+        elements=tuple(elements),
+        labels=labels.astype(np.min_scalar_type(len(elements) - 1), copy=False).reshape((D,) * d),
     )
 
 
@@ -138,12 +165,18 @@ def branch_distribution(joint: JointState, k: int) -> np.ndarray:
     into computational (mod D) order, transformed by ifftn and scaled by
     D^(d/2); entry [k_1..k_d] is the probability of outcome
     w = (k_1/D, ..., k_d/D) jointly with register value elements[k].  The
-    transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).
+    transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).  Rolling by D/2
+    swaps the halves of every axis, so the branch is copied block by block,
+    each of the 2^d blocks into the block across from it, straight into the
+    one complex grid the transform then works in.
     """
     d, D = joint.d, joint.D
-    grid = np.where(joint.labels == k, joint.amplitudes, 0)
-    for axis in range(d):
-        grid = np.roll(grid, D // 2, axis=axis)
+    halves = (slice(0, D // 2), slice(D // 2, D))
+    grid = np.zeros((D,) * d, dtype=complex)
+    for sides in itertools.product((0, 1), repeat=d):
+        src = tuple(halves[s] for s in sides)
+        dst = tuple(halves[1 - s] for s in sides)
+        np.copyto(grid[dst], joint.amplitudes[src], where=joint.labels[src] == k)
     np.fft.ifftn(grid, out=grid)
     grid *= D ** (d / 2)
     mag = np.abs(grid)
@@ -186,6 +219,43 @@ class GapResult:
     ratio: float  # Z1 / Z2
 
 
+def _pairwise_sums(pieces, n: int) -> list[float]:
+    """np.add.reduce of each of some float64 arrays of length n, bit for
+    bit, from the arrays streamed in consecutive pieces.
+
+    pieces yields tuples of equally long 1-d arrays, one per array summed.
+    numpy adds a float64 array pairwise: a span of more than 128 values is
+    split at half its length, rounded down to a multiple of 8, and the sums
+    of the two halves are added.  This walks the same tree and hands every
+    node of at most LEAF values to np.add.reduce, which sums that span by
+    the node's own subtree, so no more than one leaf is held beyond the
+    current piece.
+    """
+    pieces = iter(pieces)
+    held, at = (), 0  # the piece being read, and the position in it
+
+    def take(k: int) -> list[np.ndarray]:
+        nonlocal held, at
+        parts = []
+        while k:
+            if not held or at == held[0].size:
+                held, at = next(pieces), 0
+            step = min(k, held[0].size - at)
+            parts.append([a[at:at + step] for a in held])
+            at, k = at + step, k - step
+        return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+
+    return [float(x) for x in _pairwise_node(take, n)]
+
+
+def _pairwise_node(take, k: int) -> list:
+    """The sums of the next k values of _pairwise_sums's arrays."""
+    if k <= LEAF:
+        return [np.add.reduce(a) for a in take(k)]
+    half = k // 2 - k // 2 % 8
+    return [x + y for x, y in zip(_pairwise_node(take, half), _pairwise_node(take, k - half))]
+
+
 def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     """Exact gap between the box-truncated state and its mod-D wrapped twin.
 
@@ -193,6 +263,16 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     Gaussian weight of every integer point congruent to the cell mod D;
     the truncated state keeps only the in-box representative.  Both are
     normalized and compared in l2.
+
+    Both states are branch-major arrays of (elements met) x D^d bins, a
+    bincount of the box points in box order.  They are never whole: the
+    points are grouped by branch with one stable sort, which keeps each
+    bin's points in box order, and the bins are built a block of whole
+    branch rows (about LEAF bins, at least one row) at a time, twice:
+    once for the two masses and once, normalized, for the gap.  Each cell
+    has exactly one in-box point, so the truncated bins are a scatter.
+    _pairwise_sums adds the blocks up in numpy's order over the whole
+    array, so every float is the one the dense arrays would give.
     """
     inst = rel.inst
     d, D, R, N = params.d, params.D, params.R, inst.N
@@ -212,19 +292,51 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
         norm_sq = np.add.outer(norm_sq, axis_sq)
         cell = np.add.outer(cell * D, axis_cell)
         in_box = np.logical_and.outer(in_box, axis_in)
-    norm_sq, cell, in_box = norm_sq.ravel(), cell.ravel(), in_box.ravel()
-    rho_vals = np.exp(-math.pi * norm_sq / (R * R))
+    # each box array is dropped once read, which keeps about four alive
+    rho_vals = np.multiply(-math.pi, norm_sq.ravel())  # exp(-pi |y|^2 / R^2), in place
+    del norm_sq
+    rho_vals /= R * R
+    np.exp(rho_vals, out=rho_vals)
     e_vals = power_grid(inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
     ordered = np.sort(e_vals)
     uniq = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered
     branch_idx = np.searchsorted(uniq, e_vals)
-    size = uniq.size * D ** d
-    # bincount adds the weights in input order, as a per-point loop would
-    a2 = np.bincount(branch_idx * D ** d + cell, weights=rho_vals, minlength=size)
-    a1 = np.bincount(branch_idx[in_box] * D ** d + cell[in_box], weights=rho_vals[in_box], minlength=size)
-    sq = np.square(a1)
-    z1 = math.sqrt(float(sq.sum()))
-    z2 = math.sqrt(float(np.square(a2, out=sq).sum()))
-    diff = np.subtract(np.divide(a1, z1, out=a1), np.divide(a2, z2, out=a2), out=a1)
-    gap = math.sqrt(float(np.square(diff, out=diff).sum()))
-    return GapResult(gap=gap, z1=z1, z2=z2, ratio=z1 / z2)
+    del e_vals
+    cells = D ** d
+    starts = np.concatenate(([0], np.cumsum(np.bincount(branch_idx, minlength=uniq.size))))
+    order = np.argsort(branch_idx.astype(np.min_scalar_type(uniq.size - 1)), kind="stable")
+    # each point's branch-major bin, then every array grouped by branch
+    branch_idx *= cells
+    branch_idx += cell.ravel()
+    del cell
+    bins = branch_idx[order]
+    del branch_idx
+    rho_vals, in_box = rho_vals[order], in_box.ravel()[order]
+    del order
+    per_block = max(1, LEAF // cells)
+
+    def blocks():
+        """(truncated, wrapped) bins of each block of branch rows, in order."""
+        for first in range(0, uniq.size, per_block):
+            last = min(first + per_block, uniq.size)
+            lo, hi = starts[first], starts[last]
+            at, w, inside = bins[lo:hi] - first * cells, rho_vals[lo:hi], in_box[lo:hi]
+            a2 = np.bincount(at, weights=w, minlength=(last - first) * cells)
+            a1 = np.zeros_like(a2)
+            a1[at[inside]] = w[inside]
+            yield a1, a2
+
+    def squares():
+        for a1, a2 in blocks():
+            yield np.square(a1, out=a1), np.square(a2, out=a2)
+
+    def gap_terms():
+        for a1, a2 in blocks():
+            diff = np.subtract(np.divide(a1, z1, out=a1), np.divide(a2, z2, out=a2), out=a1)
+            yield (np.square(diff, out=diff),)
+
+    size = uniq.size * cells
+    z1, z2 = (math.sqrt(x) for x in _pairwise_sums(squares(), size))
+    (gap_sq,) = _pairwise_sums(gap_terms(), size)
+    return GapResult(gap=math.sqrt(gap_sq), z1=z1, z2=z2, ratio=z1 / z2)

@@ -163,12 +163,24 @@ class DualStructure:
         )
 
     def sample(self, rng) -> tuple[Fraction, ...]:
-        x = [int(rng.integers(s)) for s in self.snf_diag]
-        return self.coset(x)
+        return self.coset([_uniform_below(rng, s) for s in self.snf_diag])
 
     def all_cosets(self):
         for x in itertools.product(*(range(s) for s in self.snf_diag)):
             yield self.coset(x)
+
+
+def _uniform_below(rng, s: int) -> int:
+    """A uniform draw from {0..s-1}: numpy's own rng.integers(s) wherever
+    its int64 range allows (s <= 2^63), and above that s.bit_length()
+    random bits from rng.bytes, drawn again until they fall below s."""
+    if s <= 1 << 63:
+        return int(rng.integers(s))
+    bits = s.bit_length()
+    while True:
+        x = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if x < s:
+            return x
 
 
 def dual_structure_from_basis(basis_vectors) -> DualStructure:

@@ -5,9 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfactor.arith import (
+    FactorFound,
     FactoringInstance,
+    ParameterError,
     ResourceLimitError,
     power_grid,
     power_product,
@@ -15,7 +19,7 @@ from qfactor.arith import (
 )
 from qfactor import qsim
 from qfactor.gauss import GaussParams, q_table
-from qfactor.pipeline import draw_samples
+from qfactor.pipeline import PipelineConfig, draw_samples, run_factoring
 from qfactor.qsim import (
     JointState,
     _axis_weights,
@@ -305,6 +309,67 @@ def test_phi_gap_matches_meshgrid_reference(N, d, D, R):
     assert phi1_phi2_gap(rel, params) == phi1_phi2_gap_reference(rel, params)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(15, 1 << 12).map(lambda n: n | 1) | st.just((1 << 32) + 1),
+    d=st.integers(1, 3),
+    log_D=st.integers(1, 6),
+    R=st.floats(0.5, 16.0),
+)
+def test_phi_gap_matches_meshgrid_reference_on_random_grids(N, d, log_D, R):
+    # any grid, with any number of branches (not only powers of two, so
+    # that leaves and blocks straddle branch rows), and N = 2^32 + 1, whose
+    # group elements are Python ints
+    D, R = 1 << log_D, R / d  # smaller radii in more dimensions keep the boxes small
+    big = N > 1 << 32
+    box = (2 * max(math.ceil(qsim._BOX_RADII * R) + 1, D // 2) + 1) ** d
+    assume(box <= (4000 if big else 300_000) and not (big and d == 3))
+    try:
+        rel = rel_for(N, d, (2, 256)[:d] if big else None)
+    except (FactorFound, ParameterError):  # a factor on the way, a perfect power
+        assume(False)
+    assume(rel.det * D ** d <= qsim.STATEVECTOR_GUARD)
+    params = GaussParams(R=R, D=D, d=d)
+    assert phi1_phi2_gap(rel, params) == phi1_phi2_gap_reference(rel, params)
+
+
+@pytest.mark.parametrize("leaf", [qsim.LEAF, 128, 136, 1000])
+def test_pairwise_sums_add_in_numpys_order(monkeypatch, leaf):
+    # numpy's float64 sum is pairwise, and its result depends on the order:
+    # the streamed sums must be np.add.reduce's own, bit for bit, whatever
+    # the leaf (numpy's unrolled block is 128 values, the least leaf) and
+    # however the arrays are cut into pieces.  15 * 2^15 is the 77/d=3
+    # simulate grid's bins, whose 15 branch rows straddle the leaves.
+    assert qsim.LEAF >= 128
+    monkeypatch.setattr(qsim, "LEAF", leaf)
+    rng = np.random.default_rng(leaf)
+    cases = [(n, n) for n in range(1, 1025)] + [(n, int(rng.integers(1, 300))) for n in range(1, 1025, 7)]
+    cases += [(15 << 15, 1 << 15), (15 << 15, 1000), (15 << 15, 15 << 15), (7 * 1024 + 5, 1024)]
+    order_matters = False
+    for n, row in cases:
+        a = rng.random(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        b = np.square(a)
+        pieces = ((a[i:i + row], b[i:i + row]) for i in range(0, n, row))
+        assert qsim._pairwise_sums(pieces, n) == [float(np.add.reduce(a)), float(np.add.reduce(b))]
+        order_matters |= float(np.add.reduce(a)) != float(np.cumsum(a)[-1])
+    assert order_matters  # a sum in another order would have failed
+
+
+def test_phi_gap_memory_stays_below_dense_branches():
+    # the simulate sweep's 77/d=3 grid: 15 branches x 32^3 bins, three dense
+    # float64 arrays of which took 15.5 MB
+    rel = rel_for(77, 3)
+    params = GaussParams(R=4.62, D=32, d=3)
+    phi1_phi2_gap(rel, params)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        phi1_phi2_gap(rel, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 def test_wrapped_mass_oracle_tiny_case():
     # independent wrapped-state mass: enumerate integers directly
     rel = rel_for(15, 1)
@@ -339,6 +404,7 @@ def assert_same_joint_state(rel, params):
     want = apply_exponentiation_reference(state, rel)
     assert got.elements == want.elements
     assert all(type(e) is int for e in got.elements)
+    assert got.labels.dtype == np.min_scalar_type(len(got.elements) - 1)
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.amplitudes, want.amplitudes)
     got_branches, want_branches = dense_branches(got), dense_branches(want)
@@ -369,10 +435,12 @@ def test_exponentiation_matches_reference_on_benchmark_grids(N, d, D, R):
 
 
 @pytest.mark.parametrize("N,b,D", [
-    # N <= 2^16: the grid is grouped on uint16 keys
+    # group elements below 2^16
     (65535, (2,), 64), (65535, (2, 7), 16),
-    # 2^16 < N < 2^31: on the int64 grid itself (N = 3 * 65537, where 2 has order 32)
+    # and above it, below 2^31 (N = 3 * 65537, where 2 has order 32)
     (3 * 65537, (2,), 64), (3 * 65537, (2, 256), 32),
+    # 754 branches, so uint16 labels, each of the first chunks meeting new ones
+    (3127, (2,), 1024),
 ])
 def test_exponentiation_matches_reference_on_each_key_width(N, b, D):
     grid = power_grid(b, N, (D,) * len(b))
@@ -495,7 +563,9 @@ def test_grid_power_tables_match_pow(a, N):
 
 def test_joint_state_and_transform_memory_stay_below_dense_branches():
     # the 77/d=1 statevector grid: 15 branches of 2^17 complex cells would
-    # take 30 MB as dense arrays
+    # take 30 MB as dense arrays; power_grid's own peak is 3 MB, and one
+    # branch's transform holds its complex grid (2 MB) and its row (1 MB)
+    # beside the 1 MB of real amplitudes
     rel = rel_for(77, 1)
     state = build_gaussian_state(GaussParams(R=65536.0, D=131072, d=1))
     tracemalloc.start()
@@ -508,13 +578,14 @@ def test_joint_state_and_transform_memory_stay_below_dense_branches():
     finally:
         tracemalloc.stop()
     assert len(joint.elements) == 15
-    assert apply_peak < 8 << 20
-    assert qft_peak < 20 << 20
+    assert apply_peak < 3.5 * (1 << 20)
+    assert qft_peak < 4.5 * (1 << 20)
 
 
 def test_joint_state_keeps_one_label_per_cell():
     # the 77/d=1 statevector grid: the joint state retains its 2^17 labels
-    # (1 MB of intp) and the element tuple, beside the state's amplitudes
+    # (128 KB of uint8) and the element tuple, beside the state's 1 MB of
+    # float64 amplitudes
     rel = rel_for(77, 1)
     state = build_gaussian_state(GaussParams(R=65536.0, D=131072, d=1))
     tracemalloc.start()
@@ -524,4 +595,20 @@ def test_joint_state_keeps_one_label_per_cell():
     finally:
         tracemalloc.stop()
     assert joint.amplitudes is state.amplitudes
-    assert retained <= 1.25 * (1 << 20)
+    assert state.amplitudes.dtype == np.float64 and joint.labels.dtype == np.uint8
+    assert retained <= 0.25 * (1 << 20)
+
+
+def test_statevector_factoring_memory():
+    # the exact-lab 77/d=1 statevector job: the real amplitudes, compact
+    # labels and one branch transform at a time, where it once took 7 MB
+    config = PipelineConfig(N=77, d=1, mode="statevector", seed=1)
+    run_factoring(config)  # lazy imports and set-up outside the trace
+    tracemalloc.start()
+    try:
+        outcome = run_factoring(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.factor in (7, 11)
+    assert peak < 5 << 20

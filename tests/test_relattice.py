@@ -21,6 +21,7 @@ from qfactor.arith import (
     power_product,
 )
 from qfactor.relattice import (
+    DualStructure,
     RelationLattice,
     build_relation_lattice,
     classify,
@@ -317,6 +318,28 @@ def test_scaled_cosets_match_fractions():
         scaled = scaled_coset(dual, list(x))
         for s, f in zip(scaled, v):
             assert Fraction(s, dual.det) % 1 == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers((1 << 63) - 64, (1 << 63) + 64) | st.integers(2, 1 << 200), seed=st.integers(0, 1 << 32))
+def test_dual_sample_draws_every_smith_entry_exactly(s, seed):
+    # 2^63 is the largest entry numpy's rng.integers(s) accepts: up to it
+    # the draw is numpy's own, so every stream and digest stays as it was;
+    # above it the draw is still exact, in {0..s-1}, and reproducible
+    dual = DualStructure(snf_diag=(s,), u_transpose=((1,),), det=s)
+
+    def sample_64():
+        rng = np.random.default_rng(seed)
+        return [int(dual.sample(rng)[0] * s) for _ in range(64)]
+
+    draws = sample_64()
+    assert draws == sample_64()
+    assert all(0 <= x < s for x in draws)
+    if s <= 1 << 63:
+        rng = np.random.default_rng(seed)
+        assert draws == [int(rng.integers(s)) for _ in range(64)]
+    else:
+        assert max(draws) >= s // 4  # the draws reach the top of the range
 
 
 @pytest.mark.parametrize("basis", [[[4, 1], [0, 3]], [[3, 1 << 33], [0, 1 << 33]], [[(1 << 35) + 1, 7], [0, 1 << 30]]])
