@@ -261,10 +261,10 @@ def power_grid(bases, N: int, sizes, lo: int = 0) -> np.ndarray:
 
     Returns an array of shape tuple(sizes), axis i running over the exponent
     of bases[i]: one power table per axis, built by repeated doubling, and
-    multiplied mod N over the box by outer products.  The entries are int64
-    when N < 2^31, so every product stays below 2^62, and Python ints
-    (dtype object) otherwise.  A negative lo goes through the modular
-    inverse.
+    multiplied mod N over the box by outer products, each reduced in place.
+    The entries are int64 when N < 2^31, so every product stays below
+    2^62, and Python ints (dtype object) otherwise.  A negative lo goes
+    through the modular inverse.
     """
     dtype = np.int64 if N < 1 << 31 else object
     grid = np.ones((), dtype=dtype)
@@ -276,7 +276,8 @@ def power_grid(bases, N: int, sizes, lo: int = 0) -> np.ndarray:
             step = min(filled, size - filled)
             table[filled : filled + step] = table[:step] * pow(x, filled, N) % N
             filled += step
-        grid = np.multiply.outer(grid, table) % N
+        grid = np.multiply.outer(grid, table)
+        np.remainder(grid, N, out=grid)
     return grid
 
 

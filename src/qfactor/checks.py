@@ -89,7 +89,7 @@ def frequency_verdict(successes: int, trials: int, guaranteed: float) -> dict:
 
 def _random_tiny_lattice(rng, d: int) -> list[list[int]]:
     while True:
-        m = [[int(rng.integers(-4, 5)) for _ in range(d)] for _ in range(d)]
+        m = rng.integers(-4, 5, size=(d, d)).tolist()
         det = abs(intmat.determinant(m))
         if 0 < det <= 64:
             return m
@@ -240,7 +240,7 @@ def short_cover_suite(n_lattices: int = 100, seed: int = 0) -> dict:
     for case in range(n_lattices):
         k = int(rng.integers(2, 6))
         while True:
-            m = [[int(rng.integers(-20, 21)) for _ in range(k)] for _ in range(k)]
+            m = rng.integers(-20, 21, size=(k, k)).tolist()
             if intmat.determinant(m):
                 break
         reduced = lll_reduce(LatticeBasis(vectors=tuple(tuple(r) for r in m)))

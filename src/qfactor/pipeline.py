@@ -32,10 +32,10 @@ from .latred import build_extended_lattice, recover_relation_vectors
 from .qsim import (
     JointState,
     apply_exponentiation,
-    branch_distribution,
     build_gaussian_state,
     outcome_cdf,
     sample_measurement,
+    sampling_row,
 )
 from .qsim import qft_measure_distribution  # not called here; kept bound for perfbench's tracer
 from .relattice import (
@@ -185,7 +185,11 @@ def draw_samples(
     this leaves the distribution of w as it is): the sample's first uniform
     picks a branch by its mass, its second a grid point from that branch's
     outcome row, and v is None.  Each distinct drawn branch is transformed
-    once, in ascending order, and dropped before the next.
+    once, in ascending order, by qsim.sampling_row's real-input transform,
+    and dropped before the next; its row is the complex transform's to a
+    few ulps of its largest entry, so a draw could differ from one on
+    qsim.branch_distribution's row only where its uniform lies that close
+    to a CDF edge.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
             for i in range(m)]
@@ -196,7 +200,7 @@ def draw_samples(
     branches = [sample_measurement(masses, rng)[0] for rng in rngs]
     w = [None] * m
     for k in sorted(set(branches)):
-        row = branch_distribution(joint, k)
+        row = sampling_row(joint, k)
         cdf = outcome_cdf(row)
         for i in range(m):
             if branches[i] == k:

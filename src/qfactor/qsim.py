@@ -12,11 +12,15 @@ copies it out of the labels into one complex grid and transforms that in
 place), so no more than one dense branch is ever held; the full outcome
 table is the sum of the branch rows.
 A reader that only draws from the table can measure the register first
-and transform just the branches its draws land on.  A wrapped variant of
-the state (Gaussian mass folded modulo D) backs the truncation-error
-checks; it too is built a block of branches at a time, and its sums follow
-numpy's own pairwise order, so they equal those over the whole
-branches x D^d arrays bit for bit without ever holding them.
+and transform just the branches its draws land on; sampling_row gives
+each such row from a real-input transform, half the complex one's work
+and buffers, equal to branch_distribution's to a few ulps.  The outcome
+table keeps the complex rows, since its floats go into reports; a draw's
+integers move only if its uniform lands that close to a CDF edge.  A
+wrapped variant of the state (Gaussian mass folded modulo D) backs the
+truncation-error checks; it too is built a block of branches at a time,
+and its sums follow numpy's own pairwise order, so they equal those over
+the whole branches x D^d arrays bit for bit without ever holding them.
 """
 
 from __future__ import annotations
@@ -87,9 +91,15 @@ class JointState:
 
     def branch_masses(self) -> np.ndarray:
         """The squared norm of each branch, sum |amp|^2 over its cells: the
-        probability of each register value, were the register measured."""
-        return np.bincount(self.labels.ravel(), weights=np.square(self.amplitudes.ravel()),
-                           minlength=len(self.elements))
+        probability of each register value, were the register measured.
+        The cells are added in index order, LEAF at a time, which is
+        np.bincount's order, so the masses equal its bit for bit without
+        its full-grid intp labels and squares."""
+        masses = np.zeros(len(self.elements))
+        labels, amps = self.labels.ravel(), self.amplitudes.ravel()
+        for start in range(0, labels.size, LEAF):
+            np.add.at(masses, labels[start:start + LEAF], np.square(amps[start:start + LEAF]))
+        return masses
 
 
 def _axis_weights(D: int, R: float) -> np.ndarray:
@@ -158,29 +168,69 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     )
 
 
-def branch_distribution(joint: JointState, k: int) -> np.ndarray:
-    """Branch k's squared-magnitude outcome row |F(branch_k)|^2.
-
-    The branch, the amplitudes where labels == k and 0 elsewhere, is rolled
-    into computational (mod D) order, transformed by ifftn and scaled by
-    D^(d/2); entry [k_1..k_d] is the probability of outcome
-    w = (k_1/D, ..., k_d/D) jointly with register value elements[k].  The
-    transform over Z_D^d has kernel exp(+2 pi i <w, z> / D).  Rolling by D/2
-    swaps the halves of every axis, so the branch is copied block by block,
-    each of the 2^d blocks into the block across from it, straight into the
-    one complex grid the transform then works in.
-    """
+def _rolled_branch(joint: JointState, k: int, dtype) -> np.ndarray:
+    """Branch k, the amplitudes where labels == k and 0 elsewhere, rolled
+    by D/2 into computational (mod D) order in a fresh grid of dtype.
+    Rolling by D/2 swaps the halves of every axis, so the branch is copied
+    block by block, each of the 2^d blocks into the block across from it."""
     d, D = joint.d, joint.D
     halves = (slice(0, D // 2), slice(D // 2, D))
-    grid = np.zeros((D,) * d, dtype=complex)
+    grid = np.zeros((D,) * d, dtype=dtype)
     for sides in itertools.product((0, 1), repeat=d):
         src = tuple(halves[s] for s in sides)
         dst = tuple(halves[1 - s] for s in sides)
         np.copyto(grid[dst], joint.amplitudes[src], where=joint.labels[src] == k)
+    return grid
+
+
+def branch_distribution(joint: JointState, k: int) -> np.ndarray:
+    """Branch k's squared-magnitude outcome row |F(branch_k)|^2.
+
+    The rolled branch is copied straight into one complex grid, transformed
+    there by ifftn and scaled by D^(d/2); entry [k_1..k_d] is the
+    probability of outcome w = (k_1/D, ..., k_d/D) jointly with register
+    value elements[k].  The transform over Z_D^d has kernel
+    exp(+2 pi i <w, z> / D).
+    """
+    d, D = joint.d, joint.D
+    grid = _rolled_branch(joint, k, complex)
     np.fft.ifftn(grid, out=grid)
     grid *= D ** (d / 2)
     mag = np.abs(grid)
     return np.square(mag, out=mag)
+
+
+def sampling_row(joint: JointState, k: int) -> np.ndarray:
+    """Branch k's outcome row for drawing from, from a real-input transform.
+
+    The amplitudes are real, so the spectrum X = rfftn(branch) of the rolled
+    branch is Hermitian, X[-w] = conj(X[w]), and branch_distribution's row
+    is |X[w]|^2 / D^d (the kernel's sign does not change a magnitude).
+    rfftn gives the cells w_d = 0..D/2 of the last axis; each cell past
+    D/2 is a copy of the cell at -w mod D, whose last index D - w_d lies in
+    1..D/2-1 (on every other axis 0 stays and 1..D-1 reverse).  The row
+    equals branch_distribution's to within a few ulps of its largest entry,
+    not bit for bit, so it serves draws, whose integers go into reports,
+    and not the outcome table, whose floats do.  A real grid and the half
+    spectrum are held together, then the spectrum and the row: two grids
+    of float64 where the complex transform holds three.
+    """
+    d, D = joint.d, joint.D
+    grid = _rolled_branch(joint, k, float)
+    spectrum = np.empty((D,) * (d - 1) + (D // 2 + 1,), dtype=complex)
+    np.fft.rfftn(grid, out=spectrum)  # without out, rfftn allocates a spectrum per axis
+    del grid
+    row = np.empty((D,) * d)
+    half = np.abs(spectrum, out=row[..., :D // 2 + 1])
+    del spectrum
+    np.square(half, out=half)
+    half /= D ** d
+    same, negated = (slice(0, 1), slice(1, None)), (slice(0, 1), slice(None, 0, -1))
+    for sides in itertools.product((0, 1), repeat=d - 1):
+        dst = tuple(same[s] for s in sides) + (slice(D // 2 + 1, None),)
+        src = tuple(negated[s] for s in sides) + (slice(D // 2 - 1, 0, -1),)
+        row[dst] = row[src]
+    return row
 
 
 def qft_measure_distribution(joint: JointState) -> np.ndarray:

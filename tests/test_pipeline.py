@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -102,16 +103,17 @@ def statevector_for(N, d, D, R):
 
 
 @pytest.mark.parametrize("N,d,D,R", [
-    (77, 1, 64, 8.0), (77, 2, 16, 4.0),
+    (77, 1, 64, 8.0), (77, 2, 16, 4.0), (221, 2, 32, 8.0), (77, 3, 16, 4.0), (221, 3, 16, 3.0),
     (15, 1, 8192, 4096.0),  # the grid statevector `factor` builds for 15 at d = 1
 ])
 def test_statevector_sample_reproduces_on_its_own_stream(N, d, D, R):
     # sample i, drawn alone on its stream (branch by mass, then a cell of
-    # that branch's row), lands where it lands within an attempt of m
+    # that branch's complex-transform row), lands where it lands within an
+    # attempt of m, which draws from the real-input transform's row
     params, dual, joint = statevector_for(N, d, D, R)
     masses = joint.branch_masses()
     branches = set()
-    for seed, attempt in [(0, 0), (5, 3)]:
+    for seed, attempt in itertools.product(range(6), range(3)):
         got = draw_samples(seed, attempt, 8, params, dual, joint)
         for i, sample in enumerate(got):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
@@ -139,7 +141,9 @@ def test_branch_first_draws_follow_the_outcome_table(N, D, R):
 
 def test_statevector_draws_hold_one_branch_row_at_a_time():
     # the 77/d=1 statevector job: 15 branches of 2^17 cells; the full
-    # outcome table and its transform took 15 MB
+    # outcome table and its transform took 15 MB, one complex transform
+    # and its row 3 MB; the real grid and half spectrum, then the spectrum
+    # and the row, measured 2.0 MB
     prep = prepare(PipelineConfig(N=77, d=1, mode="statevector"))
     joint = apply_exponentiation(build_gaussian_state(prep.params), prep.rel)
     tracemalloc.start()
@@ -148,7 +152,7 @@ def test_statevector_draws_hold_one_branch_row_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 2.25 * (1 << 20)
 
 
 def test_even_input_resolved_at_precheck():
