@@ -8,19 +8,13 @@ over Z_D, exact outcome distribution.  The joint state is kept compact:
 the real amplitudes (the Gaussian state has no phase) and one small
 unsigned group-element label per grid cell, which is the whole branch
 partition.  The transform takes one branch at a time (branch_distribution
-copies it out of the labels into one complex grid and transforms that in
-place), so no more than one dense branch is ever held; the full outcome
-table is the sum of the branch rows.
-A reader that only draws from the table can measure the register first
-and transform just the branches its draws land on; sampling_row gives
-each such row from a real-input transform, half the complex one's work
-and buffers, equal to branch_distribution's to a few ulps.  The outcome
-table keeps the complex rows, since its floats go into reports; a draw's
-integers move only if its uniform lands that close to a CDF edge.  A
-wrapped variant of the state (Gaussian mass folded modulo D) backs the
-truncation-error checks; it too is built a block of branches at a time,
-and its sums follow numpy's own pairwise order, so they equal those over
-the whole branches x D^d arrays bit for bit without ever holding them.
+copies it out of the labels into one real grid and takes a real-input
+transform of it), so no more than one dense branch is ever held; the full
+outcome table is the sum of the branch rows, and a reader that only draws
+from the table can measure the register first and transform just the
+branches its draws land on.  A wrapped variant of the state (Gaussian
+mass folded modulo D) backs the truncation-error checks; it too is built
+a block of branches at a time, and its sums add the blocks' own sums.
 """
 
 from __future__ import annotations
@@ -48,9 +42,8 @@ BOX_GUARD = 1 << 24
 # a desk-scale box, so enumeration can stop there.
 _BOX_RADII = 4.5
 
-# The truncation gap builds its bins in blocks of about LEAF and sums them
-# in leaves of at most LEAF values (see _pairwise_sums); numpy reduces spans
-# of up to 128 values in one unrolled block, so a leaf must be no shorter.
+# The truncation gap builds its bins, and branch_masses adds its cells, in
+# blocks of about LEAF values.
 LEAF = 1 << 13
 
 # apply_exponentiation labels the grid at most this many cells at a time.
@@ -168,14 +161,14 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     )
 
 
-def _rolled_branch(joint: JointState, k: int, dtype) -> np.ndarray:
+def _rolled_branch(joint: JointState, k: int) -> np.ndarray:
     """Branch k, the amplitudes where labels == k and 0 elsewhere, rolled
-    by D/2 into computational (mod D) order in a fresh grid of dtype.
+    by D/2 into computational (mod D) order in a fresh float64 grid.
     Rolling by D/2 swaps the halves of every axis, so the branch is copied
     block by block, each of the 2^d blocks into the block across from it."""
     d, D = joint.d, joint.D
     halves = (slice(0, D // 2), slice(D // 2, D))
-    grid = np.zeros((D,) * d, dtype=dtype)
+    grid = np.zeros((D,) * d)
     for sides in itertools.product((0, 1), repeat=d):
         src = tuple(halves[s] for s in sides)
         dst = tuple(halves[1 - s] for s in sides)
@@ -186,37 +179,19 @@ def _rolled_branch(joint: JointState, k: int, dtype) -> np.ndarray:
 def branch_distribution(joint: JointState, k: int) -> np.ndarray:
     """Branch k's squared-magnitude outcome row |F(branch_k)|^2.
 
-    The rolled branch is copied straight into one complex grid, transformed
-    there by ifftn and scaled by D^(d/2); entry [k_1..k_d] is the
-    probability of outcome w = (k_1/D, ..., k_d/D) jointly with register
-    value elements[k].  The transform over Z_D^d has kernel
-    exp(+2 pi i <w, z> / D).
+    Entry [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D)
+    jointly with register value elements[k], where F is the unitary
+    transform over Z_D^d; the sign of its kernel does not change a
+    magnitude.  The amplitudes are real, so the spectrum X = rfftn(branch)
+    of the rolled branch is Hermitian, X[-w] = conj(X[w]), and the row is
+    |X[w]|^2 / D^d.  rfftn gives the cells w_d = 0..D/2 of the last axis;
+    each cell past D/2 is a copy of the cell at -w mod D, whose last index
+    D - w_d lies in 1..D/2-1 (on every other axis 0 stays and 1..D-1
+    reverse).  A real grid and the half spectrum are held together, then
+    the spectrum and the row.
     """
     d, D = joint.d, joint.D
-    grid = _rolled_branch(joint, k, complex)
-    np.fft.ifftn(grid, out=grid)
-    grid *= D ** (d / 2)
-    mag = np.abs(grid)
-    return np.square(mag, out=mag)
-
-
-def sampling_row(joint: JointState, k: int) -> np.ndarray:
-    """Branch k's outcome row for drawing from, from a real-input transform.
-
-    The amplitudes are real, so the spectrum X = rfftn(branch) of the rolled
-    branch is Hermitian, X[-w] = conj(X[w]), and branch_distribution's row
-    is |X[w]|^2 / D^d (the kernel's sign does not change a magnitude).
-    rfftn gives the cells w_d = 0..D/2 of the last axis; each cell past
-    D/2 is a copy of the cell at -w mod D, whose last index D - w_d lies in
-    1..D/2-1 (on every other axis 0 stays and 1..D-1 reverse).  The row
-    equals branch_distribution's to within a few ulps of its largest entry,
-    not bit for bit, so it serves draws, whose integers go into reports,
-    and not the outcome table, whose floats do.  A real grid and the half
-    spectrum are held together, then the spectrum and the row: two grids
-    of float64 where the complex transform holds three.
-    """
-    d, D = joint.d, joint.D
-    grid = _rolled_branch(joint, k, float)
+    grid = _rolled_branch(joint, k)
     spectrum = np.empty((D,) * (d - 1) + (D // 2 + 1,), dtype=complex)
     np.fft.rfftn(grid, out=spectrum)  # without out, rfftn allocates a spectrum per axis
     del grid
@@ -237,8 +212,8 @@ def qft_measure_distribution(joint: JointState) -> np.ndarray:
     """Exact outcome distribution of the measurement after the transform.
 
     The register is discarded, so the table is the sum of the branch rows
-    of branch_distribution, added in branch order; entry [k_1..k_d] is the
-    probability of outcome w = (k_1/D, ..., k_d/D).
+    of branch_distribution, the rows draws use, added in branch order;
+    entry [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D).
     """
     P = np.zeros((joint.D,) * joint.d)
     for k in range(len(joint.elements)):
@@ -269,43 +244,6 @@ class GapResult:
     ratio: float  # Z1 / Z2
 
 
-def _pairwise_sums(pieces, n: int) -> list[float]:
-    """np.add.reduce of each of some float64 arrays of length n, bit for
-    bit, from the arrays streamed in consecutive pieces.
-
-    pieces yields tuples of equally long 1-d arrays, one per array summed.
-    numpy adds a float64 array pairwise: a span of more than 128 values is
-    split at half its length, rounded down to a multiple of 8, and the sums
-    of the two halves are added.  This walks the same tree and hands every
-    node of at most LEAF values to np.add.reduce, which sums that span by
-    the node's own subtree, so no more than one leaf is held beyond the
-    current piece.
-    """
-    pieces = iter(pieces)
-    held, at = (), 0  # the piece being read, and the position in it
-
-    def take(k: int) -> list[np.ndarray]:
-        nonlocal held, at
-        parts = []
-        while k:
-            if not held or at == held[0].size:
-                held, at = next(pieces), 0
-            step = min(k, held[0].size - at)
-            parts.append([a[at:at + step] for a in held])
-            at, k = at + step, k - step
-        return parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-
-    return [float(x) for x in _pairwise_node(take, n)]
-
-
-def _pairwise_node(take, k: int) -> list:
-    """The sums of the next k values of _pairwise_sums's arrays."""
-    if k <= LEAF:
-        return [np.add.reduce(a) for a in take(k)]
-    half = k // 2 - k // 2 % 8
-    return [x + y for x, y in zip(_pairwise_node(take, half), _pairwise_node(take, k - half))]
-
-
 def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     """Exact gap between the box-truncated state and its mod-D wrapped twin.
 
@@ -321,8 +259,9 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     branch rows (about LEAF bins, at least one row) at a time, twice:
     once for the two masses and once, normalized, for the gap.  Each cell
     has exactly one in-box point, so the truncated bins are a scatter.
-    _pairwise_sums adds the blocks up in numpy's order over the whole
-    array, so every float is the one the dense arrays would give.
+    Each block is summed by numpy (pairwise) and the block sums by
+    math.fsum, which rounds once, so a sum is as accurate as the dense
+    array's and within a few ulps of it.
     """
     inst = rel.inst
     d, D, R, N = params.d, params.D, params.R, inst.N
@@ -377,16 +316,13 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
             a1[at[inside]] = w[inside]
             yield a1, a2
 
-    def squares():
-        for a1, a2 in blocks():
-            yield np.square(a1, out=a1), np.square(a2, out=a2)
-
-    def gap_terms():
-        for a1, a2 in blocks():
-            diff = np.subtract(np.divide(a1, z1, out=a1), np.divide(a2, z2, out=a2), out=a1)
-            yield (np.square(diff, out=diff),)
-
-    size = uniq.size * cells
-    z1, z2 = (math.sqrt(x) for x in _pairwise_sums(squares(), size))
-    (gap_sq,) = _pairwise_sums(gap_terms(), size)
-    return GapResult(gap=math.sqrt(gap_sq), z1=z1, z2=z2, ratio=z1 / z2)
+    sq1, sq2 = [], []
+    for a1, a2 in blocks():
+        sq1.append(np.square(a1, out=a1).sum())
+        sq2.append(np.square(a2, out=a2).sum())
+    z1, z2 = math.sqrt(math.fsum(sq1)), math.sqrt(math.fsum(sq2))
+    gap_sq = []
+    for a1, a2 in blocks():
+        diff = np.subtract(np.divide(a1, z1, out=a1), np.divide(a2, z2, out=a2), out=a1)
+        gap_sq.append(np.square(diff, out=diff).sum())
+    return GapResult(gap=math.sqrt(math.fsum(gap_sq)), z1=z1, z2=z2, ratio=z1 / z2)

@@ -23,7 +23,7 @@ from qfactor.cli import main
 
 GOLDEN = [
     (["simulate", "--n", "77", "--sweep", "1:16:4;2:32:8;3:32:4.62", "--trials", "300", "--seed", "1"],
-     "bc56c98f18dad50c7577972c3ae12e60bea71164c51cbb3b79fdc1d567d90e96"),
+     "161cf9eaa4002588363a57e89c7f09c3aad7e07bd3dd52570618546185c6fbda"),
     (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
      "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
     (["factor", "--n", "10403", "--d", "4", "--seed", "1"],

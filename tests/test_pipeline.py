@@ -32,13 +32,13 @@ from qfactor.pipeline import (
 )
 from qfactor.qsim import (
     apply_exponentiation,
-    branch_distribution,
     build_gaussian_state,
     qft_measure_distribution,
     sample_measurement,
 )
 from qfactor.relattice import build_relation_lattice, dual_cosets
 from test_census import census_reference
+from test_qsim import branch_distribution_reference, dense_branches
 
 
 def draw_samples_reference(seed, attempt, m, params, dual):
@@ -108,10 +108,12 @@ def statevector_for(N, d, D, R):
 ])
 def test_statevector_sample_reproduces_on_its_own_stream(N, d, D, R):
     # sample i, drawn alone on its stream (branch by mass, then a cell of
-    # that branch's complex-transform row), lands where it lands within an
-    # attempt of m, which draws from the real-input transform's row
+    # that branch's row from the complex reference transform), lands where
+    # it lands within an attempt of m, which draws from the real-input
+    # transform's row
     params, dual, joint = statevector_for(N, d, D, R)
     masses = joint.branch_masses()
+    rows = [branch_distribution_reference(b, D, d) for b in dense_branches(joint).values()]
     branches = set()
     for seed, attempt in itertools.product(range(6), range(3)):
         got = draw_samples(seed, attempt, 8, params, dual, joint)
@@ -119,7 +121,7 @@ def test_statevector_sample_reproduces_on_its_own_stream(N, d, D, R):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(attempt, i)))
             k = sample_measurement(masses, rng)[0]
             branches.add(k)
-            want = sample_measurement(branch_distribution(joint, k), rng)
+            want = sample_measurement(rows[k], rng)
             assert sample == {"v": None, "w_indices": list(want)}
     assert len(branches) > 1
 
