@@ -3,7 +3,8 @@
 The map z -> prod_i x_i^{z_i} mod N is written once, in two forms:
 power_product at one exponent vector, and power_grid over a box of them
 (per-axis power tables, multiplied out by outer products).  The coset
-expansion, the statevector grid and the witness search all use these.
+expansion, the subgroup listing, the statevector and gap grids and the
+witness search all use these.
 
 The exponentiation schedule here is the classical inner loop of the whole
 factoring procedure: one full-width squaring of the accumulator per bit of

@@ -4,17 +4,20 @@ The register holds amplitudes over {0..D-1}^d in offset encoding (index i
 stands for the integer i - D/2).  The pipeline is: Gaussian state over the
 box, group-element register attached in superposition (the elements of
 the whole grid from one arith.power_grid call), per-axis Fourier transform
-over Z_D, exact outcome distribution.  The joint state is kept compact:
-the real amplitudes (the Gaussian state has no phase) and one small
-unsigned group-element label per grid cell, which is the whole branch
-partition.  The transform takes one branch at a time (branch_distribution
-copies it out of the labels into one real grid and takes a real-input
-transform of it), so no more than one dense branch is ever held; the full
-outcome table is the sum of the branch rows, and a reader that only draws
-from the table can measure the register first and transform just the
-branches its draws land on.  A wrapped variant of the state (Gaussian
-mass folded modulo D) backs the truncation-error checks; it too is built
-a block of branches at a time, and its sums add the blocks' own sums.
+over Z_D, exact outcome distribution.  The register ranges over the
+subgroup <a_1..a_d>, listed once (relattice.subgroup_elements), and every
+group element is looked up in that listing: the branches are the elements
+met, ascending.  The joint state is kept compact: the real amplitudes (the
+Gaussian state has no phase) and one small unsigned branch label per grid
+cell, which is the whole branch partition.  The transform takes one branch
+at a time (branch_distribution copies it out of the labels into one real
+grid and takes a real-input transform of it), so no more than one dense
+branch is ever held; the full outcome table is the sum of the branch rows,
+and a reader that only draws from the table can measure the register first
+and transform just the branches its draws land on.  A wrapped variant of
+the state (Gaussian mass folded modulo D) backs the truncation-error
+checks; it too is built a block of branches at a time, and its sums add
+the blocks' own sums.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .arith import (
     product_tree_exponentiation,  # not called here; kept bound for perfbench's tracer
 )
 from .gauss import GaussParams
-from .relattice import RelationLattice
+from .relattice import RelationLattice, subgroup_elements
 
 STATEVECTOR_GUARD = 1 << 22
 BOX_GUARD = 1 << 24
@@ -42,12 +45,9 @@ BOX_GUARD = 1 << 24
 # a desk-scale box, so enumeration can stop there.
 _BOX_RADII = 4.5
 
-# The truncation gap builds its bins, and branch_masses adds its cells, in
-# blocks of about LEAF values.
+# The subgroup lookup, branch_masses' cell sums and the truncation gap's
+# bins go in blocks of about LEAF values.
 LEAF = 1 << 13
-
-# apply_exponentiation labels the grid at most this many cells at a time.
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,11 @@ class JointState:
 
     amplitudes are the grid state's own (globally normalized) amplitudes,
     which the attachment leaves untouched.  elements lists the group
-    elements in the order the grid, read in index order, first reaches them,
-    and labels[idx], of the smallest unsigned dtype that holds every
-    position, is the position in elements of the element the register
-    holds at grid cell idx.  Branch k, the grid state entangled with
-    register value elements[k], is the amplitudes where labels == k and 0
-    elsewhere.
+    elements the grid reaches, ascending, and labels[idx], of the smallest
+    unsigned dtype that holds every position, is the position in elements
+    of the element the register holds at grid cell idx.  Branch k, the grid
+    state entangled with register value elements[k], is the amplitudes
+    where labels == k and 0 elsewhere.
     """
 
     d: int
@@ -114,17 +113,38 @@ def build_gaussian_state(params: GaussParams) -> StateVector:
     return StateVector(d=d, D=D, amplitudes=amps, z1_squared=z1_sq)
 
 
+def _rank_in_listing(listing: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The elements of the ascending listing that values meet, ascending,
+    and each value's rank among them, in the smallest unsigned dtype that
+    holds every rank.  values is looked up, and its positions in the
+    listing turned into ranks in place, LEAF at a time, so no second array
+    of its size is made; a value missing from the listing is an internal
+    error."""
+    met = np.zeros(listing.size, dtype=bool)
+    at = np.empty(values.size, dtype=np.min_scalar_type(listing.size - 1))
+    for start in range(0, values.size, LEAF):
+        block = values[start:start + LEAF]
+        pos = np.searchsorted(listing, block)
+        if not np.array_equal(np.take(listing, pos, mode="clip"), block):
+            raise AssertionError("group element missing from the subgroup listing")
+        at[start:start + LEAF] = pos
+        met[pos] = True
+    ranks = (np.cumsum(met) - 1).astype(at.dtype)  # read only where met
+    for start in range(0, values.size, LEAF):
+        np.take(ranks, at[start:start + LEAF], out=at[start:start + LEAF])
+    elements = listing[met]
+    return elements, at.astype(np.min_scalar_type(elements.size - 1), copy=False)
+
+
 def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState:
     """Attach e = prod a_i^{index_i} mod N to every basis state.
 
     The exponent of each axis is the offset index itself (the value plus
     D/2), so exponents are nonnegative and bounded by D; amplitudes are
     untouched.  The whole grid of group elements is one arith.power_grid
-    call over the box {0..D-1}^d, labelled in index order a chunk of at
-    most _CHUNK cells at a time: each chunk is looked up among the elements
-    met so far, kept sorted beside their ranks, and the elements it is the
-    first to reach are ranked next, in the order of their first cells.
-    Guarded by |image| * D^d against memory blowup.
+    call over the box {0..D-1}^d, and each cell is labelled by its element's
+    rank among the subgroup's elements the grid meets.  Guarded by
+    |image| * D^d against memory blowup.
     """
     d, D = state.d, state.D
     inst = rel.inst
@@ -133,47 +153,9 @@ def apply_exponentiation(state: StateVector, rel: RelationLattice) -> JointState
     if rel.det * D ** d > STATEVECTOR_GUARD:
         raise ResourceLimitError("joint state would exceed the simulation guard")
     e = power_grid(inst.a, inst.N, (D,) * d).ravel()
-    labels = np.empty(e.size, dtype=np.min_scalar_type(rel.det - 1))
-    met, ranks = e[:1], np.zeros(1, dtype=np.intp)  # sorted, and each one's rank
-    elements = [int(e[0])]
-    start, size = 0, 256  # chunks double up to _CHUNK, so the first sort is short
-    while start < e.size:
-        chunk = e[start:start + size]
-        at = np.searchsorted(met, chunk)
-        new = np.take(met, at, mode="clip") != chunk
-        if new.any():
-            fresh, first = np.unique(chunk[new], return_index=True)
-            fresh = fresh[np.argsort(first)]  # by first appearance
-            ranks = np.concatenate((ranks, np.arange(len(elements), len(elements) + fresh.size)))
-            elements += [int(x) for x in fresh]
-            met = np.concatenate((met, fresh))
-            order = np.argsort(met)
-            met, ranks = met[order], ranks[order]
-            at = np.searchsorted(met, chunk)
-        labels[start:start + size] = ranks[at]
-        start, size = start + size, min(2 * size, _CHUNK)
-    return JointState(
-        d=d,
-        D=D,
-        amplitudes=state.amplitudes,
-        elements=tuple(elements),
-        labels=labels.astype(np.min_scalar_type(len(elements) - 1), copy=False).reshape((D,) * d),
-    )
-
-
-def _rolled_branch(joint: JointState, k: int) -> np.ndarray:
-    """Branch k, the amplitudes where labels == k and 0 elsewhere, rolled
-    by D/2 into computational (mod D) order in a fresh float64 grid.
-    Rolling by D/2 swaps the halves of every axis, so the branch is copied
-    block by block, each of the 2^d blocks into the block across from it."""
-    d, D = joint.d, joint.D
-    halves = (slice(0, D // 2), slice(D // 2, D))
-    grid = np.zeros((D,) * d)
-    for sides in itertools.product((0, 1), repeat=d):
-        src = tuple(halves[s] for s in sides)
-        dst = tuple(halves[1 - s] for s in sides)
-        np.copyto(grid[dst], joint.amplitudes[src], where=joint.labels[src] == k)
-    return grid
+    elements, labels = _rank_in_listing(subgroup_elements(rel), e)
+    return JointState(d=d, D=D, amplitudes=state.amplitudes,
+                      elements=tuple(int(x) for x in elements), labels=labels.reshape((D,) * d))
 
 
 def branch_distribution(joint: JointState, k: int) -> np.ndarray:
@@ -182,8 +164,11 @@ def branch_distribution(joint: JointState, k: int) -> np.ndarray:
     Entry [k_1..k_d] is the probability of outcome w = (k_1/D, ..., k_d/D)
     jointly with register value elements[k], where F is the unitary
     transform over Z_D^d; the sign of its kernel does not change a
-    magnitude.  The amplitudes are real, so the spectrum X = rfftn(branch)
-    of the rolled branch is Hermitian, X[-w] = conj(X[w]), and the row is
+    magnitude.  The branch is transformed where it lies, in index order:
+    read modulo D, that is the branch shifted by D/2 along every axis,
+    which multiplies each entry of the spectrum by a phase and so leaves
+    the row as it is.  The amplitudes are real, so the spectrum
+    X = rfftn(branch) is Hermitian, X[-w] = conj(X[w]), and the row is
     |X[w]|^2 / D^d.  rfftn gives the cells w_d = 0..D/2 of the last axis;
     each cell past D/2 is a copy of the cell at -w mod D, whose last index
     D - w_d lies in 1..D/2-1 (on every other axis 0 stays and 1..D-1
@@ -191,7 +176,8 @@ def branch_distribution(joint: JointState, k: int) -> np.ndarray:
     the spectrum and the row.
     """
     d, D = joint.d, joint.D
-    grid = _rolled_branch(joint, k)
+    grid = np.zeros((D,) * d)
+    np.copyto(grid, joint.amplitudes, where=joint.labels == k)
     spectrum = np.empty((D,) * (d - 1) + (D // 2 + 1,), dtype=complex)
     np.fft.rfftn(grid, out=spectrum)  # without out, rfftn allocates a spectrum per axis
     del grid
@@ -252,15 +238,16 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     the truncated state keeps only the in-box representative.  Both are
     normalized and compared in l2.
 
-    Both states are branch-major arrays of (elements met) x D^d bins, a
-    bincount of the box points in box order.  They are never whole: the
-    points are grouped by branch with one stable sort, which keeps each
-    bin's points in box order, and the bins are built a block of whole
-    branch rows (about LEAF bins, at least one row) at a time, twice:
-    once for the two masses and once, normalized, for the gap.  Each cell
-    has exactly one in-box point, so the truncated bins are a scatter.
-    Each block is summed by numpy (pairwise) and the block sums by
-    math.fsum, which rounds once, so a sum is as accurate as the dense
+    Both states are branch-major arrays of (elements met, ascending) x D^d
+    bins, a bincount of the box points in box order, each point's element
+    (one arith.power_grid) looked up in the subgroup's listing.  They are
+    never whole: the points are grouped by branch with one stable sort,
+    which keeps each bin's points in box order, and the bins are built a
+    block of whole branch rows (about LEAF bins, at least one row) at a
+    time, twice: once for the two masses and once, normalized, for the
+    gap.  Each cell has exactly one in-box point, so the truncated bins are
+    a scatter.  Each block is summed by numpy (pairwise) and the block sums
+    by math.fsum, which rounds once, so a sum is as accurate as the dense
     array's and within a few ulps of it.
     """
     inst = rel.inst
@@ -287,20 +274,17 @@ def phi1_phi2_gap(rel: RelationLattice, params: GaussParams) -> GapResult:
     rho_vals /= R * R
     np.exp(rho_vals, out=rho_vals)
     e_vals = power_grid(inst.a, N, (2 * B + 1,) * d, D // 2 - B).ravel()
-    ordered = np.sort(e_vals)
-    uniq = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    del ordered
-    branch_idx = np.searchsorted(uniq, e_vals)
+    uniq, branch = _rank_in_listing(subgroup_elements(rel), e_vals)
     del e_vals
     cells = D ** d
-    starts = np.concatenate(([0], np.cumsum(np.bincount(branch_idx, minlength=uniq.size))))
-    order = np.argsort(branch_idx.astype(np.min_scalar_type(uniq.size - 1)), kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(branch, minlength=uniq.size))))
+    order = np.argsort(branch, kind="stable")
     # each point's branch-major bin, then every array grouped by branch
-    branch_idx *= cells
-    branch_idx += cell.ravel()
+    bins = np.multiply(branch, cells, dtype=np.intp)
+    del branch
+    bins += cell.ravel()
     del cell
-    bins = branch_idx[order]
-    del branch_idx
+    bins = bins[order]
     rho_vals, in_box = rho_vals[order], in_box.ravel()[order]
     del order
     per_block = max(1, LEAF // cells)

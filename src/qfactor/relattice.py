@@ -5,8 +5,9 @@ prod a_i^{z_i} = 1 mod N; the sign sublattice L0 additionally forces
 prod b_i^{z_i} into {+-1}.  A vector of L outside L0 exhibits a nontrivial
 square root of unity, and gcd then yields a factor.  L is built exactly by
 coset expansion of the subgroup generated by the a_i, one generator at a
-time, and the quotient L*/Z^d is made samplable through a Smith
-decomposition, whose diagonal alone pairs dual cosets with primal ones.
+time, and the subgroup is listed from L's Hermite diagonal; the quotient
+L*/Z^d is made samplable through a Smith decomposition, whose diagonal
+alone pairs dual cosets with primal ones.
 
 The witness is searched for in balls of growing radius, each walked in one
 streamed pass of exact Fincke-Pohst enumeration over an LLL-reduced basis
@@ -25,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+
+import numpy as np
 
 from . import intmat, latred
 from .arith import (
@@ -111,6 +114,15 @@ def build_relation_lattice(inst: FactoringInstance) -> RelationLattice:
             f"basis determinant {det} != subgroup order {group_order}"
         )
     return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in basis), det=det)
+
+
+def subgroup_elements(rel: RelationLattice) -> np.ndarray:
+    """The subgroup <a_1..a_d>, ascending (power_grid's dtype): one
+    arith.power_grid over the box prod_i {0..h_ii-1} of the Hermite
+    diagonal.  The basis is upper triangular with positive pivots, so each
+    coset of L has exactly one point in that box: det distinct elements."""
+    diagonal = [row[i] for i, row in enumerate(rel.basis)]
+    return np.sort(power_grid(rel.inst.a, rel.inst.N, diagonal).ravel())
 
 
 def classify(rel: RelationLattice, z) -> dict:

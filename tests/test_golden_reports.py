@@ -23,7 +23,7 @@ from qfactor.cli import main
 
 GOLDEN = [
     (["simulate", "--n", "77", "--sweep", "1:16:4;2:32:8;3:32:4.62", "--trials", "300", "--seed", "1"],
-     "161cf9eaa4002588363a57e89c7f09c3aad7e07bd3dd52570618546185c6fbda"),
+     "1ba989a973b83a75f1ff2c7b48b7151aa2e9c2fb5137593d1b2b04571c14301e"),
     (["check", "--suite", "all", "--trials", "300", "--seed", "1"],
      "7160afba6c4efba27cf3ad0bdbddb0807640e4c2581fe88f9656070ad079ba55"),
     (["factor", "--n", "10403", "--d", "4", "--seed", "1"],

@@ -41,7 +41,8 @@ def rel_for(N, d, b=None):
 def dense_branches(joint):
     """The dense form of a joint state: one complex array per group element,
     the amplitudes where the register holds it and 0 elsewhere, keyed in
-    first-appearance order (what apply_exponentiation once returned)."""
+    the order of the joint state's elements (what apply_exponentiation
+    once returned)."""
     amps = joint.amplitudes.ravel()
     labels = joint.labels.ravel()
     branches = {}
@@ -388,13 +389,16 @@ def test_wrapped_mass_oracle_tiny_case():
 
 def apply_exponentiation_reference(state, rel):
     """The per-point register attachment: one exponentiation per grid point,
-    each new group element labelled in the order the grid first reaches it."""
+    the group elements met listed ascending, and each cell labelled by its
+    element's position in that list."""
     d, D = state.d, state.D
-    elements = {}
+    grid = {idx: product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
+            for idx in itertools.product(range(D), repeat=d)}
+    elements = sorted(set(grid.values()))
+    position = {e: k for k, e in enumerate(elements)}
     labels = np.empty((D,) * d, dtype=np.intp)
-    for idx in itertools.product(range(D), repeat=d):
-        e = product_tree_exponentiation(rel.inst, idx, exponent_bound=D)
-        labels[idx] = elements.setdefault(e, len(elements))
+    for idx, e in grid.items():
+        labels[idx] = position[e]
     return JointState(d=d, D=D, amplitudes=state.amplitudes, elements=tuple(elements), labels=labels)
 
 
@@ -439,7 +443,7 @@ def test_exponentiation_matches_reference_on_benchmark_grids(N, d, D, R):
     (65535, (2,), 64), (65535, (2, 7), 16),
     # and above it, below 2^31 (N = 3 * 65537, where 2 has order 32)
     (3 * 65537, (2,), 64), (3 * 65537, (2, 256), 32),
-    # 754 branches, so uint16 labels, each of the first chunks meeting new ones
+    # 754 branches, so uint16 labels
     (3127, (2,), 1024),
 ])
 def test_exponentiation_matches_reference_on_each_key_width(N, b, D):
@@ -461,6 +465,32 @@ def test_exponentiation_matches_reference_above_int64_tables(b, D):
     assert N - 1 in joint.elements
 
 
+def test_grid_that_misses_cosets_keeps_the_elements_it_meets():
+    # 3127 = 53 * 59 at d = 1: 4 has order 754, and a grid of 16 cells
+    # meets 16 of its powers, so 16 branches with uint8 labels
+    rel = rel_for(3127, 1)
+    assert rel.det == 754 and rel.inst.a == (4,)
+    joint = assert_same_joint_state(rel, GaussParams(R=4.0, D=16, d=1))
+    assert joint.elements == tuple(sorted(pow(4, i, 3127) for i in range(16)))
+    assert joint.labels.dtype == np.uint8
+
+
+@pytest.mark.parametrize("build", [
+    lambda rel: apply_exponentiation(build_gaussian_state(GaussParams(R=4.0, D=16, d=2)), rel),
+    lambda rel: phi1_phi2_gap(rel, GaussParams(R=4.0, D=16, d=2)),
+], ids=["apply_exponentiation", "phi1_phi2_gap"])
+@pytest.mark.parametrize("missing", [0, 5, -1])
+def test_element_missing_from_the_subgroup_listing_is_an_internal_error(monkeypatch, build, missing):
+    # every group element is looked up in relattice.subgroup_elements, so a
+    # listing that lacks one (here the first, a middle and the last) fails
+    # the lookup instead of labelling a cell with a neighbour's branch
+    rel = rel_for(77, 2)
+    listing = qsim.subgroup_elements(rel)
+    monkeypatch.setattr(qsim, "subgroup_elements", lambda _: np.delete(listing, missing))
+    with pytest.raises(AssertionError, match="missing from the subgroup listing"):
+        build(rel)
+
+
 def test_wrapped_mass_above_int64_tables():
     # the gap analysis shares the grid helper, Python-int path included
     N = (1 << 32) + 1
@@ -473,15 +503,6 @@ def test_wrapped_mass_above_int64_tables():
         cells[key] = cells.get(key, 0.0) + math.exp(-math.pi * y * y / 256.0)
     assert res.z2 == pytest.approx(math.sqrt(sum(v * v for v in cells.values())), rel=1e-12)
     assert res.gap <= 2.0 * 2.0**-1
-
-
-@pytest.mark.parametrize("N,d,D", [(77, 1, 64), (221, 2, 16), (77, 3, 8)])
-def test_branch_rows_match_per_branch_reference(N, d, D):
-    joint = apply_exponentiation(build_gaussian_state(GaussParams(R=D / 4, D=D, d=d)), rel_for(N, d))
-    for k, branch in enumerate(dense_branches(joint).values()):
-        assert_rows_close(branch_distribution(joint, k), branch_distribution_reference(branch, D, d))
-    want = qft_measure_distribution_reference(dense_branches(joint), D, d)
-    assert_rows_close(qft_measure_distribution(joint), want)
 
 
 @pytest.mark.parametrize("N,d,D,m", [
@@ -524,13 +545,13 @@ def test_blocked_transform_matches_per_branch_reference(N, d, D, m):
 OUTCOME_TABLE_DIGESTS = [
     # the grids statevector `factor` builds for these N at d = 1
     (15, 1, 8192, 4096.0, "d9c0e9cfb7df61210b0f3bd0dcc44065c3a72b98a5a26e9e5f613951352cf319"),
-    (35, 1, 32768, 16384.0, "37e10b26af61ee18205b56dffa97a0f00af263ba210450052ea2f1a49630fbb3"),
-    (91, 1, 65536, 32768.0, "3187581e23df57ac1391108befe7eb4db2978fb17fc347deb3f7d52d522ab6f9"),
-    (77, 1, 131072, 65536.0, "86c86ee55b27546fe16efb458f1c356c7804898e4a516decf61f162731da23dc"),
+    (35, 1, 32768, 16384.0, "eca2f502725fca8f983785b79c6e8dd04bc984c61e5bab3d95878a56e4566473"),
+    (91, 1, 65536, 32768.0, "2adf4dd1933674f1541746c26a5900e3f3a5980d8318fb6c7c796ffe78299d9b"),
+    (77, 1, 131072, 65536.0, "e0c9b9424553125f1f8c5e7decb3ed79efee28b1966361206a95af305292e455"),
     # the grids of `simulate --n 77 --sweep "1:16:4;2:32:8;3:32:4.62"`
-    (77, 1, 16, 4.0, "fad3fc8658d0ab601cc745219d092261e104beb0a8eafb70dd8f7f5123ec2be8"),
-    (77, 2, 32, 8.0, "309c93e99bd8ce10ce6073b33009a0bdd4bca6a55aff338609eed7e0206a1de1"),
-    (77, 3, 32, 4.62, "fe9cd19bfdc68904ad5bff8d3486c82b4a1e06a534dc3592a112892d818d33a6"),
+    (77, 1, 16, 4.0, "ed95c219a7dda99696eadb56a90820e46c3a05887f1821d37ed0b9722de88cfe"),
+    (77, 2, 32, 8.0, "075566c2ebae2df563f2307f452d82692cda05da205fe9b122bf6053d4b1a487"),
+    (77, 3, 32, 4.62, "3d40af7de3100bc52319f5496d6f4b520a649da78488d4d94601b778c68332d7"),
 ]
 
 
@@ -558,16 +579,24 @@ def assert_hermitian_fill(row, D, d):
     assert np.array_equal(row[..., D // 2 + 1:], row[np.ix_(*[negated] * d)][..., D // 2 + 1:])
 
 
-@pytest.mark.parametrize("N,d,D,R,digest", OUTCOME_TABLE_DIGESTS,
-                         ids=[f"{N}-{d}-{D}" for N, d, D, *_ in OUTCOME_TABLE_DIGESTS])
-def test_sampling_rows_agree_with_branch_rows(N, d, D, R, digest):
+# small grids at R = D/4, then the OUTCOME_TABLE_DIGESTS grids
+ROW_GRIDS = [(77, 1, 64, 16.0), (221, 2, 16, 4.0), (77, 3, 8, 2.0),
+             *((N, d, D, R) for N, d, D, R, _ in OUTCOME_TABLE_DIGESTS)]
+
+
+@pytest.mark.parametrize("N,d,D,R", ROW_GRIDS, ids=[f"{N}-{d}-{D}" for N, d, D, _ in ROW_GRIDS])
+def test_branch_rows_match_per_branch_reference(N, d, D, R):
     # the real-input transform's row of every branch, which both the table
-    # and the draws use, is within a few ulps of the complex transform's
+    # and the draws use, is within a few ulps of the complex transform's,
+    # and so is the table that adds them up
     joint = apply_exponentiation(build_gaussian_state(GaussParams(R=R, D=D, d=d)), rel_for(N, d))
+    want = np.zeros((D,) * d)
     for k, branch in enumerate(dense_branches(joint).values()):
-        row = branch_distribution(joint, k)
-        assert_rows_close(row, branch_distribution_reference(branch, D, d))
+        row, reference = branch_distribution(joint, k), branch_distribution_reference(branch, D, d)
+        assert_rows_close(row, reference)
         assert_hermitian_fill(row, D, d)
+        want += reference
+    assert_rows_close(qft_measure_distribution(joint), want)
 
 
 # The row's distance from the complex reference on any grid: at most 9.2
@@ -632,10 +661,10 @@ def test_grid_power_tables_match_pow(a, N):
 
 def test_joint_state_and_transform_memory_stay_below_dense_branches():
     # the 77/d=1 statevector grid: 15 branches of 2^17 complex cells would
-    # take 30 MB as dense arrays; power_grid's own peak is 2 MB, and one
-    # branch's transform holds a real grid and its half spectrum, then the
-    # spectrum and the row (1 MB each), beside the table (1 MB); measured
-    # 3.0 MB
+    # take 30 MB as dense arrays; the labelling's peak is power_grid's own,
+    # 2 MB (measured 2.00 MB), and one branch's transform holds a real grid
+    # and its half spectrum, then the spectrum and the row (1 MB each),
+    # beside the table (1 MB); measured 3.0 MB
     rel = rel_for(77, 1)
     state = build_gaussian_state(GaussParams(R=65536.0, D=131072, d=1))
     tracemalloc.start()
@@ -648,7 +677,7 @@ def test_joint_state_and_transform_memory_stay_below_dense_branches():
     finally:
         tracemalloc.stop()
     assert len(joint.elements) == 15
-    assert apply_peak < 2.5 * (1 << 20)
+    assert apply_peak < 2.2 * (1 << 20)
     assert qft_peak < 3.3 * (1 << 20)
 
 

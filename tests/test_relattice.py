@@ -28,6 +28,7 @@ from qfactor.relattice import (
     dual_cosets,
     dual_structure_from_basis,
     shortest_nontrivial_witness,
+    subgroup_elements,
 )
 
 
@@ -36,6 +37,19 @@ def bfs_relation_lattice_reference(inst, group_cap=1 << 22):
     graph of <a_1..a_d>, one relation per cycle-closing edge, then the
     Hermite basis of the harvest, its determinant checked against the
     number of elements the BFS found."""
+    exps, relations = bfs_walk(inst, group_cap)
+    d = inst.d
+    rows = intmat.hermite_basis(sorted(relations), d)
+    assert len(rows) == d
+    det = abs(intmat.determinant(rows))
+    assert det == len(exps)
+    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
+
+
+def bfs_walk(inst, group_cap=1 << 22):
+    """The BFS over the Cayley graph of <a_1..a_d> from 1: an exponent
+    vector of each element it reaches, keyed by the element, and the
+    relation each cycle-closing edge gives."""
     N, d = inst.N, inst.d
     exps = {1: (0,) * d}
     frontier = [1]
@@ -58,11 +72,7 @@ def bfs_relation_lattice_reference(inst, group_cap=1 << 22):
                     if any(rel):
                         relations.add(rel)
         frontier = nxt
-    rows = intmat.hermite_basis(sorted(relations), d)
-    assert len(rows) == d
-    det = abs(intmat.determinant(rows))
-    assert det == len(exps)
-    return RelationLattice(inst=inst, basis=tuple(tuple(r) for r in rows), det=det)
+    return exps, relations
 
 
 def coset_relation_lattice_reference(inst):
@@ -446,6 +456,22 @@ def test_coset_expansion_matches_bfs_reference_on_odd_composites(N, d):
     except (FactorFound, ParameterError):  # a base shares a factor, or N is a perfect power
         return
     assert build_relation_lattice(inst) == bfs_relation_lattice_reference(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(7, (1 << 15) - 1).map(lambda k: 2 * k + 1), d=st.integers(1, 3))
+def test_subgroup_listing_is_the_closure_of_the_generators(N, d):
+    # the box of the Hermite diagonal holds one exponent vector of each
+    # coset of L, so the listing is the whole subgroup, each element once
+    try:
+        inst = FactoringInstance.build(N, d)
+    except (FactorFound, ParameterError):  # a base shares a factor, or N is a perfect power
+        return
+    rel = build_relation_lattice(inst)
+    listing = subgroup_elements(rel)
+    assert listing.shape == (rel.det,)
+    assert np.all(listing[1:] > listing[:-1])
+    assert [int(x) for x in listing] == sorted(bfs_walk(inst)[0])
 
 
 # The BFS reference costs about 0.6 s per 20-bit case and the coset
